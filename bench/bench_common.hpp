@@ -43,11 +43,6 @@ struct Settings {
   /// Named registry scenario (see `tomo_scenarios --list`); "" keeps the
   /// binary's built-in workload.
   std::string scenario;
-  /// Simulator packet mode (sim::parse_packet_mode names). "batched" is
-  /// the block-parallel engine; "batched-ref" its scalar differential
-  /// reference; "binomial"/"per-packet"/"exact" the legacy per-snapshot
-  /// engines.
-  std::string sim_mode = "batched";
 };
 
 /// Registers the flags every experiment binary shares. Defaults come from
@@ -75,10 +70,6 @@ inline void add_common_flags(Flags& flags) {
                    "registry scenario replacing the binary's built-in "
                    "topology/correlation setup (tomo_scenarios --list; the "
                    "binary's swept knob still applies)");
-  flags.add_string("sim-mode", defaults.sim_mode,
-                   "simulator packet mode: batched (block-parallel, "
-                   "default), batched-ref (scalar reference), binomial, "
-                   "per-packet, exact");
 }
 
 inline Settings settings_from_flags(const Flags& flags) {
@@ -95,8 +86,6 @@ inline Settings settings_from_flags(const Flags& flags) {
   if (!s.scenario.empty()) {
     core::ScenarioCatalog::instance().at(s.scenario);  // fail fast on typos
   }
-  s.sim_mode = flags.get_string("sim-mode");
-  sim::parse_packet_mode(s.sim_mode);  // fail fast on typos
   return s;
 }
 
@@ -161,7 +150,6 @@ inline core::ScenarioConfig resolve_scenario(
 inline void apply_trial_settings(core::TrialSpec& spec, const Settings& s) {
   spec.sim.snapshots = s.snapshots;
   spec.sim.packets_per_path = s.packets;
-  spec.sim.mode = sim::parse_packet_mode(s.sim_mode);
   if (s.trials == 1) {
     spec.sim.jobs = s.jobs;
     spec.inference.equations.jobs = s.jobs;
@@ -320,8 +308,9 @@ class Run {
         // 2: added the scenario descriptor; 3: annotations object
         // (per-trial solver detail) + *_solve_seconds metrics; 4: sim_mode
         // setting + *_sim_seconds metrics; 5: bitops_kernel setting +
-        // *_resample_seconds metrics.
-        .set("schema_version", 5)
+        // *_resample_seconds metrics; 6: sim_mode setting dropped (one
+        // simulator engine).
+        .set("schema_version", 6)
         .set("settings", util::Json::object()
                              .set("full", settings_.full)
                              .set("csv", settings_.csv)
@@ -333,7 +322,6 @@ class Run {
                                   util::resolve_jobs(settings_.jobs))
                              .set("seed", settings_.seed)
                              .set("scenario", settings_.scenario)
-                             .set("sim_mode", settings_.sim_mode)
                              // Telemetry for cross-run comparison: which
                              // bit-kernel table the run dispatched to
                              // (JSON only — never printed to stdout).

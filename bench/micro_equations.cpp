@@ -1,12 +1,7 @@
 // Microbenchmark: equation building (the rank-guided candidate stream) and
 // full inference on a mid-size scenario, plus the harvest on the
-// registry's heaviest entry (waxman-dense-vps, 1560 paths). The *Reference
-// variant runs the two flag-gated reference paths — scalar measurement,
-// union-materializing correlation check — that the differential suite pins
-// the fast paths against; the structural PR-4 wins (sparse rank tracking,
-// seen-set-free candidate generation, lazy dense system) are permanent and
-// show up in the main variant's absolute time (~20 ms vs ~300 ms for the
-// full pre-PR-4 implementation on the same instance).
+// registry's heaviest entry (waxman-dense-vps, 1560 paths; ~20 ms where
+// the pre-PR-4 implementation took ~300 ms on the same instance).
 #include <benchmark/benchmark.h>
 
 #include "core/correlation_algorithm.hpp"
@@ -33,7 +28,6 @@ struct Prepared {
   static sim::SimulatorConfig make_sim_config() {
     sim::SimulatorConfig config;
     config.snapshots = 1000;
-    config.mode = sim::PacketMode::kExact;
     config.seed = 7;
     return config;
   }
@@ -95,23 +89,6 @@ void BM_HarvestDenseVps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HarvestDenseVps)->Unit(benchmark::kMillisecond);
-
-void BM_HarvestDenseVpsReference(benchmark::State& state) {
-  Prepared& p = prepared_dense_vps();
-  const sim::EmpiricalMeasurement scalar(p.sim_result.observations(),
-                                         /*use_bitset_cache=*/false);
-  const auto singles =
-      corr::CorrelationSets::singletons(p.coverage.link_count());
-  core::EquationBuildOptions reference;
-  reference.use_signature_precheck = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_equations(
-        p.coverage, p.inst.declared_sets, scalar, reference));
-    benchmark::DoNotOptimize(
-        core::build_equations(p.coverage, singles, scalar, reference));
-  }
-}
-BENCHMARK(BM_HarvestDenseVpsReference)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

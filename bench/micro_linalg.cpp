@@ -6,7 +6,6 @@
 #include "core/equations.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/coverage.hpp"
-#include "linalg/nnls.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/rank_tracker.hpp"
 #include "linalg/simplex.hpp"
@@ -43,18 +42,6 @@ void BM_QrLeastSquares(benchmark::State& state) {
 }
 BENCHMARK(BM_QrLeastSquares)->Arg(32)->Arg(64)->Arg(128)->Complexity();
 
-void BM_Nnls(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  const Matrix a = random_matrix(n + 10, n, rng);
-  Vector b(n + 10);
-  for (auto& v : b) v = rng.uniform(0, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(nnls(a, b));
-  }
-}
-BENCHMARK(BM_Nnls)->Arg(16)->Arg(32)->Arg(64);
-
 void BM_RankTrackerSparseRows(benchmark::State& state) {
   const std::size_t dim = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
@@ -77,16 +64,13 @@ void BM_RankTrackerSparseRows(benchmark::State& state) {
 }
 BENCHMARK(BM_RankTrackerSparseRows)->Arg(64)->Arg(128)->Arg(256);
 
-// ---- NNLS engines on real registry equation systems ---------------------
+// ---- NNLS on real registry equation systems -----------------------------
 //
-// The solve is the inference hot path at mesh scale, so the engine
-// comparison runs on harvested systems, not synthetic dense ones:
+// The solve is the inference hot path at mesh scale, so it is measured on
+// harvested systems, not synthetic dense ones:
 //   arg 0 — waxman-bursty at test (shrink) scale, ~260 links
 //   arg 1 — waxman-full at test scale, ~250 links / ~230 paths
 //   arg 2 — waxman-full at full registry scale (~870 paths, ~870 links)
-// The reference engine (fresh dense QR per inner iteration) only runs the
-// shrink scales: at arg 2 one solve takes minutes, which is exactly the
-// regression the incremental engine removed.
 
 struct RegistrySystem {
   core::EquationSystem system;
@@ -108,43 +92,27 @@ const RegistrySystem& registry_system(std::int64_t scale) {
   sim::SimulatorConfig sc;
   sc.snapshots = scale < 2 ? 400 : 2000;
   sc.packets_per_path = scale < 2 ? 600 : 4000;
-  sc.mode = sim::PacketMode::kBinomial;
   sc.seed = 0xbe7c00;
   auto simr = sim::simulate(inst.graph, inst.paths, *inst.truth, sc);
   const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
   RegistrySystem prepared;
   prepared.system =
       core::build_equations(coverage, inst.declared_sets, meas);
-  prepared.system.matrix();  // materialize outside the timed region
   return cache.emplace(scale, std::move(prepared)).first->second;
 }
 
-void BM_NnlsRegistryIncremental(benchmark::State& state) {
+void BM_NnlsRegistry(benchmark::State& state) {
   const RegistrySystem& prepared = registry_system(state.range(0));
-  SolverOptions options;  // defaults: nnls, incremental engine
+  SolverOptions options;  // defaults: nnls
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         solve_log_system(core::sparse_view(prepared.system), options));
   }
 }
-BENCHMARK(BM_NnlsRegistryIncremental)
+BENCHMARK(BM_NnlsRegistry)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_NnlsRegistryReference(benchmark::State& state) {
-  const RegistrySystem& prepared = registry_system(state.range(0));
-  SolverOptions options;
-  options.nnls_mode = NnlsMode::kReference;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_log_system(
-        prepared.system.matrix(), prepared.system.rhs(), options));
-  }
-}
-BENCHMARK(BM_NnlsRegistryReference)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 void BM_L1Regression(benchmark::State& state) {

@@ -19,27 +19,11 @@ core::ScenarioInstance make_instance() {
   return core::build_scenario(config);
 }
 
-void BM_SimulateBinomial(benchmark::State& state) {
-  const auto inst = make_instance();
-  sim::SimulatorConfig config;
-  config.snapshots = static_cast<std::size_t>(state.range(0));
-  config.packets_per_path = 500;
-  config.mode = sim::PacketMode::kBinomial;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::simulate(inst.graph, inst.paths, *inst.truth, config));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(config.snapshots));
-}
-BENCHMARK(BM_SimulateBinomial)->Arg(100)->Arg(500);
-
 void BM_SimulateBatched(benchmark::State& state) {
   const auto inst = make_instance();
   sim::SimulatorConfig config;
   config.snapshots = static_cast<std::size_t>(state.range(0));
   config.packets_per_path = 500;
-  config.mode = sim::PacketMode::kBatched;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         sim::simulate(inst.graph, inst.paths, *inst.truth, config));
@@ -49,25 +33,10 @@ void BM_SimulateBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateBatched)->Arg(100)->Arg(500)->Arg(2000);
 
-void BM_SimulateExact(benchmark::State& state) {
-  const auto inst = make_instance();
-  sim::SimulatorConfig config;
-  config.snapshots = static_cast<std::size_t>(state.range(0));
-  config.mode = sim::PacketMode::kExact;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::simulate(inst.graph, inst.paths, *inst.truth, config));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(config.snapshots));
-}
-BENCHMARK(BM_SimulateExact)->Arg(1000)->Arg(4000);
-
 void BM_PairGoodCounting(benchmark::State& state) {
   const auto inst = make_instance();
   sim::SimulatorConfig config;
   config.snapshots = 2000;
-  config.mode = sim::PacketMode::kExact;
   auto result = sim::simulate(inst.graph, inst.paths, *inst.truth, config);
   const sim::EmpiricalMeasurement meas(std::move(result.measurement));
   const std::size_t paths = inst.paths.size();

@@ -53,10 +53,8 @@ int main() {
   config.packets_per_path = 1000;
   config.seed = 4;
   const auto simulated = sim::simulate(g, paths, truth, config);
-  // The bootstrap below resamples raw snapshots, so materialize the
-  // per-snapshot observations once and share them.
-  const sim::PathObservations observations = simulated.observations();
-  const sim::EmpiricalMeasurement measurement(observations);
+  // The bootstrap below resamples the measurement's snapshot block.
+  const sim::EmpiricalMeasurement measurement(simulated.measurement);
 
   // --- Remedy 2: merge indistinguishable links -------------------------
   const core::MergedInferenceResult merged =
@@ -87,7 +85,7 @@ int main() {
   boot.replicates = 50;
   const core::BootstrapResult intervals = core::bootstrap_congestion(
       merged.transform.graph, merged.transform.paths, merged_cov,
-      merged_sets, observations, boot);
+      merged_sets, measurement.block(), boot);
   std::printf("\n90%% bootstrap intervals (merged links):\n");
   for (graph::LinkId m = 0; m < intervals.point.size(); ++m) {
     std::printf("  merged link %zu: %.3f  [%.3f, %.3f]\n", m,

@@ -9,62 +9,46 @@
 // the i.i.d. bootstrap narrows intervals somewhat, which is the usual
 // caveat and is documented here rather than hidden.
 //
-// Two engines share the API:
-//
-//  - kBatched (default) amortizes everything replicates share. Picks are
-//    gathered word-level into bit-packed MeasurementBlock columns, the
-//    equation harvest runs once on the point estimate, and each replicate
-//    that keeps the harvest's support alive re-estimates only the
-//    right-hand sides and solves on the shared Gram skeleton
-//    (linalg::solve_log_system_reuse + NNLS warm start), falling back to
-//    a full re-harvest only when support actually changes. Replicates fan
-//    across the thread pool on per-replicate seed streams, so intervals
-//    are bit-identical for any `jobs`.
-//  - kReference is the historical serial path — per-bit resample, full
-//    re-inference per replicate — kept as the differential baseline. At
-//    matched seeds the batched engine with warm_start off is bitwise
-//    equal to it; with warm_start on both reach the same optimum.
+// The engine amortizes everything replicates share. Picks are gathered
+// word-level into bit-packed MeasurementBlock columns, the equation
+// harvest runs once on the point estimate, and each replicate that keeps
+// the harvest's support alive re-estimates only the right-hand sides and
+// solves on the shared Gram skeleton (linalg::refresh_gram_rhs + NNLS
+// warm start), falling back to a full re-harvest only when support
+// actually changes. Replicates fan across the thread pool on
+// per-replicate seed streams, so intervals are bit-identical for any
+// `jobs`. The historical serial path — per-bit resample, full
+// re-inference per replicate — is kept in tests/reference: at matched
+// seeds this engine with warm_start off is bitwise equal to it; with
+// warm_start on both reach the same optimum.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "core/correlation_algorithm.hpp"
 #include "sim/measurement.hpp"
 #include "sim/measurement_block.hpp"
-#include "sim/snapshot.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tomo::core {
 
-enum class BootstrapMode {
-  kBatched,    // shared-skeleton engine (default)
-  kReference,  // serial full re-inference, the differential baseline
-};
-
-/// Parses "batched" | "reference"; throws tomo::Error otherwise.
-BootstrapMode bootstrap_mode_from_string(const std::string& name);
-std::string to_string(BootstrapMode mode);
-
 struct BootstrapOptions {
   /// Raised from the historical 30 now that replicates are ~free on the
-  /// batched engine.
+  /// shared Gram skeleton.
   std::size_t replicates = 200;
   double confidence = 0.90;  // central interval mass
   std::uint64_t seed = 1;
-  BootstrapMode mode = BootstrapMode::kBatched;
-  /// Replicate fan-out width for the batched engine (1 = inline on the
-  /// caller, 0 = all hardware cores). Intervals are bit-identical for any
-  /// value; the reference engine is deliberately serial.
+  /// Replicate fan-out width (1 = inline on the caller, 0 = all hardware
+  /// cores). Intervals are bit-identical for any value.
   std::size_t jobs = 1;
   /// Warm-start every replicate's NNLS from the point estimate's active
-  /// set (batched engine, incremental NNLS only). Off, the batched engine
-  /// is bitwise equal to the reference engine at matched seeds.
+  /// set (NNLS only). Off, every replicate is bitwise the cold
+  /// infer_congestion of its resample.
   bool warm_start = true;
   InferenceOptions inference;
 };
@@ -79,33 +63,25 @@ struct BootstrapResult {
   /// Always surfaced (and warned about past 10%) — a silently shrunken
   /// sample used to masquerade as the requested replicate count.
   std::size_t skipped = 0;
-  /// Batched engine only: replicates whose equation support changed (or
-  /// could not be proven stable), forcing a full re-harvest instead of
-  /// the Gram-skeleton fast path. Includes the skipped ones.
+  /// Replicates whose equation support changed (or could not be proven
+  /// stable), forcing a full re-harvest instead of the Gram-skeleton fast
+  /// path. Includes the skipped ones.
   std::size_t reharvested = 0;
   /// Wall-clock seconds spent materializing replicate measurements
-  /// (MeasurementBlock::resample for the batched engine,
-  /// resample_snapshots for the reference engine), summed across workers —
-  /// on a multi-worker run this exceeds the elapsed resample time.
+  /// (MeasurementBlock::resample), summed across workers — on a
+  /// multi-worker run this exceeds the elapsed resample time.
   /// Telemetry only (reported in BENCH_*.json); never printed to stdout.
   double resample_seconds = 0.0;
 };
 
-/// Resamples snapshots of `obs` with replacement (same count). The scalar
-/// per-bit path, kept as the differential reference for
-/// sim::MeasurementBlock::resample; consumes exactly one rng.below(n) per
-/// output snapshot, the shared pick-stream contract of both engines.
-sim::PathObservations resample_snapshots(const sim::PathObservations& obs,
-                                         Rng& rng);
-
 /// The per-replicate seed stream: replicate r of a run with base `seed`
-/// always draws from this rng, independent of the fan-out width and of
-/// which engine runs it — that is what makes jobs-invariance and
-/// matched-seed engine comparison possible.
+/// always draws from this rng, independent of the fan-out width — that is
+/// what makes jobs-invariance and matched-seed comparison with the
+/// reference possible.
 Rng replicate_rng(std::uint64_t seed, std::size_t replicate);
 
 /// Draws `snapshot_count` resample picks (with replacement, each below
-/// `snapshot_count`) — the same stream resample_snapshots consumes.
+/// `snapshot_count`): one rng.below(snapshot_count) per output snapshot.
 std::vector<std::uint32_t> draw_picks(std::size_t snapshot_count, Rng& rng);
 
 /// draw_picks into a caller-owned buffer (resized to `snapshot_count`):
@@ -113,21 +89,12 @@ std::vector<std::uint32_t> draw_picks(std::size_t snapshot_count, Rng& rng);
 void draw_picks_into(std::size_t snapshot_count, Rng& rng,
                      std::vector<std::uint32_t>& picks);
 
-/// Full-pipeline bootstrap of the correlation algorithm. The block
-/// overload is the native one; the observation overload packs once and
-/// delegates.
+/// Full-pipeline bootstrap of the correlation algorithm.
 BootstrapResult bootstrap_congestion(const graph::Graph& g,
                                      const std::vector<graph::Path>& paths,
                                      const graph::CoverageIndex& coverage,
                                      const corr::CorrelationSets& sets,
                                      const sim::MeasurementBlock& block,
-                                     const BootstrapOptions& options = {});
-
-BootstrapResult bootstrap_congestion(const graph::Graph& g,
-                                     const std::vector<graph::Path>& paths,
-                                     const graph::CoverageIndex& coverage,
-                                     const corr::CorrelationSets& sets,
-                                     const sim::PathObservations& obs,
                                      const BootstrapOptions& options = {});
 
 /// Generic batched resample sweep for callers that bootstrap something

@@ -12,11 +12,10 @@
 namespace tomo::core {
 
 struct InferenceOptions {
-  /// End-to-end solver configuration — kind, NNLS engine (incremental
-  /// Gram/Cholesky vs reference QR), Gram-build jobs, tolerances —
-  /// threaded down to linalg::solve_log_system. The solve runs on the
-  /// equation system's sparse view: the dense incidence matrix is never
-  /// materialized on this path.
+  /// End-to-end solver configuration — kind, Gram-build jobs, tolerances,
+  /// warm start — threaded down to linalg::solve_log_system. The solve
+  /// runs on the equation system's sparse view: for NNLS the dense
+  /// incidence matrix is never materialized.
   linalg::SolverOptions solver;
   EquationBuildOptions equations;
   /// Apply the paper's §3.3 fallback: links flagged unidentifiable by the
@@ -43,9 +42,9 @@ struct InferenceResult {
   std::vector<double> log_good;         // x_k = log P(X_k = 0)
   EquationSystem system;                // the solved system (diagnostics)
   std::string solver_detail;
-  /// Converged NNLS support (links with non-zero estimate), sorted; filled
-  /// by the incremental engine only. The streaming driver feeds it back as
-  /// the next window's warm start.
+  /// Converged NNLS support (links with non-zero estimate), sorted; empty
+  /// for the other solver kinds. The streaming driver feeds it back as the
+  /// next window's warm start.
   std::vector<std::size_t> active_set;
   /// Wall seconds spent inside the solver (telemetry; never printed on
   /// stdout — the *_solve_seconds JSON mirror of system.build_seconds).

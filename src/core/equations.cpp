@@ -1,7 +1,6 @@
 #include "core/equations.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -80,41 +79,6 @@ std::size_t count_common(const std::vector<graph::LinkId>& a,
   return common;
 }
 
-/// Per-path correlation-set signatures: one bit per correlation set,
-/// path-major. Built only for pair-eligible paths (usable and individually
-/// correlation-free), which is what makes the pair precheck exact: an
-/// eligible path touches each correlation set at most once, so the union of
-/// two eligible paths is correlation-free iff every set they share is
-/// reached through a shared link — i.e. iff the number of shared signature
-/// bits equals the number of shared links.
-class SetSignatures {
- public:
-  SetSignatures(const corr::CorrelationSets& sets,
-                const graph::CoverageIndex& coverage,
-                const std::vector<std::uint8_t>& eligible)
-      : words_((sets.set_count() + 63) / 64),
-        bits_(coverage.path_count() * words_, 0) {
-    for (graph::PathId p = 0; p < coverage.path_count(); ++p) {
-      if (!eligible[p]) continue;
-      std::uint64_t* row = bits_.data() + p * words_;
-      for (graph::LinkId e : coverage.sorted_links_of(p)) {
-        const std::size_t s = sets.set_of(e);
-        row[s / 64] |= std::uint64_t{1} << (s % 64);
-      }
-    }
-  }
-
-  /// Number of correlation sets touched by both paths.
-  std::size_t shared_sets(graph::PathId p, graph::PathId q) const {
-    return util::bitops::active().and_popcount(
-        bits_.data() + p * words_, bits_.data() + q * words_, words_);
-  }
-
- private:
-  std::size_t words_;
-  std::vector<std::uint64_t> bits_;
-};
-
 /// Precomputed verdict for one pair candidate: everything the sequential
 /// merge needs, produced by (possibly parallel) pure evaluation.
 struct CandidateEval {
@@ -124,6 +88,29 @@ struct CandidateEval {
 };
 
 }  // namespace
+
+PairPrecheck::PairPrecheck(const corr::CorrelationSets& sets,
+                           const graph::CoverageIndex& coverage,
+                           const std::vector<std::uint8_t>& eligible)
+    : coverage_(coverage),
+      words_((sets.set_count() + 63) / 64),
+      bits_(coverage.path_count() * words_, 0) {
+  for (graph::PathId p = 0; p < coverage.path_count(); ++p) {
+    if (!eligible[p]) continue;
+    std::uint64_t* row = bits_.data() + p * words_;
+    for (graph::LinkId e : coverage.sorted_links_of(p)) {
+      const std::size_t s = sets.set_of(e);
+      row[s / 64] |= std::uint64_t{1} << (s % 64);
+    }
+  }
+}
+
+bool PairPrecheck::correlation_free(graph::PathId p, graph::PathId q) const {
+  const std::size_t shared_sets = util::bitops::active().and_popcount(
+      bits_.data() + p * words_, bits_.data() + q * words_, words_);
+  return shared_sets == count_common(coverage_.sorted_links_of(p),
+                                     coverage_.sorted_links_of(q));
+}
 
 EquationSystem build_equations(const graph::CoverageIndex& coverage,
                                const corr::CorrelationSets& sets,
@@ -215,32 +202,19 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
     Rng rng(options.shuffle_seed);
     rng.shuffle(candidates);
 
-    // Only built when the precheck will actually consult it: singleton
-    // structures short-circuit and the reference path scans the union.
-    std::optional<SetSignatures> signatures;
-    if (options.use_signature_precheck && !all_singletons) {
-      signatures.emplace(sets, coverage, eligible);
-    }
+    // Singleton structures short-circuit, so the precheck is only built
+    // when it can actually reject a candidate.
+    std::optional<PairPrecheck> precheck;
+    if (!all_singletons) precheck.emplace(sets, coverage, eligible);
 
     // Pure per-candidate evaluation; safe to run on any worker. Slots are
     // reused across batches (links keeps its capacity), so rejected
     // candidates allocate nothing after warm-up.
     const auto evaluate = [&](std::size_t idx, CandidateEval& ev) {
       const auto& [p, q] = candidates[idx];
-      if (options.use_signature_precheck) {
-        ev.corr_free =
-            all_singletons ||
-            signatures->shared_sets(p, q) ==
-                count_common(plinks(p), plinks(q));
-        if (ev.corr_free) {
-          sorted_union_into(plinks(p), plinks(q), ev.links);
-        }
-      } else {
-        // Reference path: materialize the union, scan it against the sets.
-        sorted_union_into(plinks(p), plinks(q), ev.links);
-        ev.corr_free = sets.correlation_free(ev.links);
-      }
+      ev.corr_free = all_singletons || precheck->correlation_free(p, q);
       if (ev.corr_free) {
+        sorted_union_into(plinks(p), plinks(q), ev.links);
         ev.est = sim::log_estimate(measurement.pair_good_prob(p, q),
                                    measurement.sample_count(),
                                    options.min_good_snapshots);
@@ -330,19 +304,6 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
   return sys;
 }
 
-void EquationSystem::ensure_dense() const {
-  if (dense_ready_) return;
-  a_ = linalg::Matrix(equations.size(), link_count);
-  y_.resize(equations.size());
-  for (std::size_t i = 0; i < equations.size(); ++i) {
-    for (graph::LinkId e : equations[i].links) {
-      a_(i, e) = 1.0;
-    }
-    y_[i] = equations[i].y;
-  }
-  dense_ready_ = true;
-}
-
 }  // namespace tomo::core
 
 namespace tomo::core {
@@ -362,21 +323,6 @@ double variance_weight(double log_prob, double samples) {
 
 }  // namespace
 
-void apply_variance_weights(EquationSystem& system, std::size_t samples) {
-  if (samples == 0) return;
-  const double n = static_cast<double>(samples);
-  for (std::size_t i = 0; i < system.equations.size(); ++i) {
-    const double weight = variance_weight(system.equations[i].y, n);
-    // Only the equation's support columns carry the row's 1-entries; the
-    // structural zeros must stay untouched rather than being multiplied
-    // across the whole dense row.
-    for (graph::LinkId e : system.equations[i].links) {
-      system.matrix()(i, e) *= weight;
-    }
-    system.rhs()[i] *= weight;
-  }
-}
-
 linalg::SparseSystemView sparse_view(const EquationSystem& system,
                                      std::size_t weight_samples) {
   linalg::SparseSystemView view;
@@ -388,8 +334,7 @@ linalg::SparseSystemView sparse_view(const EquationSystem& system,
     row.support = eq.links.data();
     row.support_size = eq.links.size();
     if (weight_samples > 0) {
-      // Same doubles apply_variance_weights writes into the dense system:
-      // weight * 1.0 entries and a weight-scaled rhs.
+      // Every support entry carries the weight; the rhs scales with it.
       row.value = variance_weight(eq.y, n);
       row.y = row.value * eq.y;
     } else {

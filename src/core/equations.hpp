@@ -15,12 +15,12 @@
 // The pair harvest is the hot path at dense-mesh scale and is built as a
 // streaming generator: per-link candidate emission deduplicated by
 // lowest-touch-link ownership (no global seen-set), an exact
-// correlation-set-signature precheck that decides correlation_free(union)
-// without materializing the union, and batched candidate evaluation fanned
-// across a worker pool with a deterministic candidate-order merge — the
-// accepted system is byte-identical to the historical sequential build for
-// any jobs value, which the differential suite (test_equations_fast)
-// enforces against the reference paths.
+// correlation-set-signature precheck (PairPrecheck) that decides
+// correlation_free(union) without materializing the union, and batched
+// candidate evaluation fanned across a worker pool with a deterministic
+// candidate-order merge — the accepted system is byte-identical to a
+// sequential build for any jobs value, which the differential suite
+// (test_equations_fast) enforces against the scalar reference measurement.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,6 @@
 
 #include "corr/correlation.hpp"
 #include "graph/coverage.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/solvers.hpp"
 #include "sim/measurement.hpp"
 
@@ -55,29 +54,6 @@ struct EquationSystem {
   double build_seconds = 0.0;
 
   bool full_rank() const { return rank == link_count; }
-
-  /// Dense solver-facing views of the harvest: the |equations| x |links|
-  /// 0/1 incidence matrix and the right-hand sides. Materialized from
-  /// `equations` on first access and cached — the harvest itself never
-  /// pays for megabytes of structural zeros, and discarded intermediate
-  /// systems (demotion rounds) never materialize at all. The mutable
-  /// overloads exist for in-place reweighting (apply_variance_weights);
-  /// they materialize first, so weighted entries are never rebuilt over.
-  /// NOTE: first access mutates the cache without synchronization, so the
-  /// const overloads are not safe to call concurrently on a shared system
-  /// — materialize once (or give each thread its own copy) before fanning
-  /// out.
-  const linalg::Matrix& matrix() const { ensure_dense(); return a_; }
-  const linalg::Vector& rhs() const { ensure_dense(); return y_; }
-  linalg::Matrix& matrix() { ensure_dense(); return a_; }
-  linalg::Vector& rhs() { ensure_dense(); return y_; }
-
- private:
-  void ensure_dense() const;
-
-  mutable bool dense_ready_ = false;
-  mutable linalg::Matrix a_;
-  mutable linalg::Vector y_;
 };
 
 struct EquationBuildOptions {
@@ -105,13 +81,28 @@ struct EquationBuildOptions {
   /// and therefore stdout — is byte-identical for any value. Keep 1 when
   /// trials already fan out across a pool (nested pools oversubscribe).
   std::size_t jobs = 1;
-  /// When true (default), correlation_free(union) for a pair candidate is
-  /// decided from per-path correlation-set signatures (exact for phase-2
-  /// candidates, whose paths are individually correlation-free) without
-  /// materializing the union. When false, the scalar reference path —
-  /// materialize the sorted union, scan it against the declared sets — is
-  /// used instead; differential tests pin the two against each other.
-  bool use_signature_precheck = true;
+};
+
+/// The pair harvest's exact correlation precheck. It keeps one bit per
+/// correlation set for every eligible path — one whose own links are
+/// correlation-free, so it touches each set at most once. The union of two
+/// eligible paths is then correlation-free iff every set they share is
+/// reached through a shared link: iff the shared signature bits equal the
+/// shared links. No union is materialized.
+class PairPrecheck {
+ public:
+  PairPrecheck(const corr::CorrelationSets& sets,
+               const graph::CoverageIndex& coverage,
+               const std::vector<std::uint8_t>& eligible);
+
+  /// sets.correlation_free(sorted union of both paths' links); exact when
+  /// both paths are eligible.
+  bool correlation_free(graph::PathId p, graph::PathId q) const;
+
+ private:
+  const graph::CoverageIndex& coverage_;
+  std::size_t words_;
+  std::vector<std::uint64_t> bits_;
 };
 
 /// Builds the equation system for the given correlation structure. Pass
@@ -122,18 +113,13 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
                                const sim::MeasurementProvider& measurement,
                                const EquationBuildOptions& options = {});
 
-/// Scales each equation by the inverse standard deviation of its estimate:
-/// by the delta method, Var(log p-hat) ~= (1 - p) / (p * N) for a binomial
-/// proportion over N snapshots. Well-supported equations then count more
-/// in the (least-squares-family) solve. No-op when `samples` == 0 (oracle
-/// measurements are exact).
-void apply_variance_weights(EquationSystem& system, std::size_t samples);
-
 /// Solver-facing sparse view of the harvest: one row per equation,
 /// borrowing the equations' link storage (the view must not outlive
-/// `system`). With `weight_samples` > 0 each row carries the same
-/// inverse-stddev variance weight apply_variance_weights would install —
-/// but applied inside the view, so the dense matrix never materializes.
+/// `system`). With `weight_samples` > 0 each row is scaled by the inverse
+/// standard deviation of its estimate: by the delta method,
+/// Var(log p-hat) ~= (1 - p) / (p * N) for a binomial proportion over N
+/// snapshots, so well-supported equations count more in the solve. Oracle
+/// measurements (0 samples) are exact and stay unweighted.
 linalg::SparseSystemView sparse_view(const EquationSystem& system,
                                      std::size_t weight_samples = 0);
 

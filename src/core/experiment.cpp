@@ -37,11 +37,27 @@ std::vector<std::size_t> potentially_congested_links(
   return links;
 }
 
+ExperimentResult evaluate_measurement(
+    const ScenarioInstance& scenario,
+    const sim::MeasurementProvider& measurement,
+    const InferenceOptions& options) {
+  const graph::CoverageIndex coverage(scenario.graph, scenario.paths);
+  ExperimentResult result;
+  result.truth = scenario.true_marginals;
+  result.potentially_congested =
+      potentially_congested_links(scenario.paths, measurement);
+  result.correlation =
+      infer_congestion(scenario.graph, scenario.paths, coverage,
+                       scenario.declared_sets, measurement, options);
+  result.independence = infer_congestion_independent(
+      scenario.graph, scenario.paths, coverage, measurement, options);
+  return result;
+}
+
 ExperimentResult run_experiment(const ScenarioInstance& scenario,
                                 const ExperimentConfig& config) {
   TOMO_REQUIRE(scenario.truth != nullptr, "scenario has no truth model");
 
-  const graph::CoverageIndex coverage(scenario.graph, scenario.paths);
   const Stopwatch sim_timer;
   sim::SimulationResult sim_result = sim::simulate(
       scenario.graph, scenario.paths, *scenario.truth, config.sim);
@@ -50,19 +66,9 @@ ExperimentResult run_experiment(const ScenarioInstance& scenario,
       std::move(sim_result.measurement));
   const double sim_seconds = sim_timer.seconds();
 
-  ExperimentResult result;
-  result.truth = scenario.true_marginals;
+  ExperimentResult result =
+      evaluate_measurement(scenario, measurement, config.inference);
   result.sim_seconds = sim_seconds;
-
-  result.potentially_congested =
-      potentially_congested_links(scenario.paths, measurement);
-
-  result.correlation =
-      infer_congestion(scenario.graph, scenario.paths, coverage,
-                       scenario.declared_sets, measurement, config.inference);
-  result.independence = infer_congestion_independent(
-      scenario.graph, scenario.paths, coverage, measurement,
-      config.inference);
   return result;
 }
 

@@ -35,6 +35,13 @@ struct ExperimentResult {
 ExperimentResult run_experiment(const ScenarioInstance& scenario,
                                 const ExperimentConfig& config);
 
+/// run_experiment minus the simulation: both algorithms on an existing
+/// measurement of `scenario`, scored against its truth (sim_seconds = 0).
+ExperimentResult evaluate_measurement(
+    const ScenarioInstance& scenario,
+    const sim::MeasurementProvider& measurement,
+    const InferenceOptions& options);
+
 /// Links on at least one path with a congested observation, sorted — the
 /// paper's metric population, computable from any measurement provider
 /// (the streaming daemon re-derives it per window).

@@ -82,12 +82,6 @@ Vector Matrix::multiply_transposed(const Vector& x) const {
   return y;
 }
 
-double Matrix::frobenius_norm() const {
-  double sum = 0.0;
-  for (double v : data_) sum += v * v;
-  return std::sqrt(sum);
-}
-
 double norm2(const Vector& v) {
   double sum = 0.0;
   for (double x : v) sum += x * x;

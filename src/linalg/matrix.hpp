@@ -46,9 +46,6 @@ class Matrix {
   /// y = A^T x.
   Vector multiply_transposed(const Vector& x) const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "linalg/qr.hpp"
 #include "linalg/updatable_cholesky.hpp"
 #include "util/error.hpp"
 
@@ -17,106 +16,6 @@ namespace {
 /// seed_warm_factor and the solver so a cached seed admits exactly the
 /// columns an inline warm-up would.
 constexpr double kSeedRelTol = 1e-12;
-
-/// Least squares restricted to the columns in `passive` (solution entries
-/// for other columns are zero).
-Vector restricted_least_squares(const Matrix& a, const Vector& b,
-                                const std::vector<std::size_t>& passive) {
-  Matrix sub(a.rows(), passive.size());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t j = 0; j < passive.size(); ++j) {
-      sub(r, j) = a(r, passive[j]);
-    }
-  }
-  Vector z = least_squares(sub, b);
-  Vector full(a.cols(), 0.0);
-  for (std::size_t j = 0; j < passive.size(); ++j) {
-    full[passive[j]] = z[j];
-  }
-  return full;
-}
-
-/// The historical Lawson-Hanson loop: fresh rank-revealing QR on the
-/// passive submatrix every inner iteration. Kept verbatim as the
-/// differential-testing baseline.
-NnlsResult nnls_reference(const Matrix& a, const Vector& b,
-                          std::size_t max_iterations, double tol) {
-  const std::size_t n = a.cols();
-
-  NnlsResult result;
-  result.x.assign(n, 0.0);
-
-  std::vector<bool> in_passive(n, false);
-  std::vector<std::size_t> passive;
-
-  Vector w = a.multiply_transposed(residual(a, result.x, b));
-
-  while (result.iterations < max_iterations) {
-    // Optimality: all gradient components for active (zero) variables
-    // non-positive.
-    std::size_t best = n;
-    double best_w = tol;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!in_passive[j] && w[j] > best_w) {
-        best_w = w[j];
-        best = j;
-      }
-    }
-    if (best == n) {
-      result.converged = true;
-      break;
-    }
-    in_passive[best] = true;
-    passive.push_back(best);
-
-    // Inner loop: solve the unconstrained problem on the passive set and
-    // clip variables that go negative.
-    for (;;) {
-      ++result.iterations;
-      Vector z = restricted_least_squares(a, b, passive);
-      bool all_positive = true;
-      double alpha = std::numeric_limits<double>::infinity();
-      for (std::size_t j : passive) {
-        if (z[j] <= tol) {
-          all_positive = false;
-          const double denom = result.x[j] - z[j];
-          if (denom > 0) {
-            alpha = std::min(alpha, result.x[j] / denom);
-          }
-        }
-      }
-      if (all_positive) {
-        result.x = std::move(z);
-        break;
-      }
-      if (!std::isfinite(alpha)) {
-        // Degenerate step; drop the offending variables outright.
-        alpha = 0.0;
-      }
-      for (std::size_t j : passive) {
-        result.x[j] += alpha * (z[j] - result.x[j]);
-      }
-      // Move variables that hit zero back to the active set.
-      std::vector<std::size_t> still_passive;
-      for (std::size_t j : passive) {
-        if (result.x[j] > tol) {
-          still_passive.push_back(j);
-        } else {
-          result.x[j] = 0.0;
-          in_passive[j] = false;
-        }
-      }
-      passive = std::move(still_passive);
-      if (passive.empty()) break;
-      if (result.iterations >= max_iterations) break;
-    }
-
-    w = a.multiply_transposed(residual(a, result.x, b));
-  }
-
-  result.residual_norm = norm2(residual(a, result.x, b));
-  return result;
-}
 
 /// Incremental Lawson-Hanson on a cached Gram system: the passive-set
 /// normal-equations factor is edited in place (O(k^2) per change) instead
@@ -435,53 +334,7 @@ NnlsWarmFactor seed_warm_factor(const GramSystem& gs,
   return out;
 }
 
-GramSystem make_gram(const Matrix& a, const Vector& b) {
-  TOMO_REQUIRE(b.size() == a.rows(), "make_gram: rhs length mismatch");
-  const std::size_t n = a.cols();
-  GramSystem gs;
-  gs.gram = Matrix(n, n);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const double* row = a.row_data(r);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (row[i] == 0.0) continue;
-      for (std::size_t j = i; j < n; ++j) {
-        gs.gram(i, j) += row[i] * row[j];
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      gs.gram(i, j) = gs.gram(j, i);
-    }
-  }
-  gs.atb = a.multiply_transposed(b);
-  gs.btb = dot(b, b);
-  return gs;
-}
-
-NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options) {
-  TOMO_REQUIRE(b.size() == a.rows(), "nnls: rhs length mismatch");
-  const std::size_t cap =
-      resolve_iteration_cap(options.max_iterations, a.cols());
-  if (options.mode == NnlsMode::kReference) {
-    return nnls_reference(a, b, cap, options.tol);
-  }
-  NnlsOptions resolved = options;
-  resolved.max_iterations = cap;
-  return nnls_gram(make_gram(a, b), resolved);
-}
-
-NnlsResult nnls(const Matrix& a, const Vector& b, std::size_t max_iterations,
-                double tol) {
-  NnlsOptions options;
-  options.max_iterations = max_iterations;
-  options.tol = tol;
-  return nnls(a, b, options);
-}
-
 NnlsResult nnls_gram(const GramSystem& system, const NnlsOptions& options) {
-  TOMO_REQUIRE(options.mode == NnlsMode::kIncremental,
-               "nnls_gram: the reference engine needs the dense matrix");
   TOMO_REQUIRE(system.gram.rows() == system.gram.cols(),
                "nnls_gram: gram matrix must be square");
   TOMO_REQUIRE(system.atb.size() == system.gram.cols(),

@@ -6,19 +6,16 @@
 // constraint and yields sparse minimum-ish solutions, which is the effect
 // the paper's "minimize the L1 norm error" fallback is after.
 //
-// Two interchangeable engines share the active-set logic:
-//   kIncremental (default) — works on the normal equations of a
-//     once-per-solve Gram system (G = A^T A, c = A^T b): every inner
-//     iteration edits an UpdatableCholesky factor of the passive block
-//     G[P, P] in O(k^2) and triangular-solves, instead of re-running an
-//     m x k QR from scratch. Numerically dependent passive candidates are
-//     rejected at insert time (with a condition-triggered refactorize
-//     fallback), and columns dropped by a degenerate zero-length step are
-//     blocked from immediate re-entry until the iterate moves —
-//     the anti-cycling safeguard.
-//   kReference — the historical implementation (fresh rank-revealing QR on
-//     the passive submatrix per iteration); kept for differential testing
-//     (tests/test_nnls_fast.cpp) and as the bit-for-bit baseline.
+// The engine works on the normal equations of a once-per-solve Gram system
+// (G = A^T A, c = A^T b): every inner iteration edits an UpdatableCholesky
+// factor of the passive block G[P, P] in O(k^2) and triangular-solves,
+// instead of re-running an m x k QR from scratch. Numerically dependent
+// passive candidates are rejected at insert time (with a
+// condition-triggered refactorize fallback), and columns dropped by a
+// degenerate zero-length step are blocked from immediate re-entry until
+// the iterate moves — the anti-cycling safeguard. The historical engine
+// (a fresh QR on the passive columns every iteration) is kept in
+// tests/reference as the differential baseline.
 #pragma once
 
 #include <cstddef>
@@ -28,11 +25,6 @@
 #include "linalg/updatable_cholesky.hpp"
 
 namespace tomo::linalg {
-
-enum class NnlsMode {
-  kIncremental,  // cached Gram + updatable Cholesky (default)
-  kReference,    // fresh dense QR per inner iteration
-};
 
 /// The measurement-independent half of a warm start, precomputed: the
 /// Cholesky factor of G[P, P] with the admissible seed columns already
@@ -56,21 +48,19 @@ NnlsWarmFactor seed_warm_factor(const GramSystem& gs,
                                 const std::vector<std::size_t>& warm);
 
 struct NnlsOptions {
-  NnlsMode mode = NnlsMode::kIncremental;
   /// 0 means the 3 * cols + 10 default, which is ample in practice.
   std::size_t max_iterations = 0;
   /// Gradient/positivity tolerance of the active-set logic.
   double tol = 1e-10;
-  /// Warm start (incremental engine only): columns seeded into the passive
-  /// set before the active-set loop runs — typically the previous window's
+  /// Warm start: columns seeded into the passive set before the active-set
+  /// loop runs — typically the previous window's
   /// converged support in a streaming solve. Out-of-range, duplicate, or
   /// numerically dependent entries are dropped, and seeded columns whose
   /// restricted solution is infeasible are removed before iteration, so a
   /// stale or perturbed set is always safe: the result is the same optimum
-  /// a cold solve reaches, just via fewer iterations. The reference engine
-  /// ignores it.
+  /// a cold solve reaches, just via fewer iterations.
   std::vector<std::size_t> warm_start;
-  /// Optional pre-factored seed (incremental engine only). Must have been
+  /// Optional pre-factored seed. Must have been
   /// built by seed_warm_factor against a GramSystem with the *same* gram
   /// matrix as the one being solved (the rhs may differ). When set it
   /// replaces the warm_start admission loop — warm_start itself is then
@@ -83,13 +73,12 @@ struct NnlsResult {
   double residual_norm = 0.0;  // ||A x - b||_2
   std::size_t iterations = 0;
   bool converged = false;  // false if the iteration cap was hit
-  /// Full refactorizations of the passive-set factor (incremental mode
-  /// only): > 0 means the condition-triggered fallback fired.
+  /// Full refactorizations of the passive-set factor: > 0 means the
+  /// condition-triggered fallback fired.
   std::size_t refactorizations = 0;
-  /// The converged passive set (columns with x > 0), sorted ascending.
-  /// Filled by the incremental engine — feed it back through
-  /// NnlsOptions::warm_start to seed the next related solve. The reference
-  /// engine leaves it empty.
+  /// The converged passive set (columns with x > 0), sorted ascending —
+  /// feed it back through NnlsOptions::warm_start to seed the next related
+  /// solve.
   std::vector<std::size_t> active_set;
 };
 
@@ -102,19 +91,9 @@ struct GramSystem {
   double btb = 0.0;  // b^T b, for residual recovery
 };
 
-/// Builds the Gram system of a dense problem (one pass over A).
-GramSystem make_gram(const Matrix& a, const Vector& b);
-
-/// Solves min ||A x - b||_2 subject to x >= 0.
-NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options);
-
-/// Backward-compatible overload: default (incremental) engine.
-NnlsResult nnls(const Matrix& a, const Vector& b,
-                std::size_t max_iterations = 0, double tol = 1e-10);
-
-/// Incremental engine entry point for callers that already hold the Gram
-/// system (the sparse solver front end builds it without ever
-/// materializing A). `options.mode` must be kIncremental.
+/// Solves min ||A x - b||_2 subject to x >= 0 from the Gram system of A
+/// and b (the sparse solver front end builds it without ever materializing
+/// A).
 NnlsResult nnls_gram(const GramSystem& system, const NnlsOptions& options = {});
 
 }  // namespace tomo::linalg

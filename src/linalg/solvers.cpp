@@ -32,9 +32,10 @@ std::string to_string(SolverKind kind) {
 
 namespace {
 
-void require_finite(const Vector& y) {
-  for (double v : y) {
-    TOMO_REQUIRE(std::isfinite(v), "solve_log_system: non-finite rhs entry");
+void require_finite(const SparseSystemView& system) {
+  for (const SparseRow& row : system.rows) {
+    TOMO_REQUIRE(std::isfinite(row.y) && std::isfinite(row.value),
+                 "solve_log_system: non-finite rhs entry");
   }
 }
 
@@ -50,14 +51,93 @@ LogSystemSolution finish(Vector u, std::ostringstream& detail) {
   return out;
 }
 
-void describe_nnls(std::ostringstream& detail, const NnlsResult& r,
-                   NnlsMode mode) {
-  detail << "nnls[" << (mode == NnlsMode::kIncremental ? "inc" : "ref")
-         << "] iters=" << r.iterations;
-  if (mode == NnlsMode::kIncremental) {
-    detail << " refactor=" << r.refactorizations;
+/// The row-oriented kinds (ls, l1lp, irls) on a dense copy of the view.
+LogSystemSolution solve_dense(const SparseSystemView& system,
+                              const SolverOptions& options) {
+  Matrix a(system.rows.size(), system.cols);
+  Vector y(system.rows.size());
+  for (std::size_t r = 0; r < system.rows.size(); ++r) {
+    const SparseRow& row = system.rows[r];
+    double* dense = a.row_data(r);
+    for (std::size_t k = 0; k < row.support_size; ++k) {
+      dense[row.support[k]] = row.value;
+    }
+    y[r] = row.y;
   }
+
+  // u = -x >= 0, b = -y >= 0.
+  Vector b(y.size());
+  for (std::size_t i = 0; i < y.size(); ++i) b[i] = -y[i];
+
+  std::ostringstream detail;
+  Vector u;
+  switch (options.kind) {
+    case SolverKind::kLeastSquares: {
+      u = least_squares(a, b);
+      detail << "qr-ls";
+      break;
+    }
+    case SolverKind::kL1Lp: {
+      L1Result r = l1_regression(a, b);
+      u = std::move(r.x);
+      detail << "l1lp obj=" << r.objective
+             << (r.optimal ? "" : " (not proven optimal)");
+      break;
+    }
+    case SolverKind::kIrls: {
+      IrlsResult r = irls_l1(a, b);
+      u = std::move(r.x);
+      detail << "irls iters=" << r.iterations
+             << (r.converged ? "" : " (iteration cap)");
+      break;
+    }
+    case SolverKind::kNnls:
+      TOMO_ASSERT(false);  // solved on the Gram system, never densified
+  }
+
+  LogSystemSolution out = finish(std::move(u), detail);
+  out.residual_norm2 = norm2(residual(a, out.x, y));
+  return out;
+}
+
+/// ||A x - y|| from the sparse rows (x is the clamped solution).
+double sparse_residual_norm(const SparseSystemView& system, const Vector& x) {
+  double norm = 0.0;
+  for (const SparseRow& row : system.rows) {
+    double ax = 0.0;
+    for (std::size_t k = 0; k < row.support_size; ++k) {
+      ax += x[row.support[k]];
+    }
+    const double r = row.value * ax - row.y;
+    norm += r * r;
+  }
+  return std::sqrt(norm);
+}
+
+/// NNLS on a (caller- or locally-built) Gram system: solve, clamp, recover
+/// the residual from the rows.
+LogSystemSolution solve_nnls(const SparseSystemView& system,
+                             const GramSystem& gs,
+                             const SolverOptions& options) {
+  NnlsOptions nnls_options;
+  nnls_options.max_iterations = options.max_iterations;
+  nnls_options.tol = options.tol;
+  nnls_options.warm_start = options.warm_start;
+  nnls_options.warm_factor = options.nnls_warm_factor;
+  NnlsResult r = nnls_gram(gs, nnls_options);
+  std::ostringstream detail;
+  detail << "nnls[inc] iters=" << r.iterations
+         << " refactor=" << r.refactorizations;
   if (!r.converged) detail << " (iteration cap)";
+  if (options.nnls_warm_factor != nullptr) {
+    detail << " warm=" << options.nnls_warm_factor->passive.size();
+  } else if (!options.warm_start.empty()) {
+    detail << " warm=" << options.warm_start.size();
+  }
+  LogSystemSolution out = finish(std::move(r.x), detail);
+  out.active_set = std::move(r.active_set);
+  out.residual_norm2 = sparse_residual_norm(system, out.x);
+  return out;
 }
 
 /// Column -> incident-row adjacency, so each Gram row can be accumulated
@@ -149,160 +229,27 @@ void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system,
   }
 }
 
-GramSystem sparse_gram(const SparseSystemView& system, std::size_t jobs) {
-  GramSystem gs;
-  accumulate_gram(gs, system, jobs);
-  return gs;
-}
-
-LogSystemSolution solve_log_system(const Matrix& a, const Vector& y,
-                                   const SolverOptions& options) {
-  TOMO_REQUIRE(y.size() == a.rows(), "solve_log_system: rhs length mismatch");
-  require_finite(y);
-
-  // u = -x >= 0, b = -y >= 0.
-  Vector b(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) b[i] = -y[i];
-
-  std::ostringstream detail;
-  Vector u;
-
-  switch (options.kind) {
-    case SolverKind::kLeastSquares: {
-      u = least_squares(a, b);
-      detail << "qr-ls";
-      break;
-    }
-    case SolverKind::kNnls: {
-      NnlsOptions nnls_options;
-      nnls_options.mode = options.nnls_mode;
-      nnls_options.max_iterations = options.max_iterations;
-      nnls_options.tol = options.tol;
-      NnlsResult r = nnls(a, b, nnls_options);
-      describe_nnls(detail, r, options.nnls_mode);
-      u = std::move(r.x);
-      break;
-    }
-    case SolverKind::kL1Lp: {
-      L1Result r = l1_regression(a, b);
-      u = std::move(r.x);
-      detail << "l1lp obj=" << r.objective
-             << (r.optimal ? "" : " (not proven optimal)");
-      break;
-    }
-    case SolverKind::kIrls: {
-      IrlsResult r = irls_l1(a, b);
-      u = std::move(r.x);
-      detail << "irls iters=" << r.iterations
-             << (r.converged ? "" : " (iteration cap)");
-      break;
-    }
-  }
-
-  LogSystemSolution out = finish(std::move(u), detail);
-  out.residual_norm2 = norm2(residual(a, out.x, y));
-  return out;
-}
-
-namespace {
-
-/// ||A x - y|| from the sparse rows (x is the clamped solution).
-double sparse_residual_norm(const SparseSystemView& system, const Vector& x) {
-  double norm = 0.0;
-  for (const SparseRow& row : system.rows) {
-    double ax = 0.0;
-    for (std::size_t k = 0; k < row.support_size; ++k) {
-      ax += x[row.support[k]];
-    }
-    const double r = row.value * ax - row.y;
-    norm += r * r;
-  }
-  return std::sqrt(norm);
-}
-
-/// The shared incremental-NNLS tail of the two sparse entry points: solve
-/// on the (caller- or locally-built) Gram system, clamp, recover the
-/// residual from the rows.
-LogSystemSolution solve_sparse_incremental(const SparseSystemView& system,
-                                           const GramSystem& gs,
-                                           const SolverOptions& options) {
-  NnlsOptions nnls_options;
-  nnls_options.max_iterations = options.max_iterations;
-  nnls_options.tol = options.tol;
-  nnls_options.warm_start = options.warm_start;
-  nnls_options.warm_factor = options.nnls_warm_factor;
-  NnlsResult r = nnls_gram(gs, nnls_options);
-  std::ostringstream detail;
-  describe_nnls(detail, r, NnlsMode::kIncremental);
-  if (options.nnls_warm_factor != nullptr) {
-    detail << " warm=" << options.nnls_warm_factor->passive.size();
-  } else if (!options.warm_start.empty()) {
-    detail << " warm=" << options.warm_start.size();
-  }
-  LogSystemSolution out = finish(std::move(r.x), detail);
-  out.active_set = std::move(r.active_set);
-  out.residual_norm2 = sparse_residual_norm(system, out.x);
-  return out;
-}
-
-}  // namespace
-
 LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const SolverOptions& options) {
-  for (const SparseRow& row : system.rows) {
-    TOMO_REQUIRE(std::isfinite(row.y) && std::isfinite(row.value),
-                 "solve_log_system: non-finite rhs entry");
-  }
-
-  if (options.kind == SolverKind::kNnls &&
-      options.nnls_mode == NnlsMode::kIncremental) {
-    // The headline path: Gram products straight from the sparse support;
-    // the dense incidence matrix never exists.
-    return solve_sparse_incremental(system, sparse_gram(system, options.jobs),
-                                    options);
-  }
-  // The remaining kinds are row-oriented; materialize a dense copy.
-  Matrix a(system.rows.size(), system.cols);
-  Vector y(system.rows.size());
-  for (std::size_t r = 0; r < system.rows.size(); ++r) {
-    const SparseRow& row = system.rows[r];
-    double* dense = a.row_data(r);
-    for (std::size_t k = 0; k < row.support_size; ++k) {
-      dense[row.support[k]] = row.value;
-    }
-    y[r] = row.y;
-  }
-  return solve_log_system(a, y, options);
+  require_finite(system);
+  if (options.kind != SolverKind::kNnls) return solve_dense(system, options);
+  // The headline path: Gram products straight from the sparse support;
+  // the dense incidence matrix never exists.
+  GramSystem gs;
+  accumulate_gram(gs, system, options.jobs);
+  return solve_nnls(system, gs, options);
 }
 
 LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const GramSystem& gs,
                                    const SolverOptions& options) {
-  TOMO_REQUIRE(options.kind == SolverKind::kNnls &&
-                   options.nnls_mode == NnlsMode::kIncremental,
-               "solve_log_system(gram): only the incremental NNLS engine "
-               "consumes a caller-held Gram system");
+  TOMO_REQUIRE(options.kind == SolverKind::kNnls,
+               "solve_log_system(gram): only NNLS consumes a caller-held "
+               "Gram system");
   TOMO_REQUIRE(gs.gram.cols() == system.cols,
                "solve_log_system(gram): gram shape does not match the view");
-  for (const SparseRow& row : system.rows) {
-    TOMO_REQUIRE(std::isfinite(row.y) && std::isfinite(row.value),
-                 "solve_log_system: non-finite rhs entry");
-  }
-  return solve_sparse_incremental(system, gs, options);
-}
-
-LogSystemSolution solve_log_system_reuse(const SparseSystemView& system,
-                                         GramSystem& gs,
-                                         const SolverOptions& options) {
-  refresh_gram_rhs(gs, system, options.jobs);
-  return solve_log_system(system, gs, options);
-}
-
-LogSystemSolution solve_log_system(const Matrix& a, const Vector& y,
-                                   SolverKind kind) {
-  SolverOptions options;
-  options.kind = kind;
-  return solve_log_system(a, y, options);
+  require_finite(system);
+  return solve_nnls(system, gs, options);
 }
 
 }  // namespace tomo::linalg

@@ -8,14 +8,12 @@
 // Internally we substitute u = -x >= 0 and b = -y >= 0 so every solver
 // works on a non-negative problem.
 //
-// Two entry points share the same solver set:
-//   - the dense overload, for callers that already hold a Matrix;
-//   - the sparse overload over a SparseSystemView, which never
-//     materializes the dense matrix at all for the (default) incremental
-//     NNLS engine — the Gram products G = A^T A and c = A^T b are
-//     accumulated straight from the per-row support, fanned across a
-//     worker pool column-by-column. Entry sums always run in row order, so
-//     the solution is bit-identical for any jobs value.
+// The system arrives as a SparseSystemView. NNLS (the default) never
+// materializes the dense matrix: the Gram products G = A^T A and
+// c = A^T b are accumulated straight from the per-row support, fanned
+// across a worker pool column-by-column. Entry sums always run in row
+// order, so the solution is bit-identical for any jobs value. The
+// row-oriented kinds (ls, l1lp, irls) solve a dense copy of the view.
 #pragma once
 
 #include <cstddef>
@@ -42,9 +40,6 @@ std::string to_string(SolverKind kind);
 /// core::InferenceOptions down to the engine.
 struct SolverOptions {
   SolverKind kind = SolverKind::kNnls;
-  /// NNLS engine: incremental Gram/Cholesky (default) or the historical
-  /// per-iteration dense QR, kept for differential testing.
-  NnlsMode nnls_mode = NnlsMode::kIncremental;
   /// Iteration cap for the iterative engines (0 = their defaults).
   std::size_t max_iterations = 0;
   /// Active-set / convergence tolerance for NNLS.
@@ -52,10 +47,9 @@ struct SolverOptions {
   /// Worker threads for the sparse Gram build (1 = inline on the caller,
   /// 0 = all hardware cores). The result is bit-identical for any value.
   std::size_t jobs = 1;
-  /// Warm start for the incremental NNLS engine: column indices seeded
-  /// into the passive set (normally the previous window's active_set in a
-  /// streaming solve). Ignored by every other kind/engine; safe to leave
-  /// stale — see NnlsOptions::warm_start.
+  /// NNLS warm start: column indices seeded into the passive set (normally
+  /// the previous window's active_set in a streaming solve). Ignored by
+  /// every other kind; safe to leave stale — see NnlsOptions::warm_start.
   std::vector<std::size_t> warm_start;
   /// Pre-factored warm seed for solves sharing one Gram matrix (the
   /// batched bootstrap); replaces the per-solve warm_start admission loop
@@ -84,41 +78,27 @@ struct LogSystemSolution {
   Vector x;               // log P(link good), entries <= 0
   double residual_norm2;  // ||A x - y||_2 over the given equations
   std::string detail;     // solver-specific notes (iterations, status)
-  /// Converged NNLS support (incremental engine only), sorted ascending —
-  /// the warm-start seed for the next window of a streaming solve.
+  /// Converged NNLS support, sorted ascending — the warm-start seed for
+  /// the next window of a streaming solve. Empty for the other kinds.
   std::vector<std::size_t> active_set;
 };
 
-/// Solves A x = y with x <= 0 using the requested solver. `y` entries must
-/// be finite and <= 0 (equations with unusable measurements should have
-/// been dropped by the caller).
-LogSystemSolution solve_log_system(const Matrix& a, const Vector& y,
-                                   const SolverOptions& options);
-
-/// Sparse entry point: for NNLS in incremental mode the Gram system is
-/// built directly from the row support (in parallel for jobs > 1) and the
-/// dense matrix never exists; the other solver kinds materialize a dense
-/// copy internally and delegate.
+/// Solves A x = y with x <= 0 using the requested solver. Row values and
+/// `y` entries must be finite, and `y` <= 0 (equations with unusable
+/// measurements should have been dropped by the caller). For NNLS the
+/// Gram system is built directly from the row support (in parallel for
+/// jobs > 1) and the dense matrix never exists.
 LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const SolverOptions& options = {});
 
-/// Backward-compatible dense overload (default options of the given kind).
-LogSystemSolution solve_log_system(const Matrix& a, const Vector& y,
-                                   SolverKind kind = SolverKind::kNnls);
-
-/// Builds the Gram system (G = A^T A, c = A^T b, b^T b) of the *negated*
-/// system A u = -y straight from the sparse rows, fanning columns across
-/// up to `jobs` workers. Exposed for the solver micro-benchmarks and the
-/// differential suite; entry sums are row-ordered, hence jobs-invariant.
-GramSystem sparse_gram(const SparseSystemView& system, std::size_t jobs);
-
-/// Adds `system`'s Gram contribution on top of `gs` (sizing/zeroing it on
-/// first use). Because every entry's partial sums run in ascending row
-/// order, accumulating any in-order partition of the rows window by window
-/// executes the exact same floating-point addition sequence as one batch
-/// build — the result is *bitwise* equal to sparse_gram over the
-/// concatenated rows, for any split and any jobs value. This is the
-/// streaming path's additive-Gram contract.
+/// Adds the Gram system (G = A^T A, c = A^T b, b^T b) of the *negated*
+/// system A u = -y over `system`'s rows on top of `gs` (sizing/zeroing it
+/// on first use), fanning columns across up to `jobs` workers. Because
+/// every entry's partial sums run in ascending row order, accumulating any
+/// in-order partition of the rows window by window executes the exact same
+/// floating-point addition sequence as one build over the concatenated
+/// rows — the result is *bitwise* equal for any split and any jobs value.
+/// This is the streaming path's additive-Gram contract.
 void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
                      std::size_t jobs);
 
@@ -130,23 +110,13 @@ void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
 void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system,
                       std::size_t jobs);
 
-/// Solves with a caller-held Gram system of `system` (incremental NNLS
-/// only — options.kind/nnls_mode must select it). The sparse view is still
-/// needed for the residual; `gs` must match its rows (e.g. built via
-/// accumulate_gram over the same equations).
+/// Solves with a caller-held Gram system of `system` (NNLS only). The
+/// sparse view is still needed for the residual; `gs` must match its rows
+/// — built by accumulate_gram over the same equations, or a shared
+/// skeleton whose rhs products refresh_gram_rhs rewrote for them. Bitwise
+/// equal to solve_log_system(system, options) in both cases.
 LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const GramSystem& gs,
                                    const SolverOptions& options);
-
-/// Shared-skeleton replicated solve: refreshes only the rhs products of
-/// `gs` in place (its G = A^T A must already match `system`'s support —
-/// same rows, same order, same values) and solves. The batched bootstrap's
-/// per-replicate entry point: hundreds of resampled systems share one Gram
-/// skeleton, each paying O(nnz) for the rhs instead of O(nnz * k) for a
-/// full rebuild. Bitwise equal to a cold sparse solve of `system` when
-/// options.warm_start is empty.
-LogSystemSolution solve_log_system_reuse(const SparseSystemView& system,
-                                         GramSystem& gs,
-                                         const SolverOptions& options);
 
 }  // namespace tomo::linalg

@@ -1,6 +1,5 @@
 #include "metrics/error_metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -26,18 +25,6 @@ std::vector<double> absolute_errors(const std::vector<double>& truth,
     }
   }
   return out;
-}
-
-ErrorSummary summarize_errors(const std::vector<double>& errors) {
-  ErrorSummary summary;
-  summary.count = errors.size();
-  if (errors.empty()) {
-    return summary;
-  }
-  summary.mean = tomo::mean(errors);
-  summary.p90 = tomo::percentile(errors, 90.0);
-  summary.max = *std::max_element(errors.begin(), errors.end());
-  return summary;
 }
 
 }  // namespace tomo::metrics

@@ -19,13 +19,4 @@ std::vector<double> absolute_errors(const std::vector<double>& truth,
                                     const std::vector<double>& estimate,
                                     const std::vector<std::size_t>& subset);
 
-struct ErrorSummary {
-  double mean = 0.0;
-  double p90 = 0.0;
-  double max = 0.0;
-  std::size_t count = 0;
-};
-
-ErrorSummary summarize_errors(const std::vector<double>& errors);
-
 }  // namespace tomo::metrics

@@ -14,29 +14,17 @@ EmpiricalMeasurement::EmpiricalMeasurement(MeasurementBlock block)
                "measurement block is missing its popcounts");
 }
 
-EmpiricalMeasurement::EmpiricalMeasurement(const PathObservations& obs)
-    : block_(MeasurementBlock::from_observations(obs)) {}
-
-EmpiricalMeasurement::EmpiricalMeasurement(const PathObservations& obs,
-                                           bool use_bitset_cache) {
-  if (use_bitset_cache) {
-    block_ = MeasurementBlock::from_observations(obs);
-  } else {
-    scalar_obs_ = std::make_unique<PathObservations>(obs);
-  }
-}
-
 std::size_t EmpiricalMeasurement::path_count() const {
-  return scalar_obs_ ? scalar_obs_->path_count() : block_.path_count;
+  return block_.path_count;
 }
 
 std::size_t EmpiricalMeasurement::sample_count() const {
-  return scalar_obs_ ? scalar_obs_->snapshot_count() : block_.snapshot_count;
+  return block_.snapshot_count;
 }
 
 std::size_t EmpiricalMeasurement::good_count(PathId p) const {
   TOMO_REQUIRE(p < path_count(), "path id out of range");
-  return scalar_obs_ ? scalar_obs_->good_count(p) : block_.good_counts[p];
+  return block_.good_counts[p];
 }
 
 double EmpiricalMeasurement::all_good_prob(
@@ -44,11 +32,6 @@ double EmpiricalMeasurement::all_good_prob(
   if (paths.empty()) return 1.0;
   if (paths.size() == 1) return good_prob(paths[0]);
   if (paths.size() == 2) return pair_good_prob(paths[0], paths[1]);
-  if (scalar_obs_) {
-    const std::vector<PathId> ids(paths.begin(), paths.end());
-    return static_cast<double>(scalar_obs_->all_good_count(ids)) /
-           static_cast<double>(scalar_obs_->snapshot_count());
-  }
   // Multi-way AND+popcount through the kernel table; the row pointers
   // live on the stack for the typical small path sets.
   const std::uint64_t* stack_rows[16];
@@ -75,10 +58,6 @@ double EmpiricalMeasurement::good_prob(PathId p) const {
 
 double EmpiricalMeasurement::pair_good_prob(PathId a, PathId b) const {
   TOMO_REQUIRE(a < path_count() && b < path_count(), "path id out of range");
-  if (scalar_obs_) {
-    return static_cast<double>(scalar_obs_->both_good_count(a, b)) /
-           static_cast<double>(scalar_obs_->snapshot_count());
-  }
   const std::size_t both = util::bitops::active().and_popcount(
       block_.good_row(a), block_.good_row(b), block_.words_per_path());
   return static_cast<double>(both) /
@@ -87,10 +66,6 @@ double EmpiricalMeasurement::pair_good_prob(PathId a, PathId b) const {
 
 double EmpiricalMeasurement::exact_pattern_prob(
     const PathIdSet& pattern) const {
-  if (scalar_obs_) {
-    return static_cast<double>(scalar_obs_->exact_pattern_count(pattern)) /
-           static_cast<double>(scalar_obs_->snapshot_count());
-  }
   // A snapshot matches iff every pattern path is congested (~good) and
   // every other path is good: AND-accumulate over all rows.
   std::vector<std::uint8_t> in_pattern(block_.path_count, 0);

@@ -11,13 +11,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "graph/coverage.hpp"
 #include "sim/measurement_block.hpp"
-#include "sim/snapshot.hpp"
 
 namespace tomo::sim {
 
@@ -62,24 +60,13 @@ class MeasurementProvider {
 
 /// Estimates from path-major good-snapshot bitmasks.
 ///
-/// The canonical constructor adopts the simulator's MeasurementBlock as-is —
-/// no re-packing, no reference to keep alive — so the harvest's
-/// pair_good_prob(p, q) is a word-wise AND + popcount over the two rows.
-/// Observation-based constructors pack the complement rows once and own the
-/// result. The scalar-reference constructor instead copies the observations
-/// and answers every query by re-scanning them: an independent
-/// implementation of the same counts, kept for differential tests.
+/// Adopts a MeasurementBlock as-is — no re-packing, no reference to keep
+/// alive — so the harvest's pair_good_prob(p, q) is a word-wise AND +
+/// popcount over the two rows.
 class EmpiricalMeasurement final : public MeasurementProvider {
  public:
-  /// Adopts the simulator's block directly (zero-copy hand-off).
+  /// Adopts the block directly (zero-copy hand-off when moved in).
   explicit EmpiricalMeasurement(MeasurementBlock block);
-
-  /// Packs `obs` into an owned bitmask block; `obs` may die afterwards.
-  explicit EmpiricalMeasurement(const PathObservations& obs);
-
-  /// `use_bitset_cache = false` selects the scalar reference implementation
-  /// (owned copy of `obs`, per-query scans); `true` is the packing ctor.
-  EmpiricalMeasurement(const PathObservations& obs, bool use_bitset_cache);
 
   using MeasurementProvider::all_good_prob;
 
@@ -95,15 +82,11 @@ class EmpiricalMeasurement final : public MeasurementProvider {
   /// ratio — used by callers that compare against sample_count()).
   std::size_t good_count(PathId p) const;
 
-  bool uses_bitset_cache() const { return scalar_obs_ == nullptr; }
-
-  /// The underlying block (empty in scalar-reference mode).
+  /// The underlying block.
   const MeasurementBlock& block() const { return block_; }
 
  private:
   MeasurementBlock block_;
-  // Scalar reference mode only: owned observation copy; all queries scan it.
-  std::unique_ptr<PathObservations> scalar_obs_;
 };
 
 }  // namespace tomo::sim

@@ -257,37 +257,4 @@ MeasurementBlock MeasurementBlock::resample(
   return resample(picks, scratch);
 }
 
-MeasurementBlock MeasurementBlock::from_observations(
-    const PathObservations& obs) {
-  MeasurementBlock block;
-  block.path_count = obs.path_count();
-  block.snapshot_count = obs.snapshot_count();
-  const std::size_t words = block.words_per_path();
-  block.good_bits.resize(block.path_count * words);
-  for (PathId p = 0; p < block.path_count; ++p) {
-    const std::uint64_t* congested = obs.congested_words(p);
-    std::uint64_t* good = block.good_row(p);
-    for (std::size_t w = 0; w < words; ++w) {
-      good[w] = ~congested[w] & block.word_mask(w);
-    }
-  }
-  block.recount();
-  return block;
-}
-
-PathObservations MeasurementBlock::to_observations() const {
-  TOMO_REQUIRE(!empty(), "cannot convert an empty measurement block");
-  PathObservations obs(path_count, snapshot_count);
-  const std::size_t words = words_per_path();
-  std::vector<std::uint64_t> congested(words);
-  for (PathId p = 0; p < path_count; ++p) {
-    const std::uint64_t* good = good_row(p);
-    for (std::size_t w = 0; w < words; ++w) {
-      congested[w] = ~good[w] & word_mask(w);
-    }
-    obs.assign_congested_row(p, congested.data());
-  }
-  return obs;
-}
-
 }  // namespace tomo::sim

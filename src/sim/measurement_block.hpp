@@ -4,21 +4,23 @@
 // good-bit words (AND + popcount over pairs). MeasurementBlock is exactly
 // that representation — one bitmask row per path (bit n = path good in
 // snapshot n, tail bits beyond snapshot_count cleared) plus the per-path
-// popcounts — produced directly by the batched simulator and adopted by
-// EmpiricalMeasurement without any re-packing. PathObservations (the
-// congested-bit view used by serialization and bootstrap resampling) is
-// derivable in either direction; conversions are exact bit complements, so
-// every downstream count is identical whichever side produced the data.
+// popcounts — produced directly by the simulator, parsed directly by the
+// observation reader (stream/obs_stream.hpp), and adopted by
+// EmpiricalMeasurement without any re-packing. It is the library's only
+// observation representation.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "graph/coverage.hpp"
 #include "graph/path.hpp"
-#include "sim/snapshot.hpp"
 
 namespace tomo::sim {
+
+using graph::PathId;
+using graph::PathIdSet;
 
 /// Reusable scratch for MeasurementBlock::resample. Holds the
 /// snapshot-major bit transpose of the source block — rebuilt only when
@@ -90,7 +92,6 @@ struct MeasurementBlock {
   /// 64x64 tiles (cached in `scratch` across replicates), each pick then
   /// gathers a whole word row instead of one bit per path, and the result
   /// transposes back to path-major — every step a util::bitops kernel, so
-  /// the bootstrap never goes through per-bit PathObservations writes and
   /// the output is bitwise identical across the scalar and SIMD tables.
   MeasurementBlock resample(std::span<const std::uint32_t> picks,
                             ResampleScratch& scratch) const;
@@ -98,10 +99,6 @@ struct MeasurementBlock {
   /// Convenience overload owning a throwaway scratch (one-off resamples;
   /// replicate loops should hoist a ResampleScratch instead).
   MeasurementBlock resample(std::span<const std::uint32_t> picks) const;
-
-  /// Exact complement conversions (tail handling included).
-  static MeasurementBlock from_observations(const PathObservations& obs);
-  PathObservations to_observations() const;
 };
 
 }  // namespace tomo::sim

@@ -1,12 +1,72 @@
 #include "stream/obs_stream.hpp"
 
+#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace tomo::stream {
+
+namespace {
+
+/// The `congested <path> <snapshot>...` rows of a block — the body shared
+/// by classic files and stream windows. Congested = the good bit is clear;
+/// paths never congested get no row.
+void write_congested_rows(std::ostream& os,
+                          const sim::MeasurementBlock& block) {
+  for (sim::PathId p = 0; p < block.path_count; ++p) {
+    const std::uint64_t* good = block.good_row(p);
+    bool any = false;
+    for (std::size_t n = 0; n < block.snapshot_count; ++n) {
+      if ((good[n / 64] >> (n % 64)) & 1) continue;
+      if (!any) {
+        os << "congested " << p;
+        any = true;
+      }
+      os << ' ' << n;
+    }
+    if (any) os << '\n';
+  }
+}
+
+}  // namespace
+
+void write_observations(std::ostream& os, const sim::MeasurementBlock& block) {
+  TOMO_REQUIRE(!block.empty(), "cannot serialize an empty measurement block");
+  os << "tomo-observations v1\n";
+  os << "paths " << block.path_count << " snapshots " << block.snapshot_count
+     << '\n';
+  write_congested_rows(os, block);
+}
+
+void save_observations(const std::string& filename,
+                       const sim::MeasurementBlock& block) {
+  std::ofstream os(filename);
+  TOMO_REQUIRE(os.good(), "cannot open " + filename + " for writing");
+  write_observations(os, block);
+  TOMO_REQUIRE(os.good(), "failed writing " + filename);
+}
+
+sim::MeasurementBlock read_trace(std::istream& is) {
+  ObsStreamReader reader(is);
+  sim::MeasurementBlock all;
+  while (auto window = reader.next()) {
+    if (reader.batch_format()) return std::move(*window);
+    all.append(*window);
+  }
+  reader.require_complete();
+  TOMO_REQUIRE(!all.empty(), "trace contains no observations");
+  return all;
+}
+
+sim::MeasurementBlock load_trace(const std::string& filename) {
+  std::ifstream is(filename);
+  TOMO_REQUIRE(is.good(), "cannot open " + filename);
+  return read_trace(is);
+}
 
 ObsStreamWriter::ObsStreamWriter(std::ostream& os, std::size_t path_count)
     : os_(os), path_count_(path_count) {
@@ -21,19 +81,7 @@ void ObsStreamWriter::write_window(const sim::MeasurementBlock& window) {
   TOMO_REQUIRE(window.path_count == path_count_,
                "window path count does not match the stream header");
   os_ << "window " << window.snapshot_count << '\n';
-  for (sim::PathId p = 0; p < window.path_count; ++p) {
-    const std::uint64_t* good = window.good_row(p);
-    bool any = false;
-    for (std::size_t n = 0; n < window.snapshot_count; ++n) {
-      if ((good[n / 64] >> (n % 64)) & 1) continue;
-      if (!any) {
-        os_ << "congested " << p;
-        any = true;
-      }
-      os_ << ' ' << n;
-    }
-    if (any) os_ << '\n';
-  }
+  write_congested_rows(os_, window);
   os_ << "end\n";
   os_.flush();
 }
@@ -49,6 +97,29 @@ ObsStreamReader::ObsStreamReader(std::istream& is) : is_(is) {}
 
 void ObsStreamReader::fail(const std::string& what) const {
   throw Error("obs-stream line " + std::to_string(line_no_) + ": " + what);
+}
+
+void ObsStreamReader::require_complete() const {
+  if (!carry_.empty()) {
+    throw Error("obs-stream line " + std::to_string(line_no_ + 1) +
+                ": input ends in an unterminated line");
+  }
+  if (pending_.has_value()) {
+    throw Error("obs-stream line " + std::to_string(pending_line_) +
+                ": window cut off before its 'end' marker");
+  }
+}
+
+/// Rejects dimensions whose bit block (paths x ceil(snapshots / 64) words)
+/// no vector could hold, before anything is allocated.
+void ObsStreamReader::check_block_size(std::size_t paths,
+                                       std::size_t snapshots) const {
+  const std::size_t max_words = std::vector<std::uint64_t>().max_size();
+  const std::size_t words = snapshots / 64 + (snapshots % 64 != 0 ? 1 : 0);
+  if (paths > max_words / words) {
+    fail("observation block of " + std::to_string(paths) + " paths x " +
+         std::to_string(snapshots) + " snapshots overflows memory");
+  }
 }
 
 bool ObsStreamReader::parse_line(std::string line) {
@@ -82,9 +153,12 @@ bool ObsStreamReader::parse_line(std::string line) {
         fail("malformed dimension line");
       }
       if (paths_ == 0 || snapshots == 0) fail("empty observation matrix");
+      check_block_size(paths_, snapshots);
       pending_ = sim::MeasurementBlock::all_good(paths_, snapshots);
+      pending_line_ = line_no_;
     } else {
       if (!(ls >> paths_) || paths_ == 0) fail("malformed paths line");
+      check_block_size(paths_, 1);
     }
     return false;
   }
@@ -94,7 +168,9 @@ bool ObsStreamReader::parse_line(std::string line) {
     if (pending_.has_value()) fail("nested window");
     std::size_t count = 0;
     if (!(ls >> count) || count == 0) fail("malformed window line");
+    check_block_size(paths_, count);
     pending_ = sim::MeasurementBlock::all_good(paths_, count);
+    pending_line_ = line_no_;
     return false;
   }
   if (tag == "congested") {

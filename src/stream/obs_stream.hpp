@@ -1,9 +1,18 @@
-// Wire format of the streaming daemon: windowed path observations.
+// Text formats of path observations: the classic complete file and the
+// streaming daemon's windowed wire format. '#' comments allowed anywhere.
 //
-// A tail-able, line-oriented extension of the classic obs-IO format
-// (sim/obs_io.hpp): observations arrive as self-delimited windows, so a
-// consumer can act on each window the moment its `end` marker lands while
-// the producer keeps appending. '#' comments allowed anywhere.
+// The classic file decouples measurement from inference: a prober records
+// one congested/good bit per (path, snapshot) and ships the file;
+// `tomo_cli infer` consumes it later.
+//
+//   tomo-observations v1
+//   paths <P> snapshots <N>
+//   congested <path-id> <snapshot-id>...   # one line per path with >=1
+//                                          # congested snapshot
+//
+// The wire format is its tail-able extension: observations arrive as
+// self-delimited windows, so a consumer can act on each window the moment
+// its `end` marker lands while the producer keeps appending.
 //
 //   tomo-obs-stream v1
 //   paths <P>
@@ -13,12 +22,12 @@
 //   window <N> ...                   # any number of windows
 //   close                            # optional: no more windows, ever
 //
-// ObsStreamReader also accepts a complete classic `tomo-observations v1`
-// file and yields it as one big window — the replay path: the daemon
-// re-slices it into its own window schedule. EOF without `close` is not an
-// error, merely "nothing more yet": the reader keeps partial lines
-// buffered, so a caller tailing a growing file can clear() the stream and
-// call next() again after more bytes arrive.
+// ObsStreamReader is the one parser of both: a classic file comes out as
+// one big window — the replay path: the daemon re-slices it into its own
+// window schedule. EOF without `close` is not an error, merely "nothing
+// more yet": the reader keeps partial lines buffered, so a caller tailing
+// a growing file can clear() the stream and call next() again after more
+// bytes arrive. Dimension lines are checked before anything is allocated.
 #pragma once
 
 #include <iosfwd>
@@ -29,6 +38,19 @@
 #include "sim/measurement_block.hpp"
 
 namespace tomo::stream {
+
+/// Writes `block` as a classic `tomo-observations v1` file (the congested
+/// bits are the exact complement of its good rows, ragged tails included).
+void write_observations(std::ostream& os, const sim::MeasurementBlock& block);
+void save_observations(const std::string& filename,
+                       const sim::MeasurementBlock& block);
+
+/// Reads a complete trace — a classic file, or a stream whose windows are
+/// appended in order — into one block. Throws tomo::Error on malformed
+/// input, a trace without observations, or a stream cut off mid-window
+/// (e.g. a recording killed mid-write).
+sim::MeasurementBlock read_trace(std::istream& is);
+sim::MeasurementBlock load_trace(const std::string& filename);
 
 class ObsStreamWriter {
  public:
@@ -67,8 +89,15 @@ class ObsStreamReader {
   /// 0 until the dimension line has been parsed.
   std::size_t path_count() const { return paths_; }
 
+  /// Throws tomo::Error naming the line when the input read so far ends
+  /// inside a window or in an unterminated line. A tailing caller waits
+  /// for more bytes in that state; a whole-file caller has a truncated
+  /// trace.
+  void require_complete() const;
+
  private:
   [[noreturn]] void fail(const std::string& what) const;
+  void check_block_size(std::size_t paths, std::size_t snapshots) const;
   bool parse_line(std::string line);  // true when a window just completed
 
   std::istream& is_;
@@ -79,9 +108,10 @@ class ObsStreamReader {
   bool closed_ = false;
   std::size_t paths_ = 0;
 
-  // Window under construction (stream mode) or the whole file (batch).
+  // Window under construction (stream mode) or the whole file (batch),
+  // and the line that opened it.
   std::optional<sim::MeasurementBlock> pending_;
-  bool pending_ready_ = false;
+  std::size_t pending_line_ = 0;
 };
 
 }  // namespace tomo::stream

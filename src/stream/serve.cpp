@@ -90,7 +90,8 @@ ServeReport serve(std::istream& input, std::ostream& output,
           continue;
         }
         if (reader->finished()) break;
-        if (options.poll_ms <= 0) break;
+        // A closed ring means the consumer stopped: nothing to tail for.
+        if (options.poll_ms <= 0 || ring.closed()) break;
         input.clear();
         if (options.input_size) {
           const long long size = options.input_size();
@@ -122,44 +123,55 @@ ServeReport serve(std::istream& input, std::ostream& output,
   });
 
   ServeReport report;
-  StreamingInference inference(g, paths, declared, options.streaming);
-  while (std::optional<sim::MeasurementBlock> window = ring.pop()) {
-    const WindowEstimate estimate = inference.push_window(*window);
-    ++report.windows;
-    report.snapshots = estimate.snapshots;
-    report.total_seconds += estimate.seconds;
-    report.max_window_seconds =
-        std::max(report.max_window_seconds, estimate.seconds);
+  // Whatever stops the consumer — close, max_windows, a dead output, or an
+  // exception from push_window (a paths header that disagrees with the
+  // topology, say) — the ring is closed and the producer joined before
+  // serve returns or rethrows: destroying a joinable std::thread would
+  // call std::terminate.
+  try {
+    StreamingInference inference(g, paths, declared, options.streaming);
+    while (std::optional<sim::MeasurementBlock> window = ring.pop()) {
+      const WindowEstimate estimate = inference.push_window(*window);
+      ++report.windows;
+      report.snapshots = estimate.snapshots;
+      report.total_seconds += estimate.seconds;
+      report.max_window_seconds =
+          std::max(report.max_window_seconds, estimate.seconds);
 
-    double mean_err = -1.0;
-    if (estimate.usable) {
-      ++report.usable_windows;
-      if (options.truth != nullptr) {
-        const std::vector<std::size_t> population =
-            core::potentially_congested_links(paths,
-                                              inference.measurement());
-        const std::vector<double> errors = metrics::absolute_errors(
-            *options.truth, estimate.inference.congestion_prob, population);
-        if (!errors.empty()) {
-          double sum = 0.0;
-          for (double e : errors) sum += e;
-          mean_err = sum / static_cast<double>(errors.size());
+      double mean_err = -1.0;
+      if (estimate.usable) {
+        ++report.usable_windows;
+        if (options.truth != nullptr) {
+          const std::vector<std::size_t> population =
+              core::potentially_congested_links(paths,
+                                                inference.measurement());
+          const std::vector<double> errors = metrics::absolute_errors(
+              *options.truth, estimate.inference.congestion_prob, population);
+          if (!errors.empty()) {
+            double sum = 0.0;
+            for (double e : errors) sum += e;
+            mean_err = sum / static_cast<double>(errors.size());
+          }
         }
       }
+      report.last_mean_err = mean_err;
+      output << window_json(estimate, mean_err) << '\n';
+      output.flush();
+      if (!output.good()) {
+        // Downstream hung up (EPIPE with SIGPIPE ignored, or any other
+        // stream failure). Further windows have no reader: stop cleanly and
+        // let the caller report it instead of crashing mid-write.
+        report.output_closed = true;
+        break;
+      }
+      if (options.max_windows != 0 && report.windows >= options.max_windows) {
+        break;
+      }
     }
-    report.last_mean_err = mean_err;
-    output << window_json(estimate, mean_err) << '\n';
-    output.flush();
-    if (!output.good()) {
-      // Downstream hung up (EPIPE with SIGPIPE ignored, or any other
-      // stream failure). Further windows have no reader: stop cleanly and
-      // let the caller report it instead of crashing mid-write.
-      report.output_closed = true;
-      break;
-    }
-    if (options.max_windows != 0 && report.windows >= options.max_windows) {
-      break;
-    }
+  } catch (...) {
+    ring.close();
+    producer.join();
+    throw;
   }
   ring.close();  // unblocks a producer stuck in push after max_windows
   producer.join();

@@ -21,9 +21,12 @@
 //
 // Convergence contract: the estimate after window k equals a one-shot
 // batch infer_congestion over the same snapshots — identical equation
-// system and Gram bits, same NNLS optimum (bit-identical when the solve is
-// cold, equal active set and solution to solver tolerance when
-// warm-started). Output is bit-identical for any jobs value.
+// system and Gram bits, same NNLS optimum. A cold solve is bit-identical to
+// batch. A warm-started one reaches the same fitted values A·x to solver
+// tolerance, and the same active set and solution whenever the optimum is
+// unique; on a rank-deficient face (twin columns the union of both
+// supports cannot separate) it may stop at a different, equally optimal
+// vertex. Output is bit-identical for any jobs value.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +42,7 @@ struct StreamingOptions {
   /// Shared with the batch path (solver, harvest, refinement knobs).
   core::InferenceOptions inference;
   /// Seed each window's NNLS from the previous window's converged active
-  /// set (incremental engine only; the first window is always cold).
+  /// set (NNLS only; the first window is always cold).
   bool warm_start = true;
   /// Reuse the cached G = AᵀA when the harvested support is unchanged
   /// (unweighted solves only — variance weights change every row value).

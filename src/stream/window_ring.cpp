@@ -41,6 +41,11 @@ void WindowRing::close() {
   not_empty_.notify_all();
 }
 
+bool WindowRing::closed() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return closed_;
+}
+
 std::size_t WindowRing::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return count_;

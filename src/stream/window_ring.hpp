@@ -34,6 +34,9 @@ class WindowRing {
   /// Idempotent; queued windows remain poppable.
   void close();
 
+  /// True once close() was called.
+  bool closed() const;
+
   std::size_t capacity() const { return slots_.size(); }
 
   /// Windows currently queued (snapshot; racy by nature, for telemetry).

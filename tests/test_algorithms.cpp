@@ -5,6 +5,7 @@
 #include "core/correlation_algorithm.hpp"
 #include "core/independence_algorithm.hpp"
 #include "corr/model_factory.hpp"
+#include "reference/simulator.hpp"
 #include "sim/measurement.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
@@ -44,13 +45,13 @@ TEST(CorrelationAlgorithm, ConvergesWithSnapshots) {
   auto model = figure_1a_model(sys.sets);
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   sim::SimulatorConfig config;
-  config.mode = sim::PacketMode::kExact;
   config.seed = 101;
   double previous_error = 1.0;
   for (const std::size_t snapshots : {200u, 20000u}) {
     config.snapshots = snapshots;
-    const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-    const sim::EmpiricalMeasurement meas(simr.observations());
+    auto simr =
+        reference::simulate_exact(sys.graph, sys.paths, *model, config);
+    const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
     const InferenceResult r =
         infer_congestion(sys.graph, sys.paths, cov, sys.sets, meas);
     double err = 0.0;
@@ -69,12 +70,11 @@ TEST(CorrelationAlgorithm, HandlesPacketNoise) {
   auto model = figure_1a_model(sys.sets);
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   sim::SimulatorConfig config;
-  config.mode = sim::PacketMode::kBinomial;
   config.snapshots = 5000;
   config.packets_per_path = 800;
   config.seed = 103;
-  const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
+  const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
   const InferenceResult r =
       infer_congestion(sys.graph, sys.paths, cov, sys.sets, meas);
   for (graph::LinkId e = 0; e < 4; ++e) {
@@ -191,8 +191,8 @@ TEST(CorrelationAlgorithm, EstimatesStayInUnitInterval) {
   config.snapshots = 50;  // deliberately noisy
   config.packets_per_path = 30;
   config.seed = 999;
-  const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
+  const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
   const InferenceResult r =
       infer_congestion(sys.graph, sys.paths, cov, sys.sets, meas);
   for (double p : r.congestion_prob) {

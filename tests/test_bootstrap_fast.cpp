@@ -1,14 +1,14 @@
 // Differential suite for the batched bootstrap engine.
 //
-// The batched engine (BootstrapMode::kBatched) is pinned against the
-// serial reference (kReference) that shares only the per-replicate seed
-// streams: with warm starts off, intervals are bitwise identical at
-// matched seeds on every registry scenario, for any `jobs`, and on the
-// fallback path (the reference computation verbatim). The word-level
+// core::bootstrap_congestion is pinned against the serial full
+// re-inference reference (reference::bootstrap_congestion), which shares
+// only the per-replicate seed streams: with warm starts off, intervals are
+// bitwise identical at matched seeds on every registry scenario, for any
+// `jobs`, and on the re-harvest fallback path. The word-level
 // MeasurementBlock::resample gather is pinned the same way against the
-// scalar per-bit resample_snapshots, and percentile_pair against two
-// separate percentile calls. Any divergence is an exactness bug, not a
-// tolerance question, so the comparisons are exact.
+// scalar per-bit reference::resample_snapshots, and percentile_pair
+// against two separate percentile calls. Any divergence is an exactness
+// bug, not a tolerance question, so the comparisons are exact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +19,8 @@
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/coverage.hpp"
+#include "reference/bootstrap.hpp"
+#include "reference/observations.hpp"
 #include "sim/measurement.hpp"
 #include "sim/measurement_block.hpp"
 #include "sim/simulator.hpp"
@@ -28,6 +30,7 @@
 namespace tomo::core {
 namespace {
 
+using reference::PathObservations;
 using tomo::testing::figure_1a;
 
 void expect_identical(const BootstrapResult& a, const BootstrapResult& b,
@@ -52,7 +55,6 @@ Workload registry_workload(const std::string& name) {
   sim::SimulatorConfig sc;
   sc.snapshots = 150;  // two full 64-snapshot words plus a ragged tail
   sc.packets_per_path = 400;
-  sc.mode = sim::PacketMode::kBatched;
   sc.seed = 0x51ee;
   w.simr = sim::simulate(w.inst.graph, w.inst.paths, *w.inst.truth, sc);
   return w;
@@ -73,22 +75,20 @@ TEST_P(RegistryBootstrapDifferential, BatchedMatchesReferenceBitwise) {
   // off, the fast path is the reference arithmetic bit for bit.
   options.warm_start = false;
 
-  options.mode = BootstrapMode::kReference;
-  const BootstrapResult reference =
-      bootstrap_congestion(w.inst.graph, w.inst.paths, cov,
-                           w.inst.declared_sets, w.simr.measurement, options);
-  options.mode = BootstrapMode::kBatched;
+  const BootstrapResult serial = reference::bootstrap_congestion(
+      w.inst.graph, w.inst.paths, cov, w.inst.declared_sets,
+      w.simr.measurement, options);
   const BootstrapResult batched =
       bootstrap_congestion(w.inst.graph, w.inst.paths, cov,
                            w.inst.declared_sets, w.simr.measurement, options);
-  expect_identical(batched, reference, GetParam());
+  expect_identical(batched, serial, GetParam());
 }
 
 TEST_P(RegistryBootstrapDifferential, JobsDoNotChangeIntervals) {
   const Workload w = registry_workload(GetParam());
   const graph::CoverageIndex cov(w.inst.graph, w.inst.paths);
 
-  BootstrapOptions options;  // batched, warm starts on: the default engine
+  BootstrapOptions options;  // warm starts on: the default
   options.replicates = 12;
   options.seed = 0xfa2;
   options.jobs = 1;
@@ -122,8 +122,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // min_good_snapshots > 1 voids the support-stability certificate (a
 // dropped candidate could cross the threshold), so the static gate must
-// route every replicate through the full re-harvest — which is the
-// reference computation verbatim.
+// route every replicate through the full re-harvest.
 TEST(BootstrapFast, UnprovableSupportFallsBackToReferencePath) {
   // worm-mislabeled: secretly correlated links, so the refine/demote
   // chain actually fires before the harvest this configuration re-runs.
@@ -136,78 +135,74 @@ TEST(BootstrapFast, UnprovableSupportFallsBackToReferencePath) {
   options.warm_start = false;
   options.inference.equations.min_good_snapshots = 2;
 
-  options.mode = BootstrapMode::kReference;
-  const BootstrapResult reference =
-      bootstrap_congestion(w.inst.graph, w.inst.paths, cov,
-                           w.inst.declared_sets, w.simr.measurement, options);
-  options.mode = BootstrapMode::kBatched;
+  const BootstrapResult serial = reference::bootstrap_congestion(
+      w.inst.graph, w.inst.paths, cov, w.inst.declared_sets,
+      w.simr.measurement, options);
   const BootstrapResult batched =
       bootstrap_congestion(w.inst.graph, w.inst.paths, cov,
                            w.inst.declared_sets, w.simr.measurement, options);
   EXPECT_EQ(batched.reharvested, options.replicates);
-  EXPECT_EQ(reference.reharvested, 0u);  // reference never reports it
-  expect_identical(batched, reference, "min_good_snapshots=2");
+  EXPECT_EQ(serial.reharvested, 0u);  // the reference never reports it
+  expect_identical(batched, serial, "min_good_snapshots=2");
 }
 
 // A path with a single good snapshot flips its equations' usability in
 // exactly the replicates whose resample drops that snapshot: those must
 // take the fallback, the others the fast path, and both must agree with
-// the reference engine bit for bit.
+// the reference bit for bit.
 TEST(BootstrapFast, SupportChangeTriggersPerReplicateFallback) {
   auto sys = figure_1a();
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   const std::size_t n = 32;
-  sim::PathObservations obs(3, n);
+  PathObservations obs(3, n);
   // Paths 1 and 2 good everywhere; path 0 good only in snapshot 0.
   for (std::size_t s = 1; s < n; ++s) obs.set_congested(0, s);
+  const sim::MeasurementBlock block = reference::to_block(obs);
 
   BootstrapOptions options;
   options.replicates = 24;
   options.seed = 0xfb;
   options.warm_start = false;
-  options.mode = BootstrapMode::kBatched;
   const BootstrapResult batched = bootstrap_congestion(
-      sys.graph, sys.paths, cov, sys.sets, obs, options);
+      sys.graph, sys.paths, cov, sys.sets, block, options);
   // P(a 32-draw resample keeps snapshot 0) ~ 0.63: both branches must be
   // exercised. Deterministic given the fixed seed.
   EXPECT_GT(batched.reharvested, 0u);
   EXPECT_LT(batched.reharvested, options.replicates);
 
-  options.mode = BootstrapMode::kReference;
-  const BootstrapResult reference = bootstrap_congestion(
-      sys.graph, sys.paths, cov, sys.sets, obs, options);
-  expect_identical(batched, reference, "single-good-snapshot path");
+  const BootstrapResult serial = reference::bootstrap_congestion(
+      sys.graph, sys.paths, cov, sys.sets, block, options);
+  expect_identical(batched, serial, "single-good-snapshot path");
 }
 
 // Replicates whose resample loses every usable equation are dropped, not
-// silently folded in: both engines account for every requested replicate
-// and agree on which were lost.
+// silently folded in: engine and reference account for every requested
+// replicate and agree on which were lost.
 TEST(BootstrapFast, SkippedReplicatesAreAccountedFor) {
   auto sys = figure_1a();
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   const std::size_t n = 16;
-  sim::PathObservations obs(3, n);
+  PathObservations obs(3, n);
   // Every path good only in snapshot 0: a resample that misses it has no
   // usable equation at all and the replicate must be skipped.
   for (sim::PathId p = 0; p < 3; ++p) {
     for (std::size_t s = 1; s < n; ++s) obs.set_congested(p, s);
   }
+  const sim::MeasurementBlock block = reference::to_block(obs);
 
   BootstrapOptions options;
   options.replicates = 30;
   options.seed = 0x5c1;
   options.warm_start = false;
-  options.mode = BootstrapMode::kBatched;
   const BootstrapResult batched = bootstrap_congestion(
-      sys.graph, sys.paths, cov, sys.sets, obs, options);
+      sys.graph, sys.paths, cov, sys.sets, block, options);
   EXPECT_GT(batched.skipped, 0u);  // ~36% of resamples miss snapshot 0
   EXPECT_EQ(batched.replicates + batched.skipped, options.replicates);
 
-  options.mode = BootstrapMode::kReference;
-  const BootstrapResult reference = bootstrap_congestion(
-      sys.graph, sys.paths, cov, sys.sets, obs, options);
-  EXPECT_EQ(reference.replicates + reference.skipped, options.replicates);
-  expect_identical(batched, reference, "mostly-unusable sample");
+  const BootstrapResult serial = reference::bootstrap_congestion(
+      sys.graph, sys.paths, cov, sys.sets, block, options);
+  EXPECT_EQ(serial.replicates + serial.skipped, options.replicates);
+  expect_identical(batched, serial, "mostly-unusable sample");
 }
 
 // ------------------------------------------------- resample & percentiles
@@ -217,25 +212,24 @@ TEST(BootstrapFast, SkippedReplicatesAreAccountedFor) {
 // count and the per-path good counts.
 TEST(BootstrapFast, BlockResampleMatchesScalarReference) {
   const std::size_t paths = 5, n = 150;
-  sim::PathObservations obs(paths, n);
+  PathObservations obs(paths, n);
   Rng fill(0xf111);
   for (sim::PathId p = 0; p < paths; ++p) {
     for (std::size_t s = 0; s < n; ++s) {
       if (fill.below(3) == 0) obs.set_congested(p, s);
     }
   }
-  const sim::MeasurementBlock block =
-      sim::MeasurementBlock::from_observations(obs);
+  const sim::MeasurementBlock block = reference::to_block(obs);
 
   for (std::uint64_t seed : {1ull, 7ull, 0xabcdull}) {
     // Both paths consume the identical pick stream by contract.
     Rng scalar_rng(seed);
-    const sim::PathObservations scalar = resample_snapshots(obs, scalar_rng);
+    const PathObservations scalar =
+        reference::resample_snapshots(obs, scalar_rng);
     Rng block_rng(seed);
     const std::vector<std::uint32_t> picks = draw_picks(n, block_rng);
     const sim::MeasurementBlock gathered = block.resample(picks);
-    const sim::MeasurementBlock expected =
-        sim::MeasurementBlock::from_observations(scalar);
+    const sim::MeasurementBlock expected = reference::to_block(scalar);
     EXPECT_EQ(gathered.good_bits, expected.good_bits) << "seed " << seed;
     EXPECT_EQ(gathered.good_counts, expected.good_counts) << "seed " << seed;
   }

@@ -9,7 +9,7 @@
 #include "graph/graph.hpp"
 #include "linalg/matrix.hpp"
 #include "metrics/cdf.hpp"
-#include "sim/snapshot.hpp"
+#include "sim/measurement_block.hpp"
 #include "stream/window_ring.hpp"
 #include "topogen/waxman.hpp"
 #include "util/rng.hpp"
@@ -41,9 +41,8 @@ TEST(BuildSanity, CorrLayerLinks) {
 }
 
 TEST(BuildSanity, SimLayerLinks) {
-  tomo::sim::PathObservations obs(2, 8);
-  obs.set_congested(0, 3);
-  EXPECT_TRUE(obs.congested(0, 3));
+  const auto block = tomo::sim::MeasurementBlock::all_good(2, 8);
+  EXPECT_EQ(block.good_counts[0], 8u);
 }
 
 TEST(BuildSanity, TopogenLayerLinks) {

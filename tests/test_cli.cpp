@@ -132,6 +132,20 @@ TEST_F(CliWorkflow, LocalizeReportsLinks) {
   EXPECT_NE(r.output.find("congested path"), std::string::npos);
 }
 
+TEST_F(CliWorkflow, InferRejectsOversizedObservationHeader) {
+  const std::string obs = temp_path("cli_oversized_obs.txt");
+  {
+    std::ofstream os(obs);
+    os << "tomo-observations v1\npaths 18446744073709551615 snapshots 5\n";
+  }
+  const CommandResult r =
+      run_cli("infer --topology " + *topo_ + " --obs " + obs);
+  std::remove(obs.c_str());
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("tomo_cli: obs-stream line 2:"), std::string::npos)
+      << r.output;
+}
+
 TEST(CliErrors, UnknownSubcommandFails) {
   const CommandResult r = run_cli("frobnicate");
   EXPECT_EQ(r.exit_code, 2);

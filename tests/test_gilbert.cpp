@@ -4,6 +4,7 @@
 
 #include "corr/common_shock.hpp"
 #include "corr/gilbert.hpp"
+#include "reference/simulator.hpp"
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -127,12 +128,12 @@ TEST(GilbertModel, SimulatorEstimatesStayConsistent) {
   GilbertShockModel model(sys.sets, {0.0, 0.0, 0.15, 0.3}, shocks);
   sim::SimulatorConfig config;
   config.snapshots = 60000;
-  config.mode = sim::PacketMode::kExact;
   config.seed = 21;
-  const auto result = sim::simulate(sys.graph, sys.paths, model, config);
+  const auto result =
+      reference::simulate_exact(sys.graph, sys.paths, model, config);
   // P(P1 good) = P(e1 good) P(e3 good) = (1-0.25)(1-0.15).
   const double p1_good =
-      static_cast<double>(result.observations().good_count(0)) /
+      static_cast<double>(result.measurement.good_counts[0]) /
       static_cast<double>(config.snapshots);
   EXPECT_NEAR(p1_good, 0.75 * 0.85, 0.02);
 }

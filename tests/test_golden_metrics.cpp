@@ -150,7 +150,6 @@ void run_scenario_case(const std::string& name) {
   core::ExperimentConfig ec;
   ec.sim.snapshots = 500;
   ec.sim.packets_per_path = 800;
-  ec.sim.mode = sim::PacketMode::kBinomial;
   ec.sim.seed = mix_seed(config.seed, 0x601d00);
   const core::ExperimentResult result = core::run_experiment(inst, ec);
 
@@ -203,12 +202,11 @@ TEST(GoldenMetrics, TheoremFig1aCongestionFactors) {
   sim::SimulatorConfig sim_config;
   sim_config.snapshots = 4000;
   sim_config.packets_per_path = 1000;
-  sim_config.mode = sim::PacketMode::kBinomial;
   sim_config.seed = 0x601d1a;
-  const auto simr = sim::simulate(g, paths, truth, sim_config);
+  auto simr = sim::simulate(g, paths, truth, sim_config);
 
   const graph::CoverageIndex cov(g, paths);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
   const core::TheoremResult r = core::run_theorem_algorithm(cov, sets, meas);
 
   // alpha_A by definition from the worked distributions (fig1_tables).

@@ -141,7 +141,6 @@ void run_streaming_case(const std::string& name) {
   sim::SimulatorConfig sc;
   sc.snapshots = 500;
   sc.packets_per_path = 800;
-  sc.mode = sim::PacketMode::kBinomial;
   sc.seed = mix_seed(config.seed, 0x601d00);
   const sim::SimulationResult simr =
       sim::simulate(inst.graph, inst.paths, *inst.truth, sc);

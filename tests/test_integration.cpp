@@ -5,6 +5,8 @@
 #include "core/experiment.hpp"
 #include "metrics/cdf.hpp"
 #include "metrics/error_metrics.hpp"
+#include "reference/simulator.hpp"
+#include "sim/measurement.hpp"
 #include "util/stats.hpp"
 
 namespace tomo::core {
@@ -13,9 +15,19 @@ namespace {
 ExperimentConfig fast_config() {
   ExperimentConfig config;
   config.sim.snapshots = 800;
-  config.sim.mode = sim::PacketMode::kExact;
   config.sim.seed = 31;
   return config;
+}
+
+/// core::run_experiment on noise-free measurements, so the checks below
+/// see estimation error only.
+ExperimentResult run_exact_experiment(const ScenarioInstance& scenario,
+                                      const ExperimentConfig& config) {
+  sim::SimulationResult simr = reference::simulate_exact(
+      scenario.graph, scenario.paths, *scenario.truth, config.sim);
+  return evaluate_measurement(
+      scenario, sim::EmpiricalMeasurement(std::move(simr.measurement)),
+      config.inference);
 }
 
 ScenarioConfig base_scenario() {
@@ -30,7 +42,7 @@ ScenarioConfig base_scenario() {
 
 TEST(Integration, IdealConditionsCorrelationBeatsIndependence) {
   const ScenarioInstance inst = build_scenario(base_scenario());
-  const ExperimentResult result = run_experiment(inst, fast_config());
+  const ExperimentResult result = run_exact_experiment(inst, fast_config());
   const auto corr_err = result.correlation_errors();
   const auto ind_err = result.independence_errors();
   ASSERT_FALSE(corr_err.empty());
@@ -44,7 +56,7 @@ TEST(Integration, IdealConditionsCorrelationBeatsIndependence) {
 
 TEST(Integration, PotentiallyCongestedLinksCoverCongestedTruth) {
   const ScenarioInstance inst = build_scenario(base_scenario());
-  const ExperimentResult result = run_experiment(inst, fast_config());
+  const ExperimentResult result = run_exact_experiment(inst, fast_config());
   // Every truly congested link with non-trivial marginal should appear in
   // the potentially congested population (its paths get congested).
   std::size_t missing = 0;
@@ -60,7 +72,7 @@ TEST(Integration, PotentiallyCongestedLinksCoverCongestedTruth) {
 
 TEST(Integration, CdfSeriesIsMonotone) {
   const ScenarioInstance inst = build_scenario(base_scenario());
-  const ExperimentResult result = run_experiment(inst, fast_config());
+  const ExperimentResult result = run_exact_experiment(inst, fast_config());
   const auto series = metrics::cdf_series(result.correlation_errors());
   for (std::size_t i = 1; i < series.size(); ++i) {
     EXPECT_GE(series[i].percent, series[i - 1].percent);
@@ -83,8 +95,10 @@ TEST(Integration, MoreCongestionHurtsIndependenceMore) {
     auto high = base_scenario();
     high.congested_fraction = 0.25;
     high.seed = 100 + trial;
-    const auto r_low = run_experiment(build_scenario(low), fast_config());
-    const auto r_high = run_experiment(build_scenario(high), fast_config());
+    const auto r_low =
+        run_exact_experiment(build_scenario(low), fast_config());
+    const auto r_high =
+        run_exact_experiment(build_scenario(high), fast_config());
     gap_low += mean(r_low.independence_errors()) -
                mean(r_low.correlation_errors());
     gap_high += mean(r_high.independence_errors()) -
@@ -101,7 +115,7 @@ TEST(Integration, UnidentifiableScenarioStillFavoursCorrelation) {
   auto config = base_scenario();
   config.unidentifiable_fraction = 0.5;
   const ScenarioInstance inst = build_scenario(config);
-  const ExperimentResult result = run_experiment(inst, fast_config());
+  const ExperimentResult result = run_exact_experiment(inst, fast_config());
   const double corr_mean = mean(result.correlation_errors());
   const double ind_mean = mean(result.independence_errors());
   EXPECT_LT(corr_mean, ind_mean + 0.02);  // never meaningfully worse
@@ -112,7 +126,7 @@ TEST(Integration, MislabeledScenarioStillFavoursCorrelation) {
   auto config = base_scenario();
   config.mislabeled_fraction = 0.5;
   const ScenarioInstance inst = build_scenario(config);
-  const ExperimentResult result = run_experiment(inst, fast_config());
+  const ExperimentResult result = run_exact_experiment(inst, fast_config());
   const double corr_mean = mean(result.correlation_errors());
   const double ind_mean = mean(result.independence_errors());
   EXPECT_LT(corr_mean, ind_mean + 0.02);
@@ -126,15 +140,15 @@ TEST(Integration, PlanetLabScenarioRuns) {
   config.congested_fraction = 0.10;
   config.seed = 12;
   const ScenarioInstance inst = build_scenario(config);
-  const ExperimentResult result = run_experiment(inst, fast_config());
+  const ExperimentResult result = run_exact_experiment(inst, fast_config());
   EXPECT_FALSE(result.correlation_errors().empty());
   EXPECT_LT(mean(result.correlation_errors()), 0.2);
 }
 
 TEST(Integration, ExperimentIsDeterministic) {
   const ScenarioInstance inst = build_scenario(base_scenario());
-  const ExperimentResult a = run_experiment(inst, fast_config());
-  const ExperimentResult b = run_experiment(inst, fast_config());
+  const ExperimentResult a = run_exact_experiment(inst, fast_config());
+  const ExperimentResult b = run_exact_experiment(inst, fast_config());
   EXPECT_EQ(a.correlation.congestion_prob, b.correlation.congestion_prob);
   EXPECT_EQ(a.independence.congestion_prob,
             b.independence.congestion_prob);

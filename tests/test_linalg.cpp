@@ -10,6 +10,7 @@
 #include "linalg/irls.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/nnls.hpp"
+#include "reference/solvers.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/rank_tracker.hpp"
 #include "linalg/simplex.hpp"
@@ -212,7 +213,7 @@ TEST(RankTracker, MatchesQrRankOnRandomZeroOneRows) {
 TEST(Nnls, MatchesUnconstrainedWhenSolutionPositive) {
   Matrix a{{1, 0}, {0, 1}, {1, 1}};
   const Vector b{1, 2, 3};
-  const NnlsResult r = nnls(a, b);
+  const NnlsResult r = reference::nnls_dense(a, b);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.x[0], 1.0, 1e-8);
   EXPECT_NEAR(r.x[1], 2.0, 1e-8);
@@ -221,7 +222,7 @@ TEST(Nnls, MatchesUnconstrainedWhenSolutionPositive) {
 TEST(Nnls, ClampsNegativeComponents) {
   // Unconstrained solution of x = -1: NNLS must return 0.
   Matrix a{{1}};
-  const NnlsResult r = nnls(a, {-1});
+  const NnlsResult r = reference::nnls_dense(a, {-1});
   EXPECT_DOUBLE_EQ(r.x[0], 0.0);
   EXPECT_NEAR(r.residual_norm, 1.0, 1e-12);
 }
@@ -236,7 +237,7 @@ TEST(Nnls, RandomProblemsSatisfyKkt) {
       for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1, 1);
       b[i] = rng.uniform(-1, 1);
     }
-    const NnlsResult r = nnls(a, b);
+    const NnlsResult r = reference::nnls_dense(a, b);
     ASSERT_TRUE(r.converged);
     const Vector grad = a.multiply_transposed(residual(a, r.x, b));
     for (std::size_t j = 0; j < n; ++j) {
@@ -335,15 +336,13 @@ TEST(UpdatableCholesky, RejectsDependentColumnWithoutMutating) {
 }
 
 TEST(Nnls, ModesAgreeOnDuplicateColumns) {
-  // Columns 0 and 1 are identical; both engines must cope (reference via
-  // rank-revealing QR, incremental via dependent-insert rejection) and
-  // produce the same fit.
+  // Columns 0 and 1 are identical; both engines must cope (the QR reference
+  // via rank revelation, the Gram engine via dependent-insert rejection)
+  // and produce the same fit.
   Matrix a{{1, 1, 0}, {1, 1, 0}, {0, 0, 1}};
   const Vector b{3, 3, 4};
-  NnlsOptions reference;
-  reference.mode = NnlsMode::kReference;
-  const NnlsResult ref = nnls(a, b, reference);
-  const NnlsResult inc = nnls(a, b, NnlsOptions{});
+  const NnlsResult ref = reference::nnls_qr(a, b);
+  const NnlsResult inc = reference::nnls_dense(a, b);
   ASSERT_TRUE(ref.converged);
   ASSERT_TRUE(inc.converged);
   EXPECT_NEAR(ref.residual_norm, 0.0, 1e-9);
@@ -364,7 +363,7 @@ TEST(Nnls, NearCollinearColumnHitsRefactorizeFallback) {
   // fallback double-checks), block the column, and still converge.
   Matrix a{{2, 1}, {0, 1e-7}};
   const Vector b{1, 10};
-  const NnlsResult inc = nnls(a, b, NnlsOptions{});
+  const NnlsResult inc = reference::nnls_dense(a, b);
   ASSERT_TRUE(inc.converged);
   EXPECT_GE(inc.refactorizations, 1u);
   for (double v : inc.x) {
@@ -372,19 +371,15 @@ TEST(Nnls, NearCollinearColumnHitsRefactorizeFallback) {
     EXPECT_GE(v, 0.0);
   }
   // The blocked sliver column costs at most its own mass in fit quality.
-  NnlsOptions reference;
-  reference.mode = NnlsMode::kReference;
-  const NnlsResult ref = nnls(a, b, reference);
+  const NnlsResult ref = reference::nnls_qr(a, b);
   EXPECT_NEAR(inc.residual_norm, ref.residual_norm, 1e-3);
 }
 
 TEST(Nnls, ZeroRhsConvergesToZeroInBothModes) {
   Matrix a{{1, 0}, {0, 1}, {1, 1}};
   const Vector b{0, 0, 0};
-  for (const NnlsMode mode : {NnlsMode::kIncremental, NnlsMode::kReference}) {
-    NnlsOptions options;
-    options.mode = mode;
-    const NnlsResult r = nnls(a, b, options);
+  for (const NnlsResult& r :
+       {reference::nnls_dense(a, b), reference::nnls_qr(a, b)}) {
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(r.x, Vector({0.0, 0.0}));
     EXPECT_DOUBLE_EQ(r.residual_norm, 0.0);
@@ -399,11 +394,10 @@ TEST(Nnls, IterationCapReportsNotConverged) {
     for (std::size_t j = 0; j < a.cols(); ++j) a(i, j) = rng.uniform(0, 1);
     b[i] = rng.uniform(0, 1);
   }
-  for (const NnlsMode mode : {NnlsMode::kIncremental, NnlsMode::kReference}) {
-    NnlsOptions options;
-    options.mode = mode;
-    options.max_iterations = 1;
-    const NnlsResult r = nnls(a, b, options);
+  NnlsOptions options;
+  options.max_iterations = 1;
+  for (const NnlsResult& r : {reference::nnls_dense(a, b, options),
+                              reference::nnls_qr(a, b, 1)}) {
     EXPECT_FALSE(r.converged);
     EXPECT_EQ(r.iterations, 1u);
     for (double v : r.x) {
@@ -426,7 +420,7 @@ TEST(Nnls, IncrementalSatisfiesKktOnRandomProblems) {
       for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1, 1);
       b[i] = rng.uniform(-1, 1);
     }
-    const NnlsResult r = nnls_gram(make_gram(a, b), {});
+    const NnlsResult r = nnls_gram(reference::make_gram(a, b), {});
     ASSERT_TRUE(r.converged);
     const Vector grad = a.multiply_transposed(residual(a, r.x, b));
     for (std::size_t j = 0; j < n; ++j) {
@@ -437,9 +431,7 @@ TEST(Nnls, IncrementalSatisfiesKktOnRandomProblems) {
         EXPECT_LE(grad[j], 1e-6);
       }
     }
-    NnlsOptions reference;
-    reference.mode = NnlsMode::kReference;
-    const NnlsResult ref = nnls(a, b, reference);
+    const NnlsResult ref = reference::nnls_qr(a, b);
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_NEAR(r.x[j], ref.x[j], 1e-8) << "trial " << trial;
     }
@@ -538,15 +530,42 @@ TEST(Solvers, KindParsingRoundTrip) {
   EXPECT_THROW(solver_kind_from_string("bogus"), Error);
 }
 
+/// A 0/1 incidence system with owned support storage.
+struct OwnedSystem {
+  std::vector<std::vector<std::size_t>> supports;
+  SparseSystemView view;
+};
+
+OwnedSystem zero_one_system(std::size_t cols,
+                            std::vector<std::vector<std::size_t>> supports,
+                            const Vector& y) {
+  OwnedSystem out{std::move(supports), {}};
+  out.view.cols = cols;
+  for (std::size_t i = 0; i < out.supports.size(); ++i) {
+    SparseRow row;
+    row.support = out.supports[i].data();
+    row.support_size = out.supports[i].size();
+    row.y = y[i];
+    out.view.rows.push_back(row);
+  }
+  return out;
+}
+
+LogSystemSolution solve_with(const OwnedSystem& system, SolverKind kind) {
+  SolverOptions options;
+  options.kind = kind;
+  return solve_log_system(system.view, options);
+}
+
 TEST(Solvers, AllKindsSolveConsistentLogSystem) {
   // x = (log 0.9, log 0.8, log 0.7); equations: x0+x1, x1+x2, x0+x2.
   const double x0 = std::log(0.9), x1 = std::log(0.8), x2 = std::log(0.7);
-  Matrix a{{1, 1, 0}, {0, 1, 1}, {1, 0, 1}};
-  const Vector y{x0 + x1, x1 + x2, x0 + x2};
+  const OwnedSystem system = zero_one_system(
+      3, {{0, 1}, {1, 2}, {0, 2}}, {x0 + x1, x1 + x2, x0 + x2});
   for (const auto kind :
        {SolverKind::kLeastSquares, SolverKind::kNnls, SolverKind::kL1Lp,
         SolverKind::kIrls}) {
-    const LogSystemSolution s = solve_log_system(a, y, kind);
+    const LogSystemSolution s = solve_with(system, kind);
     EXPECT_NEAR(s.x[0], x0, 1e-5) << to_string(kind);
     EXPECT_NEAR(s.x[1], x1, 1e-5) << to_string(kind);
     EXPECT_NEAR(s.x[2], x2, 1e-5) << to_string(kind);
@@ -556,12 +575,13 @@ TEST(Solvers, AllKindsSolveConsistentLogSystem) {
 TEST(Solvers, SolutionsAreAlwaysNonPositive) {
   // Inconsistent noisy system: whatever the solver does, x must stay <= 0
   // (they are log-probabilities).
-  Matrix a{{1, 0}, {0, 1}, {1, 1}};
-  const Vector y{0.5, -0.1, -0.2};  // note the positive (infeasible) entry
+  // Note the positive (infeasible) entry.
+  const OwnedSystem system =
+      zero_one_system(2, {{0}, {1}, {0, 1}}, {0.5, -0.1, -0.2});
   for (const auto kind :
        {SolverKind::kLeastSquares, SolverKind::kNnls, SolverKind::kL1Lp,
         SolverKind::kIrls}) {
-    const LogSystemSolution s = solve_log_system(a, y, kind);
+    const LogSystemSolution s = solve_with(system, kind);
     for (double v : s.x) {
       EXPECT_LE(v, 0.0) << to_string(kind);
     }
@@ -569,10 +589,10 @@ TEST(Solvers, SolutionsAreAlwaysNonPositive) {
 }
 
 TEST(Solvers, RejectsNonFiniteRhs) {
-  Matrix a{{1}};
-  EXPECT_THROW(
-      solve_log_system(a, {std::numeric_limits<double>::quiet_NaN()}),
-      Error);
+  const OwnedSystem system = zero_one_system(
+      1, {{0}}, {std::numeric_limits<double>::quiet_NaN()});
+  EXPECT_THROW(solve_with(system, SolverKind::kNnls), Error);
+  EXPECT_THROW(solve_with(system, SolverKind::kLeastSquares), Error);
 }
 
 // -------------------------------------------- windowed Gram pipeline ----
@@ -609,6 +629,12 @@ OwnedSparseSystem random_sparse_system(std::size_t rows, std::size_t cols,
   return out;
 }
 
+GramSystem gram_of(const SparseSystemView& view, std::size_t jobs) {
+  GramSystem gs;
+  accumulate_gram(gs, view, jobs);
+  return gs;
+}
+
 void expect_gram_bits_equal(const GramSystem& a, const GramSystem& b,
                             const std::string& what) {
   ASSERT_EQ(a.gram.rows(), b.gram.rows()) << what;
@@ -627,12 +653,12 @@ void expect_gram_bits_equal(const GramSystem& a, const GramSystem& b,
 
 /// The streaming contract: accumulating any consecutive row partition —
 /// window by window, into the same GramSystem — is *bitwise* equal to the
-/// once-per-solve batch build, because every per-entry reduction runs in
+/// once-per-solve build, because every per-entry reduction runs in
 /// ascending row order regardless of how the rows arrive.
 TEST(Solvers, WindowedGramAccumulationIsBitwiseBatchEqual) {
   for (const std::uint64_t seed : {1ul, 2ul, 3ul}) {
     const OwnedSparseSystem sys = random_sparse_system(60, 17, seed);
-    const GramSystem batch = sparse_gram(sys.view, 1);
+    const GramSystem batch = gram_of(sys.view, 1);
 
     for (const std::size_t window : {1ul, 7ul, 13ul, 60ul, 100ul}) {
       GramSystem accumulated;
@@ -655,8 +681,8 @@ TEST(Solvers, WindowedGramAccumulationIsBitwiseBatchEqual) {
 
 TEST(Solvers, GramAccumulationIsJobsInvariant) {
   const OwnedSparseSystem sys = random_sparse_system(80, 23, 0x9e);
-  const GramSystem serial = sparse_gram(sys.view, 1);
-  const GramSystem parallel = sparse_gram(sys.view, 3);
+  const GramSystem serial = gram_of(sys.view, 1);
+  const GramSystem parallel = gram_of(sys.view, 3);
   expect_gram_bits_equal(serial, parallel, "jobs 1 vs 3");
 }
 
@@ -665,7 +691,7 @@ TEST(Solvers, GramAccumulationIsJobsInvariant) {
 /// the reused G = A^T A untouched.
 TEST(Solvers, RefreshGramRhsRestoresExactBits) {
   const OwnedSparseSystem sys = random_sparse_system(40, 11, 0x42);
-  const GramSystem batch = sparse_gram(sys.view, 1);
+  const GramSystem batch = gram_of(sys.view, 1);
 
   GramSystem scribbled = batch;
   for (std::size_t j = 0; j < scribbled.atb.size(); ++j) {

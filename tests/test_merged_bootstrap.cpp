@@ -7,6 +7,8 @@
 #include "corr/common_shock.hpp"
 #include "corr/model_factory.hpp"
 #include "graph/coverage.hpp"
+#include "reference/observations.hpp"
+#include "reference/simulator.hpp"
 #include "sim/measurement.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
@@ -88,34 +90,40 @@ TEST(MergedInference, NoOpOnIdentifiableTopology) {
 
 // ----------------------------------------------------------- bootstrap ----
 
+/// One bootstrap replicate of `block`: picks from `rng`, word gather.
+sim::MeasurementBlock resample(const sim::MeasurementBlock& block, Rng& rng) {
+  return block.resample(draw_picks(block.snapshot_count, rng));
+}
+
 TEST(Bootstrap, ResampleKeepsDimensions) {
-  sim::PathObservations obs(2, 100);
+  reference::PathObservations obs(2, 100);
   obs.set_congested(0, 5);
   Rng rng(1);
-  const sim::PathObservations r = resample_snapshots(obs, rng);
-  EXPECT_EQ(r.path_count(), 2u);
-  EXPECT_EQ(r.snapshot_count(), 100u);
+  const sim::MeasurementBlock r = resample(reference::to_block(obs), rng);
+  EXPECT_EQ(r.path_count, 2u);
+  EXPECT_EQ(r.snapshot_count, 100u);
 }
 
 TEST(Bootstrap, ResamplePreservesAllGoodAndAllBad) {
-  sim::PathObservations obs(1, 50);
   Rng rng(2);
   // All good: any resample is all good.
-  EXPECT_EQ(resample_snapshots(obs, rng).good_count(0), 50u);
-  sim::PathObservations bad(1, 50);
+  EXPECT_EQ(resample(sim::MeasurementBlock::all_good(1, 50), rng)
+                .good_counts[0],
+            50u);
+  reference::PathObservations bad(1, 50);
   for (std::size_t n = 0; n < 50; ++n) bad.set_congested(0, n);
-  EXPECT_EQ(resample_snapshots(bad, rng).good_count(0), 0u);
+  EXPECT_EQ(resample(reference::to_block(bad), rng).good_counts[0], 0u);
 }
 
 TEST(Bootstrap, ResampleFrequencyIsUnbiased) {
-  sim::PathObservations obs(1, 1000);
+  reference::PathObservations obs(1, 1000);
   for (std::size_t n = 0; n < 300; ++n) obs.set_congested(0, n);
+  const sim::MeasurementBlock block = reference::to_block(obs);
   Rng rng(3);
   double total = 0.0;
   const int reps = 200;
   for (int r = 0; r < reps; ++r) {
-    total += static_cast<double>(
-        1000 - resample_snapshots(obs, rng).good_count(0));
+    total += static_cast<double>(1000 - resample(block, rng).good_counts[0]);
   }
   EXPECT_NEAR(total / reps, 300.0, 10.0);
 }
@@ -128,14 +136,14 @@ TEST(Bootstrap, IntervalsBracketTruthOnFigure1a) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     sim::SimulatorConfig config;
     config.snapshots = 4000;
-    config.mode = sim::PacketMode::kExact;
     config.seed = seed;
-    const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
+    const auto simr =
+        reference::simulate_exact(sys.graph, sys.paths, *model, config);
     BootstrapOptions options;
     options.replicates = 40;
     options.seed = seed * 7;
     const BootstrapResult r = bootstrap_congestion(
-        sys.graph, sys.paths, cov, sys.sets, simr.observations(), options);
+        sys.graph, sys.paths, cov, sys.sets, simr.measurement, options);
     EXPECT_EQ(r.replicates, 40u);
     for (graph::LinkId e = 0; e < 4; ++e) {
       ASSERT_LE(r.lower[e], r.point[e] + 1e-9);
@@ -159,13 +167,13 @@ TEST(Bootstrap, MoreSnapshotsNarrowIntervals) {
   auto width_at = [&](std::size_t snapshots) {
     sim::SimulatorConfig config;
     config.snapshots = snapshots;
-    config.mode = sim::PacketMode::kExact;
     config.seed = 7;
-    const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
+    const auto simr =
+        reference::simulate_exact(sys.graph, sys.paths, *model, config);
     BootstrapOptions options;
     options.replicates = 30;
     const BootstrapResult r = bootstrap_congestion(
-        sys.graph, sys.paths, cov, sys.sets, simr.observations(), options);
+        sys.graph, sys.paths, cov, sys.sets, simr.measurement, options);
     double width = 0.0;
     for (graph::LinkId e = 0; e < 4; ++e) {
       width += r.upper[e] - r.lower[e];
@@ -178,7 +186,7 @@ TEST(Bootstrap, MoreSnapshotsNarrowIntervals) {
 TEST(Bootstrap, ValidatesOptions) {
   auto sys = figure_1a();
   const graph::CoverageIndex cov(sys.graph, sys.paths);
-  sim::PathObservations obs(3, 10);
+  const sim::MeasurementBlock obs = sim::MeasurementBlock::all_good(3, 10);
   BootstrapOptions options;
   options.replicates = 1;
   EXPECT_THROW(bootstrap_congestion(sys.graph, sys.paths, cov, sys.sets,

@@ -1,8 +1,8 @@
 // Differential suite for the incremental NNLS solve path.
 //
 // The solver was rebuilt around a once-per-solve Gram system and an
-// updatable Cholesky factor (linalg::nnls, NnlsMode::kIncremental); the
-// historical per-iteration dense QR survives as NnlsMode::kReference.
+// updatable Cholesky factor (linalg::nnls_gram); the historical
+// per-iteration dense QR survives in test code as reference::nnls_qr.
 // These tests pin the two engines against each other on every registry
 // scenario's real equation system: the converged active sets must be
 // identical and the solutions must agree to tight relative tolerance —
@@ -23,6 +23,7 @@
 #include "graph/coverage.hpp"
 #include "linalg/nnls.hpp"
 #include "linalg/solvers.hpp"
+#include "reference/solvers.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
 
@@ -41,17 +42,23 @@ PreparedSystem prepare(ScenarioConfig config, std::uint64_t sim_seed) {
   sim::SimulatorConfig sc;
   sc.snapshots = 300;
   sc.packets_per_path = 500;
-  sc.mode = sim::PacketMode::kBinomial;
   sc.seed = sim_seed;
-  const sim::SimulationResult simr =
+  sim::SimulationResult simr =
       sim::simulate(out.inst.graph, out.inst.paths, *out.inst.truth, sc);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
   out.correlation =
       build_equations(coverage, out.inst.declared_sets, meas);
   const corr::CorrelationSets singles =
       corr::CorrelationSets::singletons(coverage.link_count());
   out.independence = build_equations(coverage, singles, meas);
   return out;
+}
+
+linalg::GramSystem gram_of(const linalg::SparseSystemView& view,
+                           std::size_t jobs) {
+  linalg::GramSystem gs;
+  linalg::accumulate_gram(gs, view, jobs);
+  return gs;
 }
 
 std::vector<std::size_t> active_set(const linalg::Vector& x) {
@@ -68,12 +75,10 @@ void expect_engines_agree(const EquationSystem& sys,
                           const std::string& what) {
   ASSERT_FALSE(sys.equations.empty()) << what;
 
-  linalg::SolverOptions reference;
-  reference.nnls_mode = linalg::NnlsMode::kReference;
   const linalg::LogSystemSolution ref =
-      linalg::solve_log_system(sys.matrix(), sys.rhs(), reference);
+      reference::solve_log_system_qr(sparse_view(sys));
 
-  linalg::SolverOptions incremental;  // defaults: nnls, incremental
+  linalg::SolverOptions incremental;  // defaults: nnls
   incremental.jobs = 1;
   const linalg::LogSystemSolution inc =
       linalg::solve_log_system(sparse_view(sys), incremental);
@@ -129,26 +134,24 @@ TEST(NnlsFast, WeightedSparseViewMatchesDenseWeighting) {
   PreparedSystem p = prepare(config, 0x3e100);
   const std::size_t samples = 300;
 
-  // The sparse view's per-row weights must be the same doubles
-  // apply_variance_weights installs into the dense system.
-  EquationSystem weighted = p.correlation;
-  apply_variance_weights(weighted, samples);
+  // The sparse view's per-row weights must be the inverse standard
+  // deviation of each estimate (delta method: Var(log p) ~= (1-p)/(p N),
+  // floored at one pseudo-count), applied to the row and its rhs alike.
   const linalg::SparseSystemView view = sparse_view(p.correlation, samples);
-  ASSERT_EQ(view.rows.size(), weighted.equations.size());
+  const double n = static_cast<double>(samples);
+  ASSERT_EQ(view.rows.size(), p.correlation.equations.size());
   for (std::size_t i = 0; i < view.rows.size(); ++i) {
-    const auto& links = weighted.equations[i].links;
-    ASSERT_EQ(view.rows[i].support_size, links.size());
-    for (std::size_t k = 0; k < links.size(); ++k) {
-      EXPECT_EQ(view.rows[i].value, weighted.matrix()(i, links[k]));
-    }
-    EXPECT_EQ(view.rows[i].y, weighted.rhs()[i]);
+    const Equation& eq = p.correlation.equations[i];
+    const double prob = std::exp(eq.y);
+    const double weight =
+        1.0 / std::sqrt(std::max((1.0 - prob) / (prob * n), 1.0 / (n * n)));
+    ASSERT_EQ(view.rows[i].support_size, eq.links.size());
+    EXPECT_EQ(view.rows[i].value, weight) << "equation " << i;
+    EXPECT_EQ(view.rows[i].y, weight * eq.y) << "equation " << i;
   }
 
   // And the engines agree on the weighted system too.
-  linalg::SolverOptions reference;
-  reference.nnls_mode = linalg::NnlsMode::kReference;
-  const linalg::LogSystemSolution ref =
-      linalg::solve_log_system(weighted.matrix(), weighted.rhs(), reference);
+  const linalg::LogSystemSolution ref = reference::solve_log_system_qr(view);
   const linalg::LogSystemSolution inc = linalg::solve_log_system(view);
   EXPECT_EQ(active_set(inc.x), active_set(ref.x));
   double scale = 1.0;
@@ -166,13 +169,13 @@ TEST(NnlsFast, SparseGramMatchesDenseGramBitwise) {
   const EquationSystem& sys = p.correlation;
 
   // Dense reference: Gram of the negated system (b = -y).
-  linalg::Vector b(sys.rhs().size());
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = -sys.rhs()[i];
-  const linalg::GramSystem dense = linalg::make_gram(sys.matrix(), b);
+  const reference::DenseSystem system = reference::densify(sparse_view(sys));
+  linalg::Vector b(system.y.size());
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = -system.y[i];
+  const linalg::GramSystem dense = reference::make_gram(system.a, b);
 
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
-    const linalg::GramSystem sparse =
-        linalg::sparse_gram(sparse_view(sys), jobs);
+    const linalg::GramSystem sparse = gram_of(sparse_view(sys), jobs);
     ASSERT_EQ(sparse.gram.rows(), dense.gram.rows());
     for (std::size_t i = 0; i < dense.gram.rows(); ++i) {
       for (std::size_t j = 0; j < dense.gram.cols(); ++j) {
@@ -204,7 +207,7 @@ std::vector<std::size_t> perturb_seed(const std::vector<std::size_t>& cold) {
 
 class RegistryWarmStart : public ::testing::TestWithParam<std::string> {};
 
-/// Seeding kIncremental from the previous active set — exact or perturbed
+/// Seeding the engine from the previous active set — exact or perturbed
 /// — must converge to the same optimum as a cold solve, with the
 /// refactorization telemetry staying bounded and the warm climb never
 /// longer than the cold one.
@@ -220,8 +223,7 @@ TEST_P(RegistryWarmStart, PerturbedSeedReachesTheColdOptimum) {
       shrink_for_tests(ScenarioCatalog::instance().at(GetParam()).config);
   config.seed = 0x3a77;
   const PreparedSystem p = prepare(config, 0x3a7700);
-  const linalg::GramSystem gs =
-      linalg::sparse_gram(sparse_view(p.correlation), 1);
+  const linalg::GramSystem gs = gram_of(sparse_view(p.correlation), 1);
 
   const linalg::NnlsResult cold = linalg::nnls_gram(gs);
   ASSERT_TRUE(cold.converged) << GetParam();
@@ -288,7 +290,7 @@ TEST(NnlsFast, WarmStartSurvivesJunkSeeds) {
   // seed is always safe, the optimum is unchanged.
   const linalg::Matrix a{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 1}};
   const linalg::Vector b{1.0, 2.0, 0.5, 3.0};
-  const linalg::GramSystem gs = linalg::make_gram(a, b);
+  const linalg::GramSystem gs = reference::make_gram(a, b);
   const linalg::NnlsResult cold = linalg::nnls_gram(gs);
 
   linalg::NnlsOptions options;

@@ -1,15 +1,27 @@
+// The classic `tomo-observations v1` file through its one writer
+// (stream::write_observations) and its one reader (stream::read_trace, on
+// top of ObsStreamReader).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "corr/model_factory.hpp"
-#include "sim/obs_io.hpp"
+#include "reference/observations.hpp"
+#include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
+#include "stream/obs_stream.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
-namespace tomo::sim {
+namespace tomo::stream {
 namespace {
+
+using reference::PathObservations;
+
+sim::MeasurementBlock round_trip(const sim::MeasurementBlock& block) {
+  std::stringstream buffer;
+  write_observations(buffer, block);
+  return read_trace(buffer);
+}
 
 TEST(ObsIo, RoundTripPreservesEveryBit) {
   PathObservations obs(3, 100);
@@ -17,12 +29,11 @@ TEST(ObsIo, RoundTripPreservesEveryBit) {
   obs.set_congested(0, 99);
   obs.set_congested(2, 63);
   obs.set_congested(2, 64);
-  std::stringstream buffer;
-  write_observations(buffer, obs);
-  const PathObservations loaded = read_observations(buffer);
+  const PathObservations loaded =
+      reference::to_observations(round_trip(reference::to_block(obs)));
   ASSERT_EQ(loaded.path_count(), 3u);
   ASSERT_EQ(loaded.snapshot_count(), 100u);
-  for (PathId p = 0; p < 3; ++p) {
+  for (sim::PathId p = 0; p < 3; ++p) {
     for (std::size_t n = 0; n < 100; ++n) {
       ASSERT_EQ(loaded.congested(p, n), obs.congested(p, n))
           << "path " << p << " snapshot " << n;
@@ -33,75 +44,70 @@ TEST(ObsIo, RoundTripPreservesEveryBit) {
 TEST(ObsIo, RoundTripSimulatedData) {
   auto sys = tomo::testing::figure_1a();
   auto model = tomo::testing::figure_1a_model(sys.sets);
-  SimulatorConfig config;
+  sim::SimulatorConfig config;
   config.snapshots = 500;
   config.seed = 5;
-  const auto result = simulate(sys.graph, sys.paths, *model, config);
-  std::stringstream buffer;
-  write_observations(buffer, result.observations());
-  const PathObservations loaded = read_observations(buffer);
-  for (PathId p = 0; p < 3; ++p) {
-    EXPECT_EQ(loaded.good_count(p), result.observations().good_count(p));
+  const auto result = sim::simulate(sys.graph, sys.paths, *model, config);
+  const sim::EmpiricalMeasurement original(result.measurement);
+  const sim::EmpiricalMeasurement loaded(round_trip(result.measurement));
+  for (sim::PathId p = 0; p < 3; ++p) {
+    EXPECT_EQ(loaded.good_count(p), original.good_count(p));
   }
-  EXPECT_EQ(loaded.exact_pattern_count({0, 1}),
-            result.observations().exact_pattern_count({0, 1}));
+  EXPECT_EQ(loaded.exact_pattern_prob({0, 1}),
+            original.exact_pattern_prob({0, 1}));
 }
 
 TEST(ObsIo, AllGoodMatrixSerializesCompactly) {
-  PathObservations obs(2, 50);
   std::stringstream buffer;
-  write_observations(buffer, obs);
-  const PathObservations loaded = read_observations(buffer);
-  EXPECT_EQ(loaded.good_count(0), 50u);
-  EXPECT_EQ(loaded.good_count(1), 50u);
+  write_observations(buffer, sim::MeasurementBlock::all_good(2, 50));
+  EXPECT_EQ(buffer.str(), "tomo-observations v1\npaths 2 snapshots 50\n");
+  const sim::MeasurementBlock loaded = read_trace(buffer);
+  EXPECT_EQ(loaded.good_counts, (std::vector<std::size_t>{50, 50}));
 }
 
 TEST(ObsIo, RejectsMalformedInput) {
   {
     std::stringstream s("paths 2 snapshots 5\n");
-    EXPECT_THROW(read_observations(s), Error);  // missing header
+    EXPECT_THROW(read_trace(s), Error);  // missing header
   }
   {
     std::stringstream s("tomo-observations v1\n");
-    EXPECT_THROW(read_observations(s), Error);  // missing dimensions
+    EXPECT_THROW(read_trace(s), Error);  // missing dimensions
   }
   {
     std::stringstream s(
         "tomo-observations v1\npaths 2 snapshots 5\ncongested 9 0\n");
-    EXPECT_THROW(read_observations(s), Error);  // path out of range
+    EXPECT_THROW(read_trace(s), Error);  // path out of range
   }
   {
     std::stringstream s(
         "tomo-observations v1\npaths 2 snapshots 5\ncongested 0 7\n");
-    EXPECT_THROW(read_observations(s), Error);  // snapshot out of range
+    EXPECT_THROW(read_trace(s), Error);  // snapshot out of range
   }
   {
     std::stringstream s(
         "tomo-observations v1\npaths 0 snapshots 5\n");
-    EXPECT_THROW(read_observations(s), Error);  // empty matrix
+    EXPECT_THROW(read_trace(s), Error);  // empty matrix
   }
   {
     std::stringstream s(
         "tomo-observations v1\npaths 2 snapshots 5\nbogus 1\n");
-    EXPECT_THROW(read_observations(s), Error);  // unknown tag
+    EXPECT_THROW(read_trace(s), Error);  // unknown tag
   }
 }
 
-// The SimulationResult::observations() / obs-IO asymmetry fix: the
-// bitmask block now writes and re-reads directly, so daemon replay inputs
-// are trustworthy without a PathObservations detour.
+// Simulator output, daemon replay inputs and tomo_cli inputs are the same
+// bitmask block on both sides of the file.
 TEST(ObsIo, MeasurementBlockRoundTripIsBitIdentical) {
   auto sys = tomo::testing::figure_1a();
   auto model = tomo::testing::figure_1a_model(sys.sets);
-  SimulatorConfig config;
+  sim::SimulatorConfig config;
   config.snapshots = 197;  // ragged tail word: 197 = 3*64 + 5
   config.seed = 11;
-  const auto result = simulate(sys.graph, sys.paths, *model, config);
-  const MeasurementBlock& block = result.measurement;
+  const auto result = sim::simulate(sys.graph, sys.paths, *model, config);
+  const sim::MeasurementBlock& block = result.measurement;
 
-  std::stringstream buffer;
-  write_observations(buffer, block);
-  const MeasurementBlock loaded = read_observation_block(buffer);
+  const sim::MeasurementBlock loaded = round_trip(block);
   ASSERT_EQ(loaded.path_count, block.path_count);
   ASSERT_EQ(loaded.snapshot_count, block.snapshot_count);
   EXPECT_EQ(loaded.good_bits, block.good_bits)
@@ -109,32 +115,45 @@ TEST(ObsIo, MeasurementBlockRoundTripIsBitIdentical) {
   EXPECT_EQ(loaded.good_counts, block.good_counts);
 }
 
-TEST(ObsIo, BlockWriterMatchesObservationWriterByteForByte) {
-  auto sys = tomo::testing::figure_1a();
-  auto model = tomo::testing::figure_1a_model(sys.sets);
-  SimulatorConfig config;
-  config.snapshots = 130;
-  config.seed = 12;
-  const auto result = simulate(sys.graph, sys.paths, *model, config);
-
-  // The block writer complements bits inline; the observation writer
-  // walks the congested-bit view. Same file either way.
-  std::stringstream from_block;
-  write_observations(from_block, result.measurement);
-  std::stringstream from_obs;
-  write_observations(from_obs, result.observations());
-  EXPECT_EQ(from_block.str(), from_obs.str());
+// A whole-trace read of a stream recording must not silently drop a window
+// the producer never finished: a missing `end` marker or an unterminated
+// last line is an error naming the line.
+TEST(ObsIo, StreamCutOffMidWindowIsRejected) {
+  const std::string complete =
+      "tomo-obs-stream v1\npaths 2\nwindow 3\ncongested 1 2\nend\n";
+  {
+    std::stringstream s(complete);
+    EXPECT_EQ(read_trace(s).snapshot_count, 3u);
+  }
+  const auto message = [](const std::string& text) {
+    std::stringstream s(text);
+    try {
+      read_trace(s);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(message(complete + "window 4\ncongested 0 1\n")
+                .find("line 6: window cut off before its 'end' marker"),
+            std::string::npos);
+  EXPECT_NE(message(complete + "window 4\ncongested 0")
+                .find("line 7: input ends in an unterminated line"),
+            std::string::npos);
+  EXPECT_NE(message(complete + "window 4\ncongested 0 1\nen")
+                .find("line 8: input ends in an unterminated line"),
+            std::string::npos);
 }
 
 TEST(ObsIo, IgnoresCommentsAndBlankLines) {
   std::stringstream s(
       "# recorded by prober\n\ntomo-observations v1\n"
       "paths 1 snapshots 4  # dims\ncongested 0 1 3\n");
-  const PathObservations loaded = read_observations(s);
+  const PathObservations loaded = reference::to_observations(read_trace(s));
   EXPECT_TRUE(loaded.congested(0, 1));
   EXPECT_TRUE(loaded.congested(0, 3));
   EXPECT_FALSE(loaded.congested(0, 0));
 }
 
 }  // namespace
-}  // namespace tomo::sim
+}  // namespace tomo::stream

@@ -57,7 +57,6 @@ TEST(PerfBootstrap, WaxmanFullBatchedBootstrapStaysWithinBudget) {
   sim::SimulatorConfig sc;
   sc.snapshots = 2000;
   sc.packets_per_path = 4000;
-  sc.mode = sim::PacketMode::kBatched;
   sc.seed = 7;
   const auto simr = sim::simulate(inst.graph, inst.paths, *inst.truth, sc);
 

@@ -54,7 +54,6 @@ TEST(PerfEquations, DenseVpsHarvestStaysWithinBudget) {
   sim::SimulatorConfig sc;
   sc.snapshots = 2000;
   sc.packets_per_path = 4000;
-  sc.mode = sim::PacketMode::kBinomial;
   sc.seed = 7;
   const auto simr = sim::simulate(inst.graph, inst.paths, *inst.truth, sc);
   const graph::CoverageIndex coverage(inst.graph, inst.paths);
@@ -64,7 +63,7 @@ TEST(PerfEquations, DenseVpsHarvestStaysWithinBudget) {
   std::size_t sink = 0;
   const Stopwatch timer;
   for (int round = 0; round < kRounds; ++round) {
-    const sim::EmpiricalMeasurement meas(simr.observations());
+    const sim::EmpiricalMeasurement meas(simr.measurement);
     sink += build_equations(coverage, inst.declared_sets, meas)
                 .equations.size();
     sink += build_equations(coverage, singles, meas).equations.size();

@@ -58,7 +58,6 @@ TEST(PerfSharded, Hier10kEndToEndStaysWithinBudget) {
   sim::SimulatorConfig sc;
   sc.snapshots = 300;
   sc.packets_per_path = 400;
-  sc.mode = sim::PacketMode::kBatched;
   sc.seed = 7;
   sc.jobs = 0;
   sim::SimulationResult sim_result =

@@ -9,9 +9,7 @@
 // regressions: anything that reintroduces per-packet Bernoulli draws,
 // per-snapshot allocation, or a serial bottleneck in the block fan-out
 // lands well outside it. For scale: the batched engine runs one round in
-// ~0.08 s Release on one core (the legacy kBinomial engine takes ~1.5x
-// longer and re-packs at measurement construction; kPerPacket draws all
-// 4000 Bernoullis per path). Bit-exactness of the batched engine is
+// ~0.08 s Release on one core. Bit-exactness of the batched engine is
 // enforced by the differential suite (test_sim_fast.cpp); relative cost
 // is tracked by bench/micro_sim.cpp and the *_sim_seconds telemetry.
 #include <gtest/gtest.h>
@@ -51,7 +49,6 @@ TEST(PerfSim, WaxmanFullBatchedSimulationStaysWithinBudget) {
   SimulatorConfig sc;
   sc.snapshots = 2000;
   sc.packets_per_path = 4000;
-  sc.mode = PacketMode::kBatched;
   sc.seed = 7;
 
   std::size_t sink = 0;

@@ -56,11 +56,10 @@ TEST(PerfSolver, DenseVpsNnlsSolveStaysWithinBudget) {
   sim::SimulatorConfig sc;
   sc.snapshots = 2000;
   sc.packets_per_path = 4000;
-  sc.mode = sim::PacketMode::kBinomial;
   sc.seed = 7;
   const auto simr = sim::simulate(inst.graph, inst.paths, *inst.truth, sc);
   const graph::CoverageIndex coverage(inst.graph, inst.paths);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  const sim::EmpiricalMeasurement meas(simr.measurement);
   const corr::CorrelationSets singles =
       corr::CorrelationSets::singletons(coverage.link_count());
   const EquationSystem correlation =

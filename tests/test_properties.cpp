@@ -11,6 +11,9 @@
 #include "corr/model_factory.hpp"
 #include "graph/coverage.hpp"
 #include "linalg/qr.hpp"
+#include "reference/simulator.hpp"
+#include "reference/solvers.hpp"
+#include "sim/measurement.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
 #include "topogen/planetlab_like.hpp"
@@ -76,9 +79,10 @@ TEST_P(SeedSweep, EquationsHoldForTrueLogProbabilities) {
   for (graph::LinkId e = 0; e < x_true.size(); ++e) {
     x_true[e] = std::log(inst.truth->prob_all_good({e}));
   }
-  const linalg::Vector lhs = eq.matrix().multiply(x_true);
-  for (std::size_t i = 0; i < eq.rhs().size(); ++i) {
-    ASSERT_NEAR(lhs[i], eq.rhs()[i], 1e-9) << "equation " << i;
+  for (std::size_t i = 0; i < eq.equations.size(); ++i) {
+    double lhs = 0.0;
+    for (graph::LinkId e : eq.equations[i].links) lhs += x_true[e];
+    ASSERT_NEAR(lhs, eq.equations[i].y, 1e-9) << "equation " << i;
   }
 }
 
@@ -90,9 +94,10 @@ TEST_P(SeedSweep, AcceptedEquationsAreLinearlyIndependent) {
   opts.include_redundant = false;  // the minimal §4 system
   const core::EquationSystem eq =
       core::build_equations(cov, inst.sets, oracle, opts);
-  ASSERT_GT(eq.matrix().rows(), 0u);
-  EXPECT_EQ(linalg::QrDecomposition(eq.matrix().transposed()).rank(), eq.matrix().rows());
-  EXPECT_EQ(eq.rank, eq.matrix().rows());
+  const linalg::Matrix a = reference::densify(core::sparse_view(eq)).a;
+  ASSERT_GT(a.rows(), 0u);
+  EXPECT_EQ(linalg::QrDecomposition(a.transposed()).rank(), a.rows());
+  EXPECT_EQ(eq.rank, a.rows());
   EXPECT_LE(eq.rank, inst.graph.link_count());
 }
 
@@ -140,11 +145,10 @@ TEST_P(SeedSweep, SimulatedFrequenciesMatchOracle) {
   const sim::OracleMeasurement oracle(*inst.truth, cov);
   sim::SimulatorConfig config;
   config.snapshots = 4000;
-  config.mode = sim::PacketMode::kExact;
   config.seed = mix_seed(GetParam(), 0xabc);
-  const auto simr =
-      sim::simulate(inst.graph, inst.paths, *inst.truth, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  auto simr =
+      reference::simulate_exact(inst.graph, inst.paths, *inst.truth, config);
+  const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
   // Single-path good frequencies track the oracle within sampling noise.
   for (graph::PathId p = 0; p < inst.paths.size(); ++p) {
     ASSERT_NEAR(meas.good_prob(p), oracle.good_prob(p), 0.05)

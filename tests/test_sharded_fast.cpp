@@ -45,7 +45,6 @@ PreparedScenario prepare(ScenarioConfig config, std::uint64_t sim_seed) {
   sim::SimulatorConfig sc;
   sc.snapshots = 300;
   sc.packets_per_path = 500;
-  sc.mode = sim::PacketMode::kBinomial;
   sc.seed = sim_seed;
   sim::SimulationResult sim_result =
       sim::simulate(inst.graph, inst.paths, *inst.truth, sc);

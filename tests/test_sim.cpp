@@ -3,17 +3,20 @@
 #include <cmath>
 
 #include "corr/model_factory.hpp"
+#include "reference/observations.hpp"
+#include "reference/simulator.hpp"
 #include "sim/estimator.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/measurement.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
-#include "sim/snapshot.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace tomo::sim {
 namespace {
+
+using reference::PathObservations;
 
 // --------------------------------------------------------- loss model ----
 
@@ -55,7 +58,8 @@ TEST(PathObservations, BitAccounting) {
   EXPECT_FALSE(obs.congested(0, 4));
   // Congested snapshots of either path: {3, 64} -> 98 jointly good.
   EXPECT_EQ(obs.both_good_count(0, 1), 98u);
-  EXPECT_EQ(obs.all_good_count({0, 1}), 98u);
+  const std::vector<PathId> both = {0, 1};
+  EXPECT_EQ(obs.all_good_count(both), 98u);
 }
 
 TEST(PathObservations, ExactPatternCount) {
@@ -88,52 +92,27 @@ TEST(Simulator, ExactModeAppliesSeparability) {
   auto model = corr::make_independent({0.0, 0.0, 1.0, 0.0});
   SimulatorConfig config;
   config.snapshots = 50;
-  config.mode = PacketMode::kExact;
-  const auto result = simulate(sys.graph, sys.paths, *model, config);
+  const auto result =
+      reference::simulate_exact(sys.graph, sys.paths, *model, config);
   // P1={e1,e3} and P2={e2,e3} congested every snapshot; P3={e2,e4} never.
-  EXPECT_EQ(result.observations().good_count(0), 0u);
-  EXPECT_EQ(result.observations().good_count(1), 0u);
-  EXPECT_EQ(result.observations().good_count(2), 50u);
+  EXPECT_EQ(result.measurement.good_counts,
+            (std::vector<std::size_t>{0, 0, 50}));
   EXPECT_EQ(result.link_congested_count[2], 50u);
   EXPECT_EQ(result.link_congested_count[0], 0u);
 }
 
-TEST(Simulator, BinomialModeDetectsCongestionReliably) {
+TEST(Simulator, DetectsCongestionReliably) {
   auto sys = tomo::testing::figure_1a();
   auto model = corr::make_independent({0.0, 0.0, 1.0, 0.0});
   SimulatorConfig config;
   config.snapshots = 200;
   config.packets_per_path = 1000;
-  config.mode = PacketMode::kBinomial;
   config.seed = 9;
   const auto result = simulate(sys.graph, sys.paths, *model, config);
   // With 1000 packets, a congested path (loss > ~1%) is almost always
   // detected and a good path almost never misflagged.
-  EXPECT_LE(result.observations().good_count(0), 20u);
-  EXPECT_GE(result.observations().good_count(2), 180u);
-}
-
-TEST(Simulator, PerPacketAgreesWithBinomialStatistically) {
-  auto sys = tomo::testing::figure_1a();
-  auto model = corr::make_independent({0.3, 0.0, 0.0, 0.3});
-  SimulatorConfig binom;
-  binom.snapshots = 400;
-  binom.packets_per_path = 200;
-  binom.mode = PacketMode::kBinomial;
-  binom.seed = 17;
-  SimulatorConfig perpkt = binom;
-  perpkt.mode = PacketMode::kPerPacket;
-  perpkt.seed = 18;
-  const auto rb = simulate(sys.graph, sys.paths, *model, binom);
-  const auto rp = simulate(sys.graph, sys.paths, *model, perpkt);
-  // Same congestion process statistics: good fractions agree within noise.
-  for (graph::PathId p = 0; p < 3; ++p) {
-    const double fb = static_cast<double>(rb.observations().good_count(p)) /
-                      binom.snapshots;
-    const double fp = static_cast<double>(rp.observations().good_count(p)) /
-                      perpkt.snapshots;
-    EXPECT_NEAR(fb, fp, 0.08) << "path " << p;
-  }
+  EXPECT_LE(result.measurement.good_counts[0], 20u);
+  EXPECT_GE(result.measurement.good_counts[2], 180u);
 }
 
 TEST(Simulator, DeterministicInSeed) {
@@ -144,9 +123,7 @@ TEST(Simulator, DeterministicInSeed) {
   config.seed = 33;
   const auto r1 = simulate(sys.graph, sys.paths, *model, config);
   const auto r2 = simulate(sys.graph, sys.paths, *model, config);
-  for (graph::PathId p = 0; p < 3; ++p) {
-    EXPECT_EQ(r1.observations().good_count(p), r2.observations().good_count(p));
-  }
+  EXPECT_EQ(r1.measurement.good_bits, r2.measurement.good_bits);
 }
 
 TEST(Simulator, EmpiricalMarginalsTrackModel) {
@@ -154,9 +131,9 @@ TEST(Simulator, EmpiricalMarginalsTrackModel) {
   auto model = tomo::testing::figure_1a_model(sys.sets);
   SimulatorConfig config;
   config.snapshots = 20000;
-  config.mode = PacketMode::kExact;
   config.seed = 5;
-  const auto result = simulate(sys.graph, sys.paths, *model, config);
+  const auto result =
+      reference::simulate_exact(sys.graph, sys.paths, *model, config);
   for (graph::LinkId e = 0; e < 4; ++e) {
     const double freq =
         static_cast<double>(result.link_congested_count[e]) /
@@ -172,7 +149,7 @@ TEST(EmpiricalMeasurement, ProbabilitiesFromCounts) {
   obs.set_congested(0, 0);
   obs.set_congested(0, 1);
   obs.set_congested(1, 1);
-  const EmpiricalMeasurement m(obs);
+  const EmpiricalMeasurement m(reference::to_block(obs));
   EXPECT_DOUBLE_EQ(m.good_prob(0), 0.8);
   EXPECT_DOUBLE_EQ(m.good_prob(1), 0.9);
   EXPECT_DOUBLE_EQ(m.pair_good_prob(0, 1), 0.8);
@@ -219,10 +196,10 @@ TEST(Oracle, PatternProbMatchesEmpirical) {
   const OracleMeasurement oracle(*model, cov);
   SimulatorConfig config;
   config.snapshots = 50000;
-  config.mode = PacketMode::kExact;
   config.seed = 77;
-  const auto result = simulate(sys.graph, sys.paths, *model, config);
-  const EmpiricalMeasurement empirical(result.observations());
+  auto result =
+      reference::simulate_exact(sys.graph, sys.paths, *model, config);
+  const EmpiricalMeasurement empirical(std::move(result.measurement));
   for (const graph::PathIdSet& pattern :
        {graph::PathIdSet{}, {0}, {0, 1}, {0, 1, 2}, {2}}) {
     EXPECT_NEAR(empirical.exact_pattern_prob(pattern),

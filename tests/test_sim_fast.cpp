@@ -1,12 +1,12 @@
 // Differential suite for the batched snapshot simulator.
 //
-// The block-batched engine (PacketMode::kBatched) is pinned against an
-// independent serial reference (kBatchedReference) that shares only the
-// RNG, the loss model, and the fate classifier: identical good-bit
-// blocks, identical per-path good counts, and identical per-link
-// congestion tallies, across every registry scenario and for any --jobs.
-// Any divergence is an exactness bug, not a tolerance question, so the
-// comparisons are exact. The legacy per-packet engine is held to
+// The block-batched engine (sim::simulate) is pinned against an
+// independent serial reference (reference::simulate_batched_reference)
+// that shares only the RNG, the loss model, and the fate classifier:
+// identical good-bit blocks, identical per-path good counts, and identical
+// per-link congestion tallies, across every registry scenario and for any
+// --jobs. Any divergence is an exactness bug, not a tolerance question, so
+// the comparisons are exact. The per-packet reference is held to
 // *statistical* agreement only — it draws per-packet Bernoullis, so its
 // snapshot fates match the batched engine in distribution, not bitwise.
 #include <gtest/gtest.h>
@@ -18,6 +18,8 @@
 
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
+#include "reference/observations.hpp"
+#include "reference/simulator.hpp"
 #include "sim/measurement.hpp"
 #include "sim/measurement_block.hpp"
 #include "sim/simulator.hpp"
@@ -37,15 +39,19 @@ void expect_identical(const SimulationResult& a, const SimulationResult& b,
   EXPECT_EQ(a.link_congested_count, b.link_congested_count) << what;
 }
 
-SimulationResult run(const core::ScenarioInstance& inst, PacketMode mode,
-                     std::size_t jobs, std::size_t snapshots) {
+SimulatorConfig config_for(std::size_t jobs, std::size_t snapshots) {
   SimulatorConfig config;
   config.snapshots = snapshots;
   config.packets_per_path = 500;
-  config.mode = mode;
   config.jobs = jobs;
   config.seed = 0xba7c4ed;
-  return simulate(inst.graph, inst.paths, *inst.truth, config);
+  return config;
+}
+
+SimulationResult run(const core::ScenarioInstance& inst, std::size_t jobs,
+                     std::size_t snapshots) {
+  return simulate(inst.graph, inst.paths, *inst.truth,
+                  config_for(jobs, snapshots));
 }
 
 class RegistrySimDifferential
@@ -59,13 +65,12 @@ TEST_P(RegistrySimDifferential, BatchedMatchesReferenceBitExactly) {
 
   // 150 snapshots: two full 64-snapshot blocks plus a ragged tail word,
   // so the final-word masking is exercised on every scenario.
-  const SimulationResult reference =
-      run(inst, PacketMode::kBatchedReference, 1, 150);
-  const SimulationResult batched = run(inst, PacketMode::kBatched, 1, 150);
+  const SimulationResult reference = reference::simulate_batched_reference(
+      inst.graph, inst.paths, *inst.truth, config_for(1, 150));
+  const SimulationResult batched = run(inst, 1, 150);
   expect_identical(batched, reference, GetParam() + " jobs=1");
 
-  const SimulationResult threaded =
-      run(inst, PacketMode::kBatched, 3, 150);
+  const SimulationResult threaded = run(inst, 3, 150);
   expect_identical(threaded, reference, GetParam() + " jobs=3");
 }
 
@@ -74,21 +79,22 @@ TEST_P(RegistrySimDifferential, ObservationsRoundTripThroughBlock) {
       core::ScenarioCatalog::instance().at(GetParam()).config);
   config.seed = 0x0b5e;
   const core::ScenarioInstance inst = core::build_scenario(config);
-  const SimulationResult result = run(inst, PacketMode::kBatched, 1, 97);
+  const SimulationResult result = run(inst, 1, 97);
 
   // block -> scalar observations -> block is the identity, including the
   // zeroed tail bits past the snapshot count.
-  const PathObservations obs = result.measurement.to_observations();
-  const MeasurementBlock back = MeasurementBlock::from_observations(obs);
+  const reference::PathObservations obs =
+      reference::to_observations(result.measurement);
+  const MeasurementBlock back = reference::to_block(obs);
   EXPECT_EQ(back.good_bits, result.measurement.good_bits) << GetParam();
   EXPECT_EQ(back.good_counts, result.measurement.good_counts) << GetParam();
 
-  // Adopting the block and re-packing the scalar copy must answer set
+  // Adopting the block and scanning the scalar copy must answer set
   // queries identically.
   const EmpiricalMeasurement adopted(result.measurement);
-  const EmpiricalMeasurement packed(obs);
+  const reference::ScalarMeasurement scalar(obs);
   for (graph::PathId p = 0; p < obs.path_count(); ++p) {
-    ASSERT_EQ(adopted.good_prob(p), packed.good_prob(p))
+    ASSERT_EQ(adopted.good_prob(p), scalar.good_prob(p))
         << GetParam() << " path " << p;
   }
 }
@@ -119,10 +125,9 @@ TEST(SimFast, PerPacketAgreesWithBatchedAtBlockGranularity) {
   // in distribution, so per-path good frequencies over many blocks must
   // match within a few binomial standard errors.
   const std::size_t snapshots = 64 * 40;  // 40 full blocks
-  const SimulationResult batched =
-      run(inst, PacketMode::kBatched, 1, snapshots);
-  const SimulationResult per_packet =
-      run(inst, PacketMode::kPerPacket, 1, snapshots);
+  const SimulationResult batched = run(inst, 1, snapshots);
+  const SimulationResult per_packet = reference::simulate_per_packet(
+      inst.graph, inst.paths, *inst.truth, config_for(1, snapshots));
 
   const double n = static_cast<double>(snapshots);
   for (graph::PathId p = 0; p < inst.paths.size(); ++p) {
@@ -143,11 +148,10 @@ TEST(SimFast, BatchedIsInvariantAcrossJobCounts) {
       core::ScenarioCatalog::instance().at("waxman-bursty").config);
   config.seed = 0x0b5;
   const core::ScenarioInstance inst = core::build_scenario(config);
-  const SimulationResult one = run(inst, PacketMode::kBatched, 1, 333);
+  const SimulationResult one = run(inst, 1, 333);
   for (const std::size_t jobs : {std::size_t{2}, std::size_t{5},
                                  std::size_t{0}}) {
-    const SimulationResult many =
-        run(inst, PacketMode::kBatched, jobs, 333);
+    const SimulationResult many = run(inst, jobs, 333);
     expect_identical(many, one, "jobs=" + std::to_string(jobs));
   }
 }

@@ -18,7 +18,6 @@
 
 #include "corr/model_factory.hpp"
 #include "sim/measurement.hpp"
-#include "sim/obs_io.hpp"
 #include "sim/simulator.hpp"
 #include "stream/obs_stream.hpp"
 #include "stream/serve.hpp"
@@ -211,7 +210,7 @@ TEST(ObsStream, WindowRoundTripIsBitIdentical) {
 TEST(ObsStream, ReaderAcceptsClassicBatchFilesAsOneWindow) {
   const sim::MeasurementBlock block = random_block(3, 190, 0x99);
   std::stringstream wire;
-  sim::write_observations(wire, block);
+  write_observations(wire, block);
 
   ObsStreamReader reader(wire);
   const auto window = reader.next();
@@ -279,6 +278,33 @@ TEST(ObsStream, MalformedInputFailsWithLineNumbers) {
         Error)
         << "window after close";
   }
+}
+
+/// A header whose bit block (paths x ceil(snapshots / 64) words) no vector
+/// could hold is rejected at its own line, before anything is allocated —
+/// the classic dimension line as well as the stream's paths and window
+/// lines.
+TEST(ObsStream, OversizedHeadersFailBeforeAllocating) {
+  const auto expect_rejected = [](const std::string& wire,
+                                  const std::string& line) {
+    std::stringstream is(wire);
+    ObsStreamReader reader(is);
+    try {
+      while (reader.next().has_value()) {
+      }
+      ADD_FAILURE() << "accepted: " << wire;
+    } catch (const Error& e) {
+      EXPECT_NE(e.message().find(line), std::string::npos) << e.message();
+    }
+  };
+  expect_rejected(
+      "tomo-observations v1\npaths 18446744073709551615 snapshots 5\n",
+      "line 2:");
+  expect_rejected("tomo-obs-stream v1\npaths 18446744073709551615\n",
+                  "line 2:");
+  expect_rejected(
+      "tomo-obs-stream v1\npaths 1048576\nwindow 18446744073709551615\n",
+      "line 3:");
 }
 
 /// serve() end to end on in-memory streams: a tiny scenario's trace is
@@ -457,6 +483,20 @@ TEST(Serve, TailReopensWhenTheInputFileShrinks) {
   EXPECT_EQ(report.windows, 3u);
   EXPECT_EQ(report.snapshots, 250u);
   EXPECT_GE(polls, 2u);
+}
+
+/// A stream whose paths header disagrees with the topology fails in the
+/// consumer (StreamingMeasurement::append). serve must close the ring and
+/// join the producer before the error propagates — destroying a joinable
+/// std::thread calls std::terminate.
+TEST(Serve, PathCountMismatchThrowsAndJoinsTheProducer) {
+  auto sys = tomo::testing::figure_1a();  // 3 paths
+  std::stringstream input(
+      "tomo-obs-stream v1\npaths 10\nwindow 4\nend\nwindow 4\nend\n"
+      "close\n");
+  std::stringstream output;
+  EXPECT_THROW(serve(input, output, sys.graph, sys.paths, sys.sets, {}),
+               Error);
 }
 
 }  // namespace

@@ -6,13 +6,16 @@
 // equals a one-shot batch infer_congestion over those same N snapshots —
 // the identical equation system and Gram bits (the cumulative block is a
 // bit-exact splice, and the Gram accumulation is row-ordered and
-// additive), the same NNLS optimum (bit-identical when the solve is cold,
-// equal active set and solution to solver tolerance when warm-started) —
-// and the streamed output is bit-identical for any jobs value.
+// additive), the same NNLS optimum (bit-identical when the solve is cold;
+// when warm-started, the same fitted values to solver tolerance, and the
+// same active set and solution wherever the optimum is unique) — and the
+// streamed output is bit-identical for any jobs value.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/coverage.hpp"
+#include "linalg/rank_tracker.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
 #include "stream/streaming_inference.hpp"
@@ -41,7 +45,6 @@ Prepared prepare(const std::string& name) {
   sim::SimulatorConfig sc;
   sc.snapshots = 300;
   sc.packets_per_path = 500;
-  sc.mode = sim::PacketMode::kBinomial;
   sc.seed = 0x57e400;
   out.simr = sim::simulate(out.inst.graph, out.inst.paths, *out.inst.truth,
                            sc);
@@ -82,10 +85,38 @@ std::vector<WindowEstimate> streamed_infer(const Prepared& p,
 class RegistryStreamEquivalence
     : public ::testing::TestWithParam<std::string> {};
 
+/// Fitted log-probabilities A·x of every equation of `r`'s system.
+std::vector<double> fitted_values(const core::InferenceResult& r) {
+  std::vector<double> fitted;
+  for (const core::Equation& eq : r.system.equations) {
+    double sum = 0.0;
+    for (graph::LinkId e : eq.links) sum += r.log_good[e];
+    fitted.push_back(sum);
+  }
+  return fitted;
+}
+
+/// True iff the incidence columns `cols` (sorted link ids) of `system` are
+/// linearly independent — the Gram restricted to them is nonsingular.
+bool columns_independent(const core::EquationSystem& system,
+                         const std::vector<std::size_t>& cols) {
+  constexpr std::size_t kAbsent = ~std::size_t{0};
+  std::vector<std::size_t> index(system.link_count, kAbsent);
+  for (std::size_t k = 0; k < cols.size(); ++k) index[cols[k]] = k;
+  linalg::RankTracker tracker(cols.size());
+  for (const core::Equation& eq : system.equations) {
+    std::vector<std::size_t> ones;
+    for (graph::LinkId e : eq.links) {
+      if (index[e] != kAbsent) ones.push_back(index[e]);
+    }
+    if (!ones.empty()) tracker.try_add_ones(ones);
+  }
+  return tracker.full_rank();
+}
+
 /// The headline: several window schedules (including a ragged final
 /// window), warm-started and Gram-reusing, jobs {1, 3} — the final
-/// window's estimate must agree with the one-shot batch solve: same
-/// converged active set, solution within solver tolerance.
+/// window's estimate must reach the one-shot batch solve's optimum.
 TEST_P(RegistryStreamEquivalence, FinalWindowMatchesOneShotBatch) {
   const Prepared p = prepare(GetParam());
   const core::InferenceResult batch = batch_infer(p);
@@ -101,23 +132,41 @@ TEST_P(RegistryStreamEquivalence, FinalWindowMatchesOneShotBatch) {
     ASSERT_TRUE(last.usable) << what;
     ASSERT_EQ(last.snapshots, 300u) << what;
 
-    // Identical converged support...
-    EXPECT_EQ(last.inference.active_set, batch.active_set) << what;
-    // ...and the same solution to solver tolerance (the warm solve edits
+    // Same harvested structure as the batch run, bit for bit.
+    ASSERT_EQ(last.inference.system.equations.size(),
+              batch.system.equations.size())
+        << what;
+    // The same optimum. The fitted values A·x are unique over the optimal
+    // set, so they always agree to solver tolerance (the warm solve edits
     // the Cholesky factor in a different insertion order, so the last few
-    // bits may differ; observed agreement is ~1e-14).
+    // bits may differ).
+    const std::vector<double> streamed_fit = fitted_values(last.inference);
+    const std::vector<double> batch_fit = fitted_values(batch);
+    for (std::size_t i = 0; i < batch_fit.size(); ++i) {
+      EXPECT_NEAR(streamed_fit[i], batch_fit[i], 1e-8)
+          << what << " equation " << i;
+    }
+    // Two optima with equal A·x differ by a null vector of A supported on
+    // the union of their supports. When those columns are independent the
+    // optimum is unique there: same active set, same per-link estimates.
+    // Only a singular union (congested twins, e.g. waxman-full's links 26
+    // and 35) lets warm and cold stop at different, equally optimal
+    // vertices.
     ASSERT_EQ(last.inference.congestion_prob.size(),
               batch.congestion_prob.size())
         << what;
-    for (std::size_t k = 0; k < batch.congestion_prob.size(); ++k) {
-      EXPECT_NEAR(last.inference.congestion_prob[k],
-                  batch.congestion_prob[k], 1e-8)
-          << what << " link " << k;
+    std::vector<std::size_t> support_union;
+    std::set_union(last.inference.active_set.begin(),
+                   last.inference.active_set.end(), batch.active_set.begin(),
+                   batch.active_set.end(), std::back_inserter(support_union));
+    if (columns_independent(batch.system, support_union)) {
+      EXPECT_EQ(last.inference.active_set, batch.active_set) << what;
+      for (std::size_t k = 0; k < batch.congestion_prob.size(); ++k) {
+        EXPECT_NEAR(last.inference.congestion_prob[k],
+                    batch.congestion_prob[k], 1e-8)
+            << what << " link " << k;
+      }
     }
-    // Same harvested structure as the batch run, bit for bit.
-    EXPECT_EQ(last.inference.system.equations.size(),
-              batch.system.equations.size())
-        << what;
     EXPECT_EQ(last.inference.system.rank, batch.system.rank) << what;
     EXPECT_EQ(last.inference.refined_links, batch.refined_links) << what;
 

@@ -4,6 +4,7 @@
 
 #include "core/theorem_algorithm.hpp"
 #include "corr/model_factory.hpp"
+#include "reference/simulator.hpp"
 #include "sim/measurement.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
@@ -81,10 +82,9 @@ TEST(TheoremAlgorithm, AgreesWithEmpiricalMeasurements) {
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   sim::SimulatorConfig config;
   config.snapshots = 60000;
-  config.mode = sim::PacketMode::kExact;
   config.seed = 7;
-  const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  auto simr = reference::simulate_exact(sys.graph, sys.paths, *model, config);
+  const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
   const TheoremResult r = run_theorem_algorithm(cov, sys.sets, meas);
   for (graph::LinkId e = 0; e < 4; ++e) {
     EXPECT_NEAR(r.congestion_prob[e], model->marginal(e), 0.02)

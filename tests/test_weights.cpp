@@ -6,6 +6,8 @@
 #include "core/correlation_algorithm.hpp"
 #include "core/equations.hpp"
 #include "corr/model_factory.hpp"
+#include "reference/simulator.hpp"
+#include "reference/solvers.hpp"
 #include "sim/measurement.hpp"
 #include "sim/oracle.hpp"
 #include "sim/simulator.hpp"
@@ -25,65 +27,68 @@ EquationSystem build_fig1a_system() {
   return build_equations(cov, sys.sets, oracle);
 }
 
+/// The weighted system as the solver sees it, densified.
+reference::DenseSystem dense_weighted(const EquationSystem& sys,
+                                      std::size_t samples) {
+  return reference::densify(sparse_view(sys, samples));
+}
+
 TEST(VarianceWeights, OracleSystemsAreLeftAlone) {
-  EquationSystem sys = build_fig1a_system();
-  const linalg::Vector y_before = sys.rhs();
-  apply_variance_weights(sys, /*samples=*/0);
-  EXPECT_EQ(sys.rhs(), y_before);
+  const EquationSystem sys = build_fig1a_system();
+  const reference::DenseSystem dense = dense_weighted(sys, /*samples=*/0);
+  for (std::size_t i = 0; i < sys.equations.size(); ++i) {
+    EXPECT_EQ(dense.y[i], sys.equations[i].y);
+  }
 }
 
 TEST(VarianceWeights, ScalesRowsAndRhsTogether) {
-  EquationSystem sys = build_fig1a_system();
-  const EquationSystem original = sys;
-  apply_variance_weights(sys, 1000);
-  for (std::size_t i = 0; i < sys.rhs().size(); ++i) {
+  const EquationSystem sys = build_fig1a_system();
+  const reference::DenseSystem original = dense_weighted(sys, 0);
+  const reference::DenseSystem scaled = dense_weighted(sys, 1000);
+  for (std::size_t i = 0; i < sys.equations.size(); ++i) {
     // Rows and rhs must be scaled by the same factor: the solution of a
     // consistent system is unchanged.
     double factor = 0.0;
-    for (std::size_t c = 0; c < sys.matrix().cols(); ++c) {
-      if (original.matrix()(i, c) != 0.0) {
-        factor = sys.matrix()(i, c) / original.matrix()(i, c);
+    for (std::size_t c = 0; c < scaled.a.cols(); ++c) {
+      if (original.a(i, c) != 0.0) {
+        factor = scaled.a(i, c) / original.a(i, c);
         break;
       }
     }
     ASSERT_GT(factor, 0.0);
-    EXPECT_NEAR(sys.rhs()[i], original.rhs()[i] * factor, 1e-12);
+    EXPECT_NEAR(scaled.y[i], original.y[i] * factor, 1e-12);
   }
 }
 
 TEST(VarianceWeights, WellSupportedEquationsWeighMore) {
   // prob 0.9 (well supported) vs prob 0.1 (thin): the 0.9 equation's
-  // variance (1-p)/(pN) is smaller, so its weight is larger. The dense
-  // view materializes from the sparse equations on first access.
+  // variance (1-p)/(pN) is smaller, so its weight is larger.
   EquationSystem sys;
   sys.link_count = 2;
   sys.equations.push_back(Equation{{0}, {0}, std::log(0.9)});
   sys.equations.push_back(Equation{{1}, {1}, std::log(0.1)});
-  apply_variance_weights(sys, 1000);
-  EXPECT_GT(sys.matrix()(0, 0), sys.matrix()(1, 1));
+  const reference::DenseSystem dense = dense_weighted(sys, 1000);
+  EXPECT_GT(dense.a(0, 0), dense.a(1, 1));
 }
 
 TEST(VarianceWeights, StructuralZerosStayExactlyZero) {
-  // The weighting must scale only each equation's support columns; a
-  // historical bug multiplied every column of the dense row, which happens
-  // to preserve zeros (0 * w == 0) but walked |equations| x |links| cells.
-  // Pin the support-only contract: off-support entries are exact zeros and
-  // support entries carry exactly the row's weight.
-  EquationSystem sys = build_fig1a_system();
-  const EquationSystem original = sys;
-  apply_variance_weights(sys, 500);
+  // The weighting scales only each equation's support columns: off-support
+  // entries are exact zeros and support entries carry exactly the row's
+  // weight.
+  const EquationSystem sys = build_fig1a_system();
+  const reference::DenseSystem dense = dense_weighted(sys, 500);
   for (std::size_t i = 0; i < sys.equations.size(); ++i) {
-    const double weight = sys.rhs()[i] / original.rhs()[i];
-    for (std::size_t c = 0; c < sys.matrix().cols(); ++c) {
+    const double weight = dense.y[i] / sys.equations[i].y;
+    for (std::size_t c = 0; c < dense.a.cols(); ++c) {
       const bool in_support =
           std::find(sys.equations[i].links.begin(),
                     sys.equations[i].links.end(),
                     c) != sys.equations[i].links.end();
       if (in_support) {
-        EXPECT_DOUBLE_EQ(sys.matrix()(i, c), weight)
+        EXPECT_DOUBLE_EQ(dense.a(i, c), weight)
             << "equation " << i << " column " << c;
       } else {
-        EXPECT_EQ(sys.matrix()(i, c), 0.0)
+        EXPECT_EQ(dense.a(i, c), 0.0)
             << "equation " << i << " column " << c;
       }
     }
@@ -92,14 +97,10 @@ TEST(VarianceWeights, StructuralZerosStayExactlyZero) {
 
 TEST(VarianceWeights, ConsistentSolutionUnchanged) {
   // Weighting a consistent full-rank system must not move the solution.
-  auto sys = figure_1a();
-  auto model = figure_1a_model(sys.sets);
-  const graph::CoverageIndex cov(sys.graph, sys.paths);
-  const sim::OracleMeasurement oracle(*model, cov);
-  EquationSystem eq = build_equations(cov, sys.sets, oracle);
-  const auto unweighted = linalg::solve_log_system(eq.matrix(), eq.rhs());
-  apply_variance_weights(eq, 5000);  // pretend 5000 snapshots
-  const auto weighted = linalg::solve_log_system(eq.matrix(), eq.rhs());
+  const EquationSystem eq = build_fig1a_system();
+  const auto unweighted = linalg::solve_log_system(sparse_view(eq));
+  // Pretend 5000 snapshots.
+  const auto weighted = linalg::solve_log_system(sparse_view(eq, 5000));
   for (std::size_t k = 0; k < unweighted.x.size(); ++k) {
     EXPECT_NEAR(weighted.x[k], unweighted.x[k], 1e-6);
   }
@@ -111,10 +112,9 @@ TEST(VarianceWeights, EndToEndOptionStaysAccurate) {
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   sim::SimulatorConfig config;
   config.snapshots = 20000;
-  config.mode = sim::PacketMode::kExact;
   config.seed = 77;
-  const auto simr = sim::simulate(sys.graph, sys.paths, *model, config);
-  const sim::EmpiricalMeasurement meas(simr.observations());
+  auto simr = reference::simulate_exact(sys.graph, sys.paths, *model, config);
+  const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
   InferenceOptions options;
   options.weight_by_variance = true;
   const InferenceResult r = infer_congestion(sys.graph, sys.paths, cov,

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 
@@ -31,8 +32,8 @@
 #include "graph/serialize.hpp"
 #include "graph/transform.hpp"
 #include "sim/measurement.hpp"
-#include "sim/obs_io.hpp"
 #include "sim/simulator.hpp"
+#include "stream/obs_stream.hpp"
 #include "topogen/hierarchical.hpp"
 #include "topogen/planetlab_like.hpp"
 #include "util/error.hpp"
@@ -156,8 +157,6 @@ int cmd_simulate(int argc, const char* const* argv) {
   flags.add_double("congested-fraction", 0.1, "fraction of congested links");
   flags.add_double("strength", 0.95, "correlation strength in [0,1)");
   flags.add_int("seed", 1, "RNG seed");
-  flags.add_string("mode", "batched",
-                   "simulation engine: batched|binomial|per-packet|exact");
   flags.add_int("jobs", 1,
                 "simulation worker threads (0 = all cores); output is "
                 "identical for any value");
@@ -188,12 +187,11 @@ int cmd_simulate(int argc, const char* const* argv) {
   config.snapshots = static_cast<std::size_t>(flags.get_int("snapshots"));
   config.packets_per_path =
       static_cast<std::size_t>(flags.get_int("packets"));
-  config.mode = sim::parse_packet_mode(flags.get_string("mode"));
   config.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
   config.seed = rng();
   const auto result =
       sim::simulate(system.graph, system.paths, *truth, config);
-  sim::save_observations(flags.get_string("out"), result.observations());
+  stream::save_observations(flags.get_string("out"), result.measurement);
   std::printf("simulated %zu snapshots over %zu paths -> %s\n",
               config.snapshots, system.paths.size(),
               flags.get_string("out").c_str());
@@ -219,9 +217,6 @@ int cmd_infer(int argc, const char* const* argv) {
                  "run the independence baseline instead");
   flags.add_int("bootstrap", 0,
                 "replicates for 90% confidence intervals (0 = off)");
-  flags.add_string("bootstrap-mode", "batched",
-                   "bootstrap engine: batched (Gram-skeleton reuse) | "
-                   "reference (serial full re-inference)");
   flags.add_int("bootstrap-jobs", 1,
                 "worker threads for bootstrap replicates (0 = all cores); "
                 "intervals are bit-identical for any value");
@@ -231,11 +226,10 @@ int cmd_infer(int argc, const char* const* argv) {
   const graph::MeasuredSystem system =
       graph::load_system(flags.get_string("topology"));
   const corr::CorrelationSets sets = sets_of(system);
-  const sim::PathObservations obs =
-      sim::load_observations(flags.get_string("obs"));
-  TOMO_REQUIRE(obs.path_count() == system.paths.size(),
+  const sim::EmpiricalMeasurement measurement(
+      stream::load_trace(flags.get_string("obs")));
+  TOMO_REQUIRE(measurement.path_count() == system.paths.size(),
                "observation file path count does not match the topology");
-  const sim::EmpiricalMeasurement measurement(obs);
   const graph::CoverageIndex coverage(system.graph, system.paths);
 
   core::InferenceOptions options;
@@ -255,12 +249,11 @@ int cmd_infer(int argc, const char* const* argv) {
   if (replicates > 0 && !flags.get_bool("independent")) {
     core::BootstrapOptions boot;
     boot.replicates = replicates;
-    boot.mode =
-        core::bootstrap_mode_from_string(flags.get_string("bootstrap-mode"));
     boot.jobs = static_cast<std::size_t>(flags.get_int("bootstrap-jobs"));
     boot.inference = options;
     const core::BootstrapResult intervals = core::bootstrap_congestion(
-        system.graph, system.paths, coverage, sets, obs, boot);
+        system.graph, system.paths, coverage, sets, measurement.block(),
+        boot);
     lower = intervals.lower;
     upper = intervals.upper;
   }
@@ -338,22 +331,25 @@ int cmd_localize(int argc, const char* const* argv) {
   const graph::MeasuredSystem system =
       graph::load_system(flags.get_string("topology"));
   const corr::CorrelationSets sets = sets_of(system);
-  const sim::PathObservations obs =
-      sim::load_observations(flags.get_string("obs"));
-  TOMO_REQUIRE(obs.path_count() == system.paths.size(),
+  const sim::EmpiricalMeasurement measurement(
+      stream::load_trace(flags.get_string("obs")));
+  TOMO_REQUIRE(measurement.path_count() == system.paths.size(),
                "observation file path count does not match the topology");
   const std::size_t snapshot =
       static_cast<std::size_t>(flags.get_int("snapshot"));
-  TOMO_REQUIRE(snapshot < obs.snapshot_count(), "snapshot out of range");
+  TOMO_REQUIRE(snapshot < measurement.sample_count(),
+               "snapshot out of range");
 
-  const sim::EmpiricalMeasurement measurement(obs);
   const graph::CoverageIndex coverage(system.graph, system.paths);
   const core::InferenceResult probs = core::infer_congestion(
       system.graph, system.paths, coverage, sets, measurement);
 
+  const sim::MeasurementBlock& block = measurement.block();
   graph::PathIdSet congested;
-  for (graph::PathId p = 0; p < obs.path_count(); ++p) {
-    if (obs.congested(p, snapshot)) congested.push_back(p);
+  for (graph::PathId p = 0; p < block.path_count; ++p) {
+    if (!((block.good_row(p)[snapshot / 64] >> (snapshot % 64)) & 1)) {
+      congested.push_back(p);
+    }
   }
   std::printf("snapshot %zu: %zu congested path(s)\n", snapshot,
               congested.size());
@@ -396,6 +392,9 @@ int main(int argc, char** argv) {
     return 2;
   } catch (const tomo::Error& e) {
     std::fprintf(stderr, "tomo_cli: %s\n", e.message().c_str());
+    return 1;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tomo_cli: %s\n", e.what());
     return 1;
   }
 }

@@ -26,6 +26,7 @@
 // --poll-ms 200; each window's estimate prints the moment it lands.
 #include <csignal>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -39,7 +40,6 @@
 #include "graph/serialize.hpp"
 #include "metrics/error_metrics.hpp"
 #include "sim/measurement.hpp"
-#include "sim/obs_io.hpp"
 #include "sim/simulator.hpp"
 #include "stream/obs_stream.hpp"
 #include "stream/serve.hpp"
@@ -117,18 +117,6 @@ core::InferenceOptions inference_from(const Flags& flags) {
   return options;
 }
 
-/// Reads a complete trace (either format) into one block.
-sim::MeasurementBlock read_trace(std::istream& is) {
-  stream::ObsStreamReader reader(is);
-  sim::MeasurementBlock all;
-  while (auto window = reader.next()) {
-    if (reader.batch_format()) return std::move(*window);
-    all.append(*window);
-  }
-  TOMO_REQUIRE(!all.empty(), "trace contains no observations");
-  return all;
-}
-
 double mean_error(const std::vector<double>& truth,
                   const std::vector<graph::Path>& paths,
                   const sim::MeasurementProvider& measurement,
@@ -148,8 +136,6 @@ int cmd_record(int argc, const char* const* argv) {
   add_system_flags(flags);
   flags.add_int("snapshots", 768, "snapshots to simulate");
   flags.add_int("packets", 1000, "probe packets per path per snapshot");
-  flags.add_string("mode", "batched",
-                   "simulation engine: batched|binomial|per-packet|exact");
   flags.add_int("sim-seed", 0,
                 "simulator seed (0 = derive from --seed like a batch "
                 "trial would)");
@@ -169,7 +155,6 @@ int cmd_record(int argc, const char* const* argv) {
   config.snapshots = static_cast<std::size_t>(flags.get_int("snapshots"));
   config.packets_per_path =
       static_cast<std::size_t>(flags.get_int("packets"));
-  config.mode = sim::parse_packet_mode(flags.get_string("mode"));
   config.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
   config.seed = flags.get_int("sim-seed") != 0
                     ? static_cast<std::uint64_t>(flags.get_int("sim-seed"))
@@ -182,7 +167,7 @@ int cmd_record(int argc, const char* const* argv) {
   const std::string out = flags.get_string("out");
   const std::string format = flags.get_string("format");
   if (format == "obs") {
-    sim::save_observations(out, result.measurement);
+    stream::save_observations(out, result.measurement);
   } else if (format == "stream") {
     std::ofstream os(out);
     TOMO_REQUIRE(os.good(), "cannot open " + out + " for writing");
@@ -311,7 +296,7 @@ int cmd_batch(int argc, const char* const* argv) {
     TOMO_REQUIRE(file.good(), "cannot open " + input);
   }
   sim::MeasurementBlock block =
-      read_trace(input == "-" ? std::cin : file);
+      stream::read_trace(input == "-" ? std::cin : file);
   const std::size_t window =
       static_cast<std::size_t>(flags.get_int("window"));
   const std::size_t windows = (block.snapshot_count + window - 1) / window;
@@ -361,6 +346,9 @@ int main(int argc, char** argv) {
     return 2;
   } catch (const tomo::Error& e) {
     std::fprintf(stderr, "tomo_daemon: %s\n", e.message().c_str());
+    return 1;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tomo_daemon: %s\n", e.what());
     return 1;
   }
 }

@@ -3,6 +3,8 @@
 // algorithms → error summary), on the same shared flags as the bench
 // binaries. `--list` is the default; `--scenario <name>` runs one entry,
 // `--all` runs the whole catalog. Stdout is byte-identical for any --jobs.
+#include <cstdio>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -220,9 +222,7 @@ ShardedScore run_sharded_entry(bench::Run& run,
   return total;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_scenarios(int argc, char** argv) {
   Flags flags("tomo_scenarios",
               "list or run the named scenarios of the registry");
   bench::add_common_flags(flags);
@@ -306,4 +306,18 @@ int main(int argc, char** argv) {
   run.table("scenario scores", table);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_scenarios(argc, argv);
+  } catch (const tomo::Error& e) {
+    std::fprintf(stderr, "tomo_scenarios: %s\n", e.message().c_str());
+    return 1;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tomo_scenarios: %s\n", e.what());
+    return 1;
+  }
 }
