@@ -10,6 +10,15 @@
 
 namespace tomo::linalg {
 
+double SparseGram::operator()(std::size_t i, std::size_t j) const {
+  TOMO_ASSERT(i < cols() && j < cols());
+  const auto first = index.begin() + static_cast<std::ptrdiff_t>(offsets[j]);
+  const auto last =
+      index.begin() + static_cast<std::ptrdiff_t>(offsets[j + 1]);
+  const auto it = std::lower_bound(first, last, i);
+  return it != last && *it == i ? values[it - index.begin()] : 0.0;
+}
+
 namespace {
 
 /// Dependence threshold of every factor append on this path; shared by
@@ -17,10 +26,33 @@ namespace {
 /// columns an inline warm-up would.
 constexpr double kSeedRelTol = 1e-12;
 
+/// Passive-position map entry of a column outside the passive set.
+constexpr std::uint32_t kNotPassive =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// Gathers G[P, j] from column j's stored entries: cross[pos[i]] = G(i, j)
+/// for every stored row i with a passive position (pos[i] != kNotPassive),
+/// 0 for the rest — the values a dense lookup of G(P[q], j) reads. Returns
+/// G(j, j), 0 for a column no row touches.
+double gather_column(const SparseGram& g,
+                     const std::vector<std::uint32_t>& pos,
+                     std::size_t passive_size, std::size_t j,
+                     Vector& cross) {
+  cross.assign(passive_size, 0.0);
+  double diag = 0.0;
+  for (std::size_t p = g.offsets[j]; p < g.offsets[j + 1]; ++p) {
+    const std::size_t i = g.index[p];
+    if (pos[i] != kNotPassive) cross[pos[i]] = g.values[p];
+    if (i == j) diag = g.values[p];
+  }
+  return diag;
+}
+
 /// Incremental Lawson-Hanson on a cached Gram system: the passive-set
 /// normal-equations factor is edited in place (O(k^2) per change) instead
 /// of being recomputed, so one inner iteration costs O(k^2) regardless of
-/// the row count.
+/// the row count, and one outer iteration adds the passive columns' stored
+/// entries for the gradient.
 class IncrementalNnls {
  public:
   IncrementalNnls(const GramSystem& gs, std::size_t max_iterations,
@@ -32,7 +64,7 @@ class IncrementalNnls {
         tol_(tol),
         warm_(warm),
         cached_(cached),
-        in_passive_(n_, 0),
+        pos_(n_, kNotPassive),
         blocked_(n_, 0),
         chol_(n_) {}
 
@@ -84,12 +116,13 @@ class IncrementalNnls {
       // admission loop below, minus the O(k^3) appends.
       chol_ = cached_->chol;
       passive_ = cached_->passive;
-      for (std::size_t j : passive_) in_passive_[j] = 1;
     } else {
       NnlsWarmFactor seeded = seed_warm_factor(gs_, warm_);
       chol_ = std::move(seeded.chol);
       passive_ = std::move(seeded.passive);
-      for (std::size_t j : passive_) in_passive_[j] = 1;
+    }
+    for (std::size_t q = 0; q < passive_.size(); ++q) {
+      pos_[passive_[q]] = static_cast<std::uint32_t>(q);
     }
     while (!passive_.empty()) {
       Vector cp(passive_.size());
@@ -100,7 +133,7 @@ class IncrementalNnls {
       if (!all_finite(z)) {
         // Factor poisoned by the seed; abandon it and start cold.
         chol_.clear();
-        for (std::size_t j : passive_) in_passive_[j] = 0;
+        for (std::size_t j : passive_) pos_[j] = kNotPassive;
         passive_.clear();
         break;
       }
@@ -115,23 +148,22 @@ class IncrementalNnls {
         break;
       }
       for (std::size_t i = passive_.size(); i-- > 0;) {
-        if (z[i] > tol_) continue;
-        in_passive_[passive_[i]] = 0;
-        chol_.remove(i);
-        passive_.erase(passive_.begin() + static_cast<std::ptrdiff_t>(i));
+        if (z[i] <= tol_) drop(i);
       }
     }
   }
 
-  /// w = c - G x, using only the non-zero (passive) entries of x.
+  /// w = c - G x over the passive columns' stored entries. Each w[i] sees
+  /// the dense product's subtractions in the same (passive) order minus
+  /// the skipped xj * 0 terms, which are exact zeros: x is finite here.
   Vector gradient() const {
     Vector w = gs_.atb;
+    const SparseGram& g = gs_.gram;
     for (std::size_t j : passive_) {
       const double xj = result_.x[j];
       if (xj == 0.0) continue;
-      const double* row = gs_.gram.row_data(j);  // row j == column j
-      for (std::size_t i = 0; i < n_; ++i) {
-        w[i] -= xj * row[i];
+      for (std::size_t p = g.offsets[j]; p < g.offsets[j + 1]; ++p) {
+        w[g.index[p]] -= xj * g.values[p];
       }
     }
     return w;
@@ -141,20 +173,12 @@ class IncrementalNnls {
     std::size_t best = n_;
     double best_w = tol_;
     for (std::size_t j = 0; j < n_; ++j) {
-      if (!in_passive_[j] && !blocked_[j] && w[j] > best_w) {
+      if (pos_[j] == kNotPassive && !blocked_[j] && w[j] > best_w) {
         best_w = w[j];
         best = j;
       }
     }
     return best;
-  }
-
-  Vector cross_terms(std::size_t j) const {
-    Vector cross(passive_.size());
-    for (std::size_t i = 0; i < passive_.size(); ++i) {
-      cross[i] = gs_.gram(passive_[i], j);
-    }
-    return cross;
   }
 
   /// Rebuilds the factor of G[P, P] from scratch. Columns that no longer
@@ -163,17 +187,16 @@ class IncrementalNnls {
   void refactorize() {
     ++result_.refactorizations;
     chol_.clear();
+    for (std::size_t j : passive_) pos_[j] = kNotPassive;
     std::vector<std::size_t> kept;
+    Vector cross;
     for (std::size_t j : passive_) {
-      Vector cross(kept.size());
-      for (std::size_t i = 0; i < kept.size(); ++i) {
-        cross[i] = gs_.gram(kept[i], j);
-      }
-      if (chol_.append(cross, gs_.gram(j, j), kRelTol)) {
+      const double diag = gather_column(gs_.gram, pos_, kept.size(), j, cross);
+      if (chol_.append(cross, diag, kRelTol)) {
+        pos_[j] = static_cast<std::uint32_t>(kept.size());
         kept.push_back(j);
       } else {
         result_.x[j] = 0.0;
-        in_passive_[j] = 0;
         blocked_[j] = 1;
       }
     }
@@ -181,15 +204,29 @@ class IncrementalNnls {
   }
 
   bool insert(std::size_t j) {
-    if (!chol_.append(cross_terms(j), gs_.gram(j, j), kRelTol)) {
+    Vector cross;
+    double diag = gather_column(gs_.gram, pos_, passive_.size(), j, cross);
+    if (!chol_.append(cross, diag, kRelTol)) {
       refactorize();
-      if (!chol_.append(cross_terms(j), gs_.gram(j, j), kRelTol)) {
+      diag = gather_column(gs_.gram, pos_, passive_.size(), j, cross);
+      if (!chol_.append(cross, diag, kRelTol)) {
         return false;
       }
     }
-    in_passive_[j] = 1;
+    pos_[j] = static_cast<std::uint32_t>(passive_.size());
     passive_.push_back(j);
     return true;
+  }
+
+  /// Returns passive position i to the active set: edits the factor in
+  /// place and shifts the later positions down one.
+  void drop(std::size_t i) {
+    pos_[passive_[i]] = kNotPassive;
+    chol_.remove(i);
+    passive_.erase(passive_.begin() + static_cast<std::ptrdiff_t>(i));
+    for (std::size_t q = i; q < passive_.size(); ++q) {
+      pos_[passive_[q]] = static_cast<std::uint32_t>(q);
+    }
   }
 
   void inner_loop() {
@@ -256,10 +293,8 @@ class IncrementalNnls {
         const std::size_t j = passive_[i];
         if (result_.x[j] > tol_) continue;
         result_.x[j] = 0.0;
-        in_passive_[j] = 0;
         if (!moved) blocked_[j] = 1;
-        chol_.remove(i);
-        passive_.erase(passive_.begin() + static_cast<std::ptrdiff_t>(i));
+        drop(i);
       }
       if (moved) unblock();
       if (passive_.empty()) break;
@@ -277,13 +312,17 @@ class IncrementalNnls {
   }
 
   /// ||A x - b||^2 = b^T b - 2 x^T c + x^T G x, over the passive support.
+  /// Each row sum runs over the passive set in passive order, absent
+  /// entries included as the zeros they are.
   void finish_residual() {
     double quad = 0.0, lin = 0.0;
+    Vector column;
     for (std::size_t j : passive_) {
       lin += result_.x[j] * gs_.atb[j];
+      gather_column(gs_.gram, pos_, passive_.size(), j, column);
       double row = 0.0;
-      for (std::size_t k : passive_) {
-        row += gs_.gram(j, k) * result_.x[k];
+      for (std::size_t q = 0; q < passive_.size(); ++q) {
+        row += column[q] * result_.x[passive_[q]];
       }
       quad += result_.x[j] * row;
     }
@@ -301,7 +340,7 @@ class IncrementalNnls {
   const NnlsWarmFactor* cached_;
   NnlsResult result_;
   std::vector<std::size_t> passive_;
-  std::vector<std::uint8_t> in_passive_;
+  std::vector<std::uint32_t> pos_;  // column -> passive position
   std::vector<std::uint8_t> blocked_;
   UpdatableCholesky chol_;
 };
@@ -317,27 +356,29 @@ NnlsWarmFactor seed_warm_factor(const GramSystem& gs,
   const std::size_t n = gs.gram.cols();
   NnlsWarmFactor out;
   out.chol = UpdatableCholesky(n);
-  std::vector<std::uint8_t> in(n, 0);
+  std::vector<std::uint32_t> pos(n, kNotPassive);
+  Vector cross;
   for (std::size_t j : warm) {
-    if (j >= n || in[j]) continue;
-    if (gs.gram(j, j) <= 0.0) continue;  // empty column
-    Vector cross(out.passive.size());
-    for (std::size_t i = 0; i < out.passive.size(); ++i) {
-      cross[i] = gs.gram(out.passive[i], j);
-    }
-    if (!out.chol.append(cross, gs.gram(j, j), kSeedRelTol)) {
+    if (j >= n || pos[j] != kNotPassive) continue;
+    const double diag = gather_column(gs.gram, pos, out.passive.size(), j,
+                                      cross);
+    if (diag <= 0.0) continue;  // empty column
+    if (!out.chol.append(cross, diag, kSeedRelTol)) {
       continue;  // dependent on the columns seeded so far; skip
     }
-    in[j] = 1;
+    pos[j] = static_cast<std::uint32_t>(out.passive.size());
     out.passive.push_back(j);
   }
   return out;
 }
 
 NnlsResult nnls_gram(const GramSystem& system, const NnlsOptions& options) {
-  TOMO_REQUIRE(system.gram.rows() == system.gram.cols(),
-               "nnls_gram: gram matrix must be square");
-  TOMO_REQUIRE(system.atb.size() == system.gram.cols(),
+  const SparseGram& g = system.gram;
+  TOMO_REQUIRE(g.index.size() == g.values.size() &&
+                   (g.offsets.empty() || g.offsets.back() == g.nnz()),
+               "nnls_gram: malformed sparse gram");
+  TOMO_REQUIRE(g.cols() < kNotPassive, "nnls_gram: too many columns");
+  TOMO_REQUIRE(system.atb.size() == g.cols(),
                "nnls_gram: atb length mismatch");
   if (options.warm_factor != nullptr) {
     TOMO_REQUIRE(
@@ -345,12 +386,11 @@ NnlsResult nnls_gram(const GramSystem& system, const NnlsOptions& options) {
             options.warm_factor->passive.size(),
         "nnls_gram: malformed warm factor");
     for (std::size_t j : options.warm_factor->passive) {
-      TOMO_REQUIRE(j < system.gram.cols(),
-                   "nnls_gram: warm factor column out of range");
+      TOMO_REQUIRE(j < g.cols(), "nnls_gram: warm factor column out of range");
     }
   }
   const std::size_t cap =
-      resolve_iteration_cap(options.max_iterations, system.gram.cols());
+      resolve_iteration_cap(options.max_iterations, g.cols());
   return IncrementalNnls(system, cap, options.tol, options.warm_start,
                          options.warm_factor)
       .run();

@@ -7,10 +7,11 @@
 // the paper's "minimize the L1 norm error" fallback is after.
 //
 // The engine works on the normal equations of a once-per-solve Gram system
-// (G = A^T A, c = A^T b): every inner iteration edits an UpdatableCholesky
-// factor of the passive block G[P, P] in O(k^2) and triangular-solves,
-// instead of re-running an m x k QR from scratch. Numerically dependent
-// passive candidates are rejected at insert time (with a
+// (G = A^T A, c = A^T b, G stored by its nonzeros): every inner iteration
+// edits an UpdatableCholesky factor of the passive block G[P, P] in O(k^2)
+// and triangular-solves, instead of re-running an m x k QR from scratch,
+// and every read of G walks only a column's stored entries. Numerically
+// dependent passive candidates are rejected at insert time (with a
 // condition-triggered refactorize fallback), and columns dropped by a
 // degenerate zero-length step are blocked from immediate re-entry until
 // the iterate moves — the anti-cycling safeguard. The historical engine
@@ -19,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -82,12 +84,31 @@ struct NnlsResult {
   std::vector<std::size_t> active_set;
 };
 
+/// G = A^T A stored by its nonzeros, as compressed sparse columns with
+/// both triangles kept so every column reads whole. Column j holds the
+/// entries (index[p], values[p]) for p in [offsets[j], offsets[j + 1]),
+/// indices strictly ascending. accumulate_gram stores an entry exactly
+/// when some row of A touches both its row and its column, so every absent
+/// entry is an exact zero. Default-constructed it is the 0 x 0 matrix.
+struct SparseGram {
+  std::vector<std::size_t> offsets;  // cols + 1 prefix sums, or empty
+  std::vector<std::uint32_t> index;  // row of each stored entry
+  std::vector<double> values;        // the stored entries, column by column
+
+  std::size_t cols() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+  std::size_t nnz() const { return values.size(); }
+  /// G(i, j), or 0 when the entry is absent.
+  double operator()(std::size_t i, std::size_t j) const;
+};
+
 /// Normal-equations view of a least-squares problem: everything NNLS needs
 /// once the rows of A are no longer required individually. Building it is
 /// the only O(rows) work in an incremental solve.
 struct GramSystem {
-  Matrix gram;  // A^T A, cols x cols, symmetric
-  Vector atb;   // A^T b
+  SparseGram gram;   // A^T A, cols x cols, symmetric
+  Vector atb;        // A^T b
   double btb = 0.0;  // b^T b, for residual recovery
 };
 

@@ -1,8 +1,12 @@
 #include "linalg/solvers.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "linalg/irls.hpp"
 #include "linalg/qr.hpp"
@@ -32,10 +36,23 @@ std::string to_string(SolverKind kind) {
 
 namespace {
 
-void require_finite(const SparseSystemView& system) {
-  for (const SparseRow& row : system.rows) {
+/// The one pass every entry point makes over a view before using it: row
+/// values and right-hand sides finite, and every support index inside the
+/// view's columns (the Gram build, the dense copy and the residual all
+/// index by it unchecked).
+void check_view(const SparseSystemView& system, const char* who) {
+  for (std::size_t r = 0; r < system.rows.size(); ++r) {
+    const SparseRow& row = system.rows[r];
     TOMO_REQUIRE(std::isfinite(row.y) && std::isfinite(row.value),
-                 "solve_log_system: non-finite rhs entry");
+                 std::string(who) + ": non-finite value or rhs in row " +
+                     std::to_string(r));
+    for (std::size_t k = 0; k < row.support_size; ++k) {
+      TOMO_REQUIRE(row.support[k] < system.cols,
+                   std::string(who) + ": row " + std::to_string(r) +
+                       " has support index " +
+                       std::to_string(row.support[k]) + " outside its " +
+                       std::to_string(system.cols) + " columns");
+    }
   }
 }
 
@@ -172,45 +189,139 @@ ColumnAdjacency column_adjacency(const SparseSystemView& system) {
   return adj;
 }
 
-}  // namespace
+/// Workspace that builds one Gram column at a time: a dense accumulator
+/// and a bitmap of the indices the current column touched, both all-zero
+/// between columns.
+class ColumnScatter {
+ public:
+  explicit ColumnScatter(std::size_t n)
+      : acc_(n, 0.0), words_((n + 63) / 64, 0) {}
 
-void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
-                     std::size_t jobs) {
-  const std::size_t n = system.cols;
-  if (gs.gram.rows() != n || gs.gram.cols() != n) {
-    TOMO_REQUIRE(gs.gram.rows() == 0 && gs.atb.empty() && gs.btb == 0.0,
-                 "accumulate_gram: existing gram has a different column "
-                 "count");
-    gs.gram = Matrix(n, n);
-    gs.atb.assign(n, 0.0);
-  }
-
-  const ColumnAdjacency adj = column_adjacency(system);
-  util::parallel_for(jobs, n, [&](std::size_t i) {
-    double* gram_row = gs.gram.row_data(i);
-    double ci = gs.atb[i];
+  /// Accumulates column i of G: the entries `prior` already stores, then
+  /// v^2 for every (incident row, support index) pair in ascending row
+  /// order — each entry's addition sequence of a dense build over the
+  /// concatenated rows.
+  void gather(const SparseGram& prior, const SparseSystemView& system,
+              const ColumnAdjacency& adj, std::size_t i) {
+    if (prior.cols() != 0) {
+      for (std::size_t p = prior.offsets[i]; p < prior.offsets[i + 1]; ++p) {
+        touch(prior.index[p]);
+        acc_[prior.index[p]] = prior.values[p];
+      }
+    }
     for (std::size_t slot = adj.offsets[i]; slot < adj.offsets[i + 1];
          ++slot) {
       const SparseRow& row = system.rows[adj.incident[slot]];
       const double v2 = row.value * row.value;
       for (std::size_t k = 0; k < row.support_size; ++k) {
-        gram_row[row.support[k]] += v2;
+        touch(row.support[k]);
+        acc_[row.support[k]] += v2;
       }
-      // b = -y: the solvers run on the negated non-negative system.
-      ci += row.value * -row.y;
     }
-    gs.atb[i] = ci;
+  }
+
+  /// Appends the gathered entries in ascending index order — a scan of the
+  /// bitmap words between the lowest and highest touched — clears the
+  /// workspace, and returns how many entries it appended.
+  std::size_t emit(std::vector<std::uint32_t>& index,
+                   std::vector<double>& values) {
+    const std::size_t before = index.size();
+    for (std::size_t w = lo_; w < hi_; ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t k =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        index.push_back(static_cast<std::uint32_t>(k));
+        values.push_back(acc_[k]);
+        acc_[k] = 0.0;
+      }
+      words_[w] = 0;
+    }
+    lo_ = std::numeric_limits<std::size_t>::max();
+    hi_ = 0;
+    return index.size() - before;
+  }
+
+ private:
+  void touch(std::size_t k) {
+    words_[k / 64] |= std::uint64_t{1} << (k % 64);
+    lo_ = std::min(lo_, k / 64);
+    hi_ = std::max(hi_, k / 64 + 1);
+  }
+
+  std::vector<double> acc_;
+  std::vector<std::uint64_t> words_;
+  std::size_t lo_ = std::numeric_limits<std::size_t>::max();
+  std::size_t hi_ = 0;  // one past the highest touched word
+};
+
+/// accumulate_gram minus the view check (its callers made it).
+void build_gram(GramSystem& gs, const SparseSystemView& system,
+                std::size_t jobs) {
+  const std::size_t n = system.cols;
+  TOMO_REQUIRE(n < std::numeric_limits<std::uint32_t>::max(),
+               "accumulate_gram: too many columns");
+  if (gs.gram.offsets.size() != n + 1) {
+    TOMO_REQUIRE(gs.gram.offsets.empty() && gs.atb.empty() && gs.btb == 0.0,
+                 "accumulate_gram: existing gram has a different column "
+                 "count");
+    gs.atb.assign(n, 0.0);
+  }
+
+  // Columns go out in contiguous blocks, each with one workspace and its
+  // own output buffers; laying the blocks end to end afterwards gives the
+  // same arrays for any jobs value.
+  const ColumnAdjacency adj = column_adjacency(system);
+  const std::size_t workers = util::resolve_jobs(jobs);
+  const std::size_t blocks = std::min(n, workers == 1 ? 1 : 8 * workers);
+  const auto first_column = [&](std::size_t b) { return b * n / blocks; };
+  std::vector<SparseGram> parts(blocks);  // index/values of each block
+  SparseGram next;
+  next.offsets.assign(n + 1, 0);
+  util::parallel_for(jobs, blocks, [&](std::size_t b) {
+    ColumnScatter scatter(n);
+    for (std::size_t i = first_column(b); i < first_column(b + 1); ++i) {
+      scatter.gather(gs.gram, system, adj, i);
+      next.offsets[i + 1] = scatter.emit(parts[b].index, parts[b].values);
+      double ci = gs.atb[i];
+      for (std::size_t slot = adj.offsets[i]; slot < adj.offsets[i + 1];
+           ++slot) {
+        const SparseRow& row = system.rows[adj.incident[slot]];
+        // b = -y: the solvers run on the negated non-negative system.
+        ci += row.value * -row.y;
+      }
+      gs.atb[i] = ci;
+    }
   });
+  for (std::size_t i = 0; i < n; ++i) next.offsets[i + 1] += next.offsets[i];
+  next.index.resize(next.offsets[n]);
+  next.values.resize(next.offsets[n]);
+  util::parallel_for(jobs, blocks, [&](std::size_t b) {
+    const std::size_t at = next.offsets[first_column(b)];
+    std::copy(parts[b].index.begin(), parts[b].index.end(),
+              next.index.begin() + static_cast<std::ptrdiff_t>(at));
+    std::copy(parts[b].values.begin(), parts[b].values.end(),
+              next.values.begin() + static_cast<std::ptrdiff_t>(at));
+  });
+  gs.gram = std::move(next);
 
   for (const SparseRow& row : system.rows) {
     gs.btb += row.y * row.y;
   }
 }
 
+}  // namespace
+
+void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
+                     std::size_t jobs) {
+  check_view(system, "accumulate_gram");
+  build_gram(gs, system, jobs);
+}
+
 void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system,
                       std::size_t jobs) {
+  check_view(system, "refresh_gram_rhs");
   const std::size_t n = system.cols;
-  TOMO_REQUIRE(gs.gram.rows() == n && gs.gram.cols() == n,
+  TOMO_REQUIRE(gs.gram.cols() == n,
                "refresh_gram_rhs: gram shape does not match the system");
   gs.atb.assign(n, 0.0);
   gs.btb = 0.0;
@@ -231,12 +342,12 @@ void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system,
 
 LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const SolverOptions& options) {
-  require_finite(system);
+  check_view(system, "solve_log_system");
   if (options.kind != SolverKind::kNnls) return solve_dense(system, options);
   // The headline path: Gram products straight from the sparse support;
-  // the dense incidence matrix never exists.
+  // neither the dense incidence matrix nor a dense Gram ever exists.
   GramSystem gs;
-  accumulate_gram(gs, system, options.jobs);
+  build_gram(gs, system, options.jobs);
   return solve_nnls(system, gs, options);
 }
 
@@ -248,7 +359,7 @@ LogSystemSolution solve_log_system(const SparseSystemView& system,
                "Gram system");
   TOMO_REQUIRE(gs.gram.cols() == system.cols,
                "solve_log_system(gram): gram shape does not match the view");
-  require_finite(system);
+  check_view(system, "solve_log_system");
   return solve_nnls(system, gs, options);
 }
 

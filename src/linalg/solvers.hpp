@@ -11,9 +11,14 @@
 // The system arrives as a SparseSystemView. NNLS (the default) never
 // materializes the dense matrix: the Gram products G = A^T A and
 // c = A^T b are accumulated straight from the per-row support, fanned
-// across a worker pool column-by-column. Entry sums always run in row
-// order, so the solution is bit-identical for any jobs value. The
-// row-oriented kinds (ls, l1lp, irls) solve a dense copy of the view.
+// across a worker pool column-by-column, and G is stored by its nonzeros
+// (linalg::SparseGram). Entry sums always run in row order, so the
+// solution is bit-identical for any jobs value. The row-oriented kinds
+// (ls, l1lp, irls) solve a dense copy of the view.
+//
+// Every entry point checks the view first: a non-finite row value or
+// right-hand side, or a support index outside the view's columns, throws a
+// tomo::Error naming the row.
 #pragma once
 
 #include <cstddef>
@@ -92,13 +97,13 @@ LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const SolverOptions& options = {});
 
 /// Adds the Gram system (G = A^T A, c = A^T b, b^T b) of the *negated*
-/// system A u = -y over `system`'s rows on top of `gs` (sizing/zeroing it
-/// on first use), fanning columns across up to `jobs` workers. Because
-/// every entry's partial sums run in ascending row order, accumulating any
-/// in-order partition of the rows window by window executes the exact same
+/// system A u = -y over `system`'s rows on top of `gs` (sizing it on first
+/// use), fanning columns across up to `jobs` workers. Because every entry's
+/// partial sums run in ascending row order, accumulating any in-order
+/// partition of the rows window by window executes the exact same
 /// floating-point addition sequence as one build over the concatenated
-/// rows — the result is *bitwise* equal for any split and any jobs value.
-/// This is the streaming path's additive-Gram contract.
+/// rows — values and index arrays are *bitwise* equal for any split and
+/// any jobs value. This is the streaming path's additive-Gram contract.
 void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
                      std::size_t jobs);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -52,21 +53,31 @@ DenseSystem densify(const linalg::SparseSystemView& view) {
 linalg::GramSystem make_gram(const Matrix& a, const Vector& b) {
   TOMO_REQUIRE(b.size() == a.rows(), "make_gram: rhs length mismatch");
   const std::size_t n = a.cols();
-  linalg::GramSystem gs;
-  gs.gram = Matrix(n, n);
+  Matrix dense(n, n);
   for (std::size_t r = 0; r < a.rows(); ++r) {
     const double* row = a.row_data(r);
     for (std::size_t i = 0; i < n; ++i) {
       if (row[i] == 0.0) continue;
       for (std::size_t j = i; j < n; ++j) {
-        gs.gram(i, j) += row[i] * row[j];
+        dense(i, j) += row[i] * row[j];
       }
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < i; ++j) {
-      gs.gram(i, j) = gs.gram(j, i);
+      dense(i, j) = dense(j, i);
     }
+  }
+  // Compressed to exactly its nonzeros, column by column.
+  linalg::GramSystem gs;
+  gs.gram.offsets.assign(n + 1, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (dense(i, j) == 0.0) continue;
+      gs.gram.index.push_back(static_cast<std::uint32_t>(i));
+      gs.gram.values.push_back(dense(i, j));
+    }
+    gs.gram.offsets[j + 1] = gs.gram.nnz();
   }
   gs.atb = a.multiply_transposed(b);
   gs.btb = linalg::dot(b, b);

@@ -21,7 +21,8 @@ struct DenseSystem {
 };
 DenseSystem densify(const linalg::SparseSystemView& view);
 
-/// G = A^T A, c = A^T b, b^T b of a dense problem (one pass over A).
+/// G = A^T A, c = A^T b, b^T b of a dense problem: one pass over A into a
+/// dense product, stored by exactly its nonzeros.
 linalg::GramSystem make_gram(const linalg::Matrix& a,
                              const linalg::Vector& b);
 

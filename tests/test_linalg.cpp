@@ -595,6 +595,62 @@ TEST(Solvers, RejectsNonFiniteRhs) {
   EXPECT_THROW(solve_with(system, SolverKind::kLeastSquares), Error);
 }
 
+// ------------------------------------------ out-of-range support index ----
+
+/// Row 1 names column 7 of a 3-column view. Unchecked, the Gram build's
+/// per-column counts wrote past their buffer; every entry point must
+/// instead throw a tomo::Error that names the row.
+OwnedSystem out_of_range_system() {
+  return zero_one_system(3, {{0, 1}, {1, 7}}, {-0.1, -0.2});
+}
+
+/// A valid system with the same shape, for the Gram-taking entry points.
+OwnedSystem in_range_system() {
+  return zero_one_system(3, {{0, 1}, {1, 2}}, {-0.1, -0.2});
+}
+
+template <typename Call>
+void expect_row_rejected(const Call& call, const std::string& what) {
+  try {
+    call();
+    ADD_FAILURE() << what << ": accepted an out-of-range support index";
+  } catch (const Error& e) {
+    EXPECT_NE(e.message().find("row 1"), std::string::npos)
+        << what << ": " << e.message();
+  }
+}
+
+TEST(Solvers, SolveRejectsOutOfRangeSupportIndex) {
+  const OwnedSystem bad = out_of_range_system();
+  for (const auto kind : {SolverKind::kNnls, SolverKind::kLeastSquares}) {
+    expect_row_rejected([&] { solve_with(bad, kind); }, to_string(kind));
+  }
+}
+
+TEST(Solvers, SolveWithGramRejectsOutOfRangeSupportIndex) {
+  GramSystem gs;
+  accumulate_gram(gs, in_range_system().view, 1);
+  const OwnedSystem bad = out_of_range_system();
+  expect_row_rejected([&] { solve_log_system(bad.view, gs, {}); },
+                      "solve_log_system(gram)");
+}
+
+TEST(Solvers, AccumulateGramRejectsOutOfRangeSupportIndex) {
+  const OwnedSystem bad = out_of_range_system();
+  GramSystem gs;
+  expect_row_rejected([&] { accumulate_gram(gs, bad.view, 1); },
+                      "accumulate_gram");
+  EXPECT_EQ(gs.gram.cols(), 0u) << "a rejected view must leave gs as it was";
+}
+
+TEST(Solvers, RefreshGramRhsRejectsOutOfRangeSupportIndex) {
+  GramSystem gs;
+  accumulate_gram(gs, in_range_system().view, 1);
+  const OwnedSystem bad = out_of_range_system();
+  expect_row_rejected([&] { refresh_gram_rhs(gs, bad.view, 1); },
+                      "refresh_gram_rhs");
+}
+
 // -------------------------------------------- windowed Gram pipeline ----
 
 /// A random 0/1-support sparse system with owned index storage (what the
@@ -637,13 +693,17 @@ GramSystem gram_of(const SparseSystemView& view, std::size_t jobs) {
 
 void expect_gram_bits_equal(const GramSystem& a, const GramSystem& b,
                             const std::string& what) {
-  ASSERT_EQ(a.gram.rows(), b.gram.rows()) << what;
-  for (std::size_t i = 0; i < a.gram.rows(); ++i) {
+  ASSERT_EQ(a.gram.cols(), b.gram.cols()) << what;
+  for (std::size_t i = 0; i < a.gram.cols(); ++i) {
     for (std::size_t j = 0; j < a.gram.cols(); ++j) {
       ASSERT_EQ(a.gram(i, j), b.gram(i, j))
           << what << " gram(" << i << "," << j << ")";
     }
   }
+  // The same cells from the same storage: no entry stored on one side only.
+  ASSERT_EQ(a.gram.offsets, b.gram.offsets) << what;
+  ASSERT_EQ(a.gram.index, b.gram.index) << what;
+  ASSERT_EQ(a.gram.values, b.gram.values) << what;
   ASSERT_EQ(a.atb.size(), b.atb.size()) << what;
   for (std::size_t j = 0; j < a.atb.size(); ++j) {
     ASSERT_EQ(a.atb[j], b.atb[j]) << what << " atb[" << j << "]";

@@ -8,7 +8,8 @@
 // identical and the solutions must agree to tight relative tolerance —
 // and the sparse Gram pipeline (core sparse view -> parallel Gram build ->
 // nnls_gram) must be bit-identical for any jobs value, the contract the
-// CI byte-identity checks rely on.
+// CI byte-identity checks rely on. RegistryGramStorage pins the storage
+// itself: G kept by exactly the nonzeros of the dense product.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -161,31 +162,107 @@ TEST(NnlsFast, WeightedSparseViewMatchesDenseWeighting) {
   }
 }
 
-TEST(NnlsFast, SparseGramMatchesDenseGramBitwise) {
-  ScenarioConfig config = shrink_for_tests(
-      ScenarioCatalog::instance().at("ba-sparse-vps").config);
-  config.seed = 0x9a;
-  const PreparedSystem p = prepare(config, 0x9a00);
-  const EquationSystem& sys = p.correlation;
-
+/// The Gram storage contract on one harvested system: accumulate_gram
+/// stores exactly the nonzeros of the dense product reference::make_gram
+/// computes — every cell bitwise equal, no zero stored and no entry
+/// missing — and jobs 1 and 3 give identical values and index arrays.
+void expect_gram_matches_dense(const EquationSystem& sys,
+                               const std::string& what) {
+  ASSERT_FALSE(sys.equations.empty()) << what;
   // Dense reference: Gram of the negated system (b = -y).
   const reference::DenseSystem system = reference::densify(sparse_view(sys));
   linalg::Vector b(system.y.size());
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = -system.y[i];
   const linalg::GramSystem dense = reference::make_gram(system.a, b);
 
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
-    const linalg::GramSystem sparse = gram_of(sparse_view(sys), jobs);
-    ASSERT_EQ(sparse.gram.rows(), dense.gram.rows());
-    for (std::size_t i = 0; i < dense.gram.rows(); ++i) {
-      for (std::size_t j = 0; j < dense.gram.cols(); ++j) {
-        ASSERT_EQ(sparse.gram(i, j), dense.gram(i, j))
-            << "jobs " << jobs << " cell " << i << "," << j;
-      }
+  const linalg::GramSystem serial = gram_of(sparse_view(sys), 1);
+  ASSERT_EQ(serial.gram.cols(), dense.gram.cols()) << what;
+  for (std::size_t i = 0; i < dense.gram.cols(); ++i) {
+    for (std::size_t j = 0; j < dense.gram.cols(); ++j) {
+      ASSERT_EQ(serial.gram(i, j), dense.gram(i, j))
+          << what << ": cell " << i << "," << j;
     }
-    EXPECT_EQ(sparse.atb, dense.atb) << "jobs " << jobs;
-    EXPECT_EQ(sparse.btb, dense.btb) << "jobs " << jobs;
   }
+  EXPECT_EQ(serial.gram.nnz(), dense.gram.nnz())
+      << what << ": stored entries vs dense nonzeros";
+  EXPECT_EQ(serial.gram.offsets, dense.gram.offsets) << what;
+  EXPECT_EQ(serial.gram.index, dense.gram.index) << what;
+  EXPECT_EQ(serial.atb, dense.atb) << what;
+  EXPECT_EQ(serial.btb, dense.btb) << what;
+
+  const linalg::GramSystem parallel = gram_of(sparse_view(sys), 3);
+  EXPECT_EQ(parallel.gram.offsets, serial.gram.offsets) << what << ": jobs 3";
+  EXPECT_EQ(parallel.gram.index, serial.gram.index) << what << ": jobs 3";
+  EXPECT_EQ(parallel.gram.values, serial.gram.values) << what << ": jobs 3";
+  EXPECT_EQ(parallel.atb, serial.atb) << what << ": jobs 3";
+  EXPECT_EQ(parallel.btb, serial.btb) << what << ": jobs 3";
+}
+
+class RegistryGramStorage : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RegistryGramStorage, SparseGramMatchesDenseGramBitwise) {
+  ScenarioConfig config =
+      shrink_for_tests(ScenarioCatalog::instance().at(GetParam()).config);
+  config.seed = 0x9a;
+  const PreparedSystem p = prepare(config, 0x9a00);
+  expect_gram_matches_dense(p.correlation, GetParam() + " correlation");
+  expect_gram_matches_dense(p.independence, GetParam() + " independence");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllScenarios, RegistryGramStorage,
+    ::testing::ValuesIn(ScenarioCatalog::instance().names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+/// A column no row touches stores nothing, not even its diagonal, reads 0
+/// everywhere, and is never admitted from a warm seed: seeded with it, the
+/// solve reaches the cold optimum with that column's x at 0.
+TEST(NnlsFast, UntouchedColumnStaysOutOfAWarmSolve) {
+  const std::vector<std::vector<std::size_t>> supports = {
+      {0, 1}, {1, 3}, {0}, {3}, {0, 1, 3}};
+  const std::vector<double> ys = {-0.3, -0.5, -0.1, -0.4, -0.7};
+  linalg::SparseSystemView view;
+  view.cols = 4;
+  for (std::size_t r = 0; r < supports.size(); ++r) {
+    linalg::SparseRow row;
+    row.support = supports[r].data();
+    row.support_size = supports[r].size();
+    row.y = ys[r];
+    view.rows.push_back(row);
+  }
+  const linalg::GramSystem gs = gram_of(view, 1);
+  constexpr std::size_t kUntouched = 2;
+  EXPECT_EQ(gs.gram.offsets[kUntouched], gs.gram.offsets[kUntouched + 1]);
+  for (std::size_t i = 0; i < view.cols; ++i) {
+    EXPECT_EQ(gs.gram(i, kUntouched), 0.0) << "row " << i;
+    EXPECT_EQ(gs.gram(kUntouched, i), 0.0) << "column " << i;
+  }
+  EXPECT_EQ(gs.atb[kUntouched], 0.0);
+
+  const linalg::NnlsResult cold = linalg::nnls_gram(gs);
+  ASSERT_TRUE(cold.converged);
+  linalg::NnlsOptions options;
+  options.warm_start = {kUntouched, 0, 1, 3};
+  const linalg::NnlsResult warm = linalg::nnls_gram(gs, options);
+  ASSERT_TRUE(warm.converged);
+  EXPECT_EQ(warm.active_set, cold.active_set);
+  EXPECT_EQ(warm.x[kUntouched], 0.0);
+  for (std::size_t j = 0; j < cold.x.size(); ++j) {
+    EXPECT_NEAR(warm.x[j], cold.x[j], 1e-12) << "column " << j;
+  }
+  EXPECT_NEAR(warm.residual_norm, cold.residual_norm, 1e-12);
+
+  const linalg::NnlsWarmFactor seeded =
+      linalg::seed_warm_factor(gs, options.warm_start);
+  EXPECT_EQ(std::count(seeded.passive.begin(), seeded.passive.end(),
+                       kUntouched),
+            0);
 }
 
 // ------------------------------------------------- NNLS warm start ----
@@ -233,8 +310,8 @@ TEST_P(RegistryWarmStart, PerturbedSeedReachesTheColdOptimum) {
   for (double v : cold.x) scale = std::max(scale, std::abs(v));
 
   const auto gram_times = [&](const linalg::Vector& x) {
-    linalg::Vector out(gs.gram.rows(), 0.0);
-    for (std::size_t i = 0; i < gs.gram.rows(); ++i) {
+    linalg::Vector out(gs.gram.cols(), 0.0);
+    for (std::size_t i = 0; i < gs.gram.cols(); ++i) {
       for (std::size_t j = 0; j < gs.gram.cols(); ++j) {
         out[i] += gs.gram(i, j) * x[j];
       }

@@ -13,12 +13,19 @@
 // enforced by the differential suite (test_nnls_fast.cpp); isolated
 // engine-vs-engine cost is tracked by bench/micro_linalg.cpp and the
 // *_solve_seconds JSON telemetry.
+//
+// A second case pins the memory side: one monolithic hier-10k trial
+// (~5.2k links, so a densely stored Gram alone takes over 200 MB) must
+// peak under 100 MB of resident memory now that G is stored by its
+// nonzeros.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cmath>
 #include <iostream>
 
 #include "core/equations.hpp"
+#include "core/experiment.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/coverage.hpp"
 #include "linalg/solvers.hpp"
@@ -91,6 +98,70 @@ TEST(PerfSolver, DenseVpsNnlsSolveStaysWithinBudget) {
             << kRounds << " rounds, " << correlation.equations.size() << "+"
             << independence.equations.size() << " equations, "
             << coverage.link_count() << " links\n";
+}
+
+// Committed budget for one monolithic hier-10k trial, and its peak-RSS
+// ceiling (checked outside sanitizer builds, whose shadow memory is not
+// the program's). Unlike the small case above, this trial is dominated
+// by O(k^2) factor loops over ~1400 passive columns, which run ~6x slower
+// unoptimized, so Debug builds get their own budget.
+#if defined(TOMO_PERF_SANITIZED)
+constexpr double kHier10kBudgetSeconds = 1200.0;
+#elif defined(NDEBUG)
+constexpr double kHier10kBudgetSeconds = 120.0;
+#else
+constexpr double kHier10kBudgetSeconds = 600.0;
+#endif
+constexpr double kHier10kPeakRssMb = 100.0;
+
+/// Peak resident set of this process so far. ctest runs every discovered
+/// case in its own process, so under ctest this is the case's own peak.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+TEST(PerfSolver, MonolithicHier10kTrialStaysUnder100MbPeakRss) {
+  ScenarioConfig config = ScenarioCatalog::instance().at("hier-10k").config;
+  config.seed = 42;
+  const Stopwatch timer;
+  const ScenarioInstance inst = build_scenario(config);
+  ASSERT_GE(inst.graph.link_count(), 4'000u)
+      << "hier-10k lost its link count";
+
+  // tomo_scenarios' trial: simulate, then both algorithms' harvest and
+  // solve on one Gram each, unsharded.
+  ExperimentConfig experiment;
+  experiment.sim.snapshots = 2000;
+  experiment.sim.packets_per_path = 4000;
+  experiment.sim.seed = 7;
+  const ExperimentResult result = run_experiment(inst, experiment);
+  const double seconds = timer.seconds();
+  const double rss_mb = peak_rss_mb();
+
+  ASSERT_EQ(result.correlation.congestion_prob.size(),
+            inst.graph.link_count());
+  ASSERT_EQ(result.independence.congestion_prob.size(),
+            inst.graph.link_count());
+  EXPECT_LT(seconds, kHier10kBudgetSeconds)
+      << "monolithic hier-10k trial regressed: " << seconds
+      << " s (budget " << kHier10kBudgetSeconds << " s)";
+#ifndef TOMO_PERF_SANITIZED
+  EXPECT_LT(rss_mb, kHier10kPeakRssMb)
+      << "monolithic hier-10k trial peaked at " << rss_mb
+      << " MB resident (ceiling " << kHier10kPeakRssMb
+      << " MB): is a dense n x n buffer back on the solve path?";
+#endif
+  // Telemetry for the CI log; not an assertion.
+  std::cout << "[perf] hier-10k monolithic trial: " << seconds << " s ("
+            << result.sim_seconds << " s sim, "
+            << result.correlation.solve_seconds << " + "
+            << result.independence.solve_seconds << " s solve), "
+            << rss_mb << " MB peak RSS, " << inst.graph.link_count()
+            << " links, " << result.correlation.system.equations.size()
+            << "+" << result.independence.system.equations.size()
+            << " equations\n";
 }
 
 }  // namespace
