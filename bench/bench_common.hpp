@@ -76,10 +76,10 @@ inline Settings settings_from_flags(const Flags& flags) {
   Settings s;
   s.full = flags.get_bool("full");
   s.csv = flags.get_bool("csv");
-  s.snapshots = static_cast<std::size_t>(flags.get_int("snapshots"));
-  s.packets = static_cast<std::size_t>(flags.get_int("packets"));
-  s.trials = static_cast<std::size_t>(flags.get_int("trials"));
-  s.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
+  s.snapshots = flags.get_count("snapshots");
+  s.packets = flags.get_count("packets");
+  s.trials = flags.get_count("trials");
+  s.jobs = flags.get_count("jobs");
   s.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   s.json = flags.get_string("json");
   s.scenario = flags.get_string("scenario");

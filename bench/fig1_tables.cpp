@@ -203,8 +203,7 @@ int main(int argc, char** argv) {
                 "the --scenario mode bootstrap)");
   if (!flags.parse(argc, argv)) return 0;
   const bench::Settings s = bench::settings_from_flags(flags);
-  const std::size_t replicates =
-      static_cast<std::size_t>(flags.get_int("replicates"));
+  const std::size_t replicates = flags.get_count("replicates");
   bench::Run run("fig1_tables", s);
 
   if (!s.scenario.empty()) {

@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
                 "snapshots localized and scored per trial");
   if (!flags.parse(argc, argv)) return 0;
   const bench::Settings s = bench::settings_from_flags(flags);
-  const std::size_t eval_snapshots =
-      static_cast<std::size_t>(flags.get_int("eval-snapshots"));
+  const std::size_t eval_snapshots = flags.get_count("eval-snapshots");
   bench::Run run("localization_accuracy", s);
 
   const auto add = [](Tally& t, const core::LocalizationScore& score) {
@@ -84,9 +83,12 @@ int main(int argc, char** argv) {
           coverage, congested, training.independence.congestion_prob);
       const auto mc = core::localize_greedy_map(
           coverage, congested, training.correlation.congestion_prob);
-      add(tallies.smallest, core::score_localization(state, ss.congested_links));
-      add(tallies.map_ind, core::score_localization(state, mi.congested_links));
-      add(tallies.map_corr, core::score_localization(state, mc.congested_links));
+      add(tallies.smallest,
+          core::score_localization(state, ss.congested_links));
+      add(tallies.map_ind,
+          core::score_localization(state, mi.congested_links));
+      add(tallies.map_corr,
+          core::score_localization(state, mc.congested_links));
     }
     return tallies;
   });

@@ -9,6 +9,13 @@
 
 namespace tomo::core {
 
+namespace {
+
+/// Upper bound on the §3.3 demotion rounds of harvest_refined_system.
+constexpr std::size_t kMaxDemotionRounds = 3;
+
+}  // namespace
+
 corr::CorrelationSets demote_to_singletons(
     const corr::CorrelationSets& sets,
     const std::vector<graph::LinkId>& links) {
@@ -54,7 +61,7 @@ RefinedHarvest harvest_refined_system(
   // unidentifiable under the declared structure — act as if they were
   // uncorrelated (paper §3.3) and rebuild.
   for (std::size_t round = 0;
-       options.demote_uncovered && round < options.max_demotion_rounds;
+       options.demote_uncovered && round < kMaxDemotionRounds;
        ++round) {
     std::vector<std::uint8_t> covered(coverage.link_count(), 0);
     for (const Equation& eq : harvest.system.equations) {

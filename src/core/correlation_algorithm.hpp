@@ -30,7 +30,6 @@ struct InferenceOptions {
   /// algorithm's bias, but every other link keeps its clean equations —
   /// exactly the trade-off the paper describes.
   bool demote_uncovered = true;
-  std::size_t max_demotion_rounds = 3;
   /// Weight each equation by the inverse standard deviation of its
   /// estimate (delta method) before solving, so thinly supported
   /// measurements count less. No effect with oracle measurements.

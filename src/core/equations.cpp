@@ -17,6 +17,10 @@ namespace tomo::core {
 
 namespace {
 
+/// Seed of the deterministic pair-candidate shuffle, which spreads accepted
+/// pairs across the topology instead of clustering near low link ids.
+constexpr std::uint64_t kPairShuffleSeed = 7;
+
 /// sorted_union into a reused buffer (keeps its capacity across candidates;
 /// a manual merge into pre-sized storage skips back_inserter's per-element
 /// capacity checks on the hot path).
@@ -199,7 +203,7 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
         }
       }
     }
-    Rng rng(options.shuffle_seed);
+    Rng rng(kPairShuffleSeed);
     rng.shuffle(candidates);
 
     // Singleton structures short-circuit, so the precheck is only built

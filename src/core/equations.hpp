@@ -63,9 +63,6 @@ struct EquationBuildOptions {
   std::size_t max_pair_candidates = 0;
   /// Minimum good-snapshot support for an empirical estimate to be usable.
   std::size_t min_good_snapshots = 1;
-  /// Shuffles the pair-candidate order (deterministic); spreads accepted
-  /// pairs across the topology instead of clustering near low link ids.
-  std::uint64_t shuffle_seed = 7;
   /// When true (default), every usable equation the correlation structure
   /// admits is kept, including linearly dependent ones — the solver then
   /// fits all available measurements (what [12] effectively does). When

@@ -10,7 +10,6 @@
 #include "corr/identifiability.hpp"
 #include "sim/measurement.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -19,9 +18,6 @@ namespace tomo::core {
 namespace {
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-
-/// Seed tag for the per-shard bootstrap sub-streams.
-constexpr std::uint64_t kShardSeedTag = 0x5a4d00;
 
 /// Plain union-find with path halving (the partitioner's only data
 /// structure; no ranks needed at these sizes).
@@ -223,9 +219,8 @@ namespace {
 
 /// Everything a shard's worker leaves behind for the merge step.
 struct ShardRun {
-  std::vector<double> log_good;        // local link ids
-  EquationSystem system;               // local link ids (joint re-solve)
-  std::vector<double> interval_width;  // local; empty without precision
+  std::vector<double> log_good;  // local link ids
+  EquationSystem system;         // local link ids (joint re-solve)
   ShardTelemetry telemetry;
 };
 
@@ -272,27 +267,9 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
   result.reconciled.assign(link_count, 0);
   result.residual_gap.assign(link_count, 0.0);
 
-  if (plan.shards.size() == 1) {
-    // Degenerate plan: run the monolithic pipeline verbatim (bit-identical
-    // to infer_congestion — the differential suite's anchor case).
-    const sim::EmpiricalMeasurement measurement(block);
-    InferenceResult mono = infer_congestion(g, paths, coverage, sets,
-                                            measurement, options.inference);
-    result.congestion_prob = std::move(mono.congestion_prob);
-    result.log_good = std::move(mono.log_good);
-    result.refined_links = std::move(mono.refined_links);
-    result.solve_seconds = mono.solve_seconds;
-    result.shards.push_back(ShardTelemetry{
-        paths.size(), link_count, mono.system.equations.size(),
-        result.refined_links.size(), mono.solve_seconds, false});
-    return result;
-  }
-
-  // Per-shard pipeline, fanned across the pool. Every shard derives its
-  // own seeds and writes only its slot, so the merge below — and hence the
-  // whole result — is bit-identical for any jobs value.
-  const bool want_precision =
-      options.precision_replicates > 0 && plan.shared_links > 0;
+  // Per-shard pipeline, fanned across the pool. Every shard writes only its
+  // slot, so the merge below — and hence the whole result — is
+  // bit-identical for any jobs value.
   std::vector<ShardRun> runs(plan.shards.size());
   util::parallel_for(
       options.jobs, plan.shards.size(), [&](std::size_t s) {
@@ -303,9 +280,9 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
 
         // Local re-indexing: same node ids, shard links renumbered in
         // ascending global order (so local sort order equals global sort
-        // order everywhere downstream). Re-indexing is what keeps the
-        // per-shard Gram system |E_s| x |E_s| instead of |E| x |E| — the
-        // whole point of sharding.
+        // order everywhere downstream). Re-indexing is what keeps each
+        // shard's system |E_s| columns wide instead of |E| — the whole
+        // point of sharding.
         graph::Graph lg;
         for (graph::NodeId n = 0; n < g.node_count(); ++n) lg.add_node();
         std::vector<std::size_t> local_of(link_count, kNone);
@@ -339,10 +316,10 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
         }
         const corr::CorrelationSets lsets(shard.links.size(),
                                           std::move(lpart));
-        const sim::MeasurementBlock lblock = block.select_paths(shard.paths);
+        sim::MeasurementBlock lblock = block.select_paths(shard.paths);
 
         try {
-          const sim::EmpiricalMeasurement measurement(lblock);
+          const sim::EmpiricalMeasurement measurement(std::move(lblock));
           InferenceResult inf = infer_congestion(lg, lpaths, lcov, lsets,
                                                  measurement, shard_opts);
           run.log_good = std::move(inf.log_good);
@@ -355,33 +332,6 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
           // which the monolithic solver models as log_good = 0.
           run.telemetry.failed = true;
           run.log_good.assign(shard.links.size(), 0.0);
-        }
-
-        // Precision pass: only shards whose links someone else also covers
-        // need bootstrap weights for the log-space average.
-        bool covers_shared = false;
-        for (graph::LinkId e : shard.links) {
-          if (plan.shards_of_link[e].size() > 1) {
-            covers_shared = true;
-            break;
-          }
-        }
-        if (want_precision && covers_shared && !run.telemetry.failed) {
-          BootstrapOptions bo;
-          bo.replicates = options.precision_replicates;
-          bo.seed = mix_seed(options.seed, kShardSeedTag + s);
-          bo.jobs = 1;  // the shard fan-out already owns the pool
-          bo.inference = shard_opts;
-          try {
-            const BootstrapResult bs =
-                bootstrap_congestion(lg, lpaths, lcov, lsets, lblock, bo);
-            run.interval_width.resize(shard.links.size());
-            for (std::size_t i = 0; i < shard.links.size(); ++i) {
-              run.interval_width[i] = bs.upper[i] - bs.lower[i];
-            }
-          } catch (const Error&) {
-            run.interval_width.clear();  // unweighted fallback
-          }
         }
       });
 
@@ -397,8 +347,8 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
   };
 
   // Merge + reconciliation. Exclusive links copy their shard's estimate;
-  // shared links average in log space with bootstrap-precision weights
-  // when the shards agree, and queue for a joint re-solve when they don't.
+  // shared links take the plain log-space mean when the shards agree, and
+  // queue for a joint re-solve when they don't.
   result.log_good.assign(link_count, 0.0);
   std::vector<graph::LinkId> disputed;
   for (graph::LinkId e = 0; e < link_count; ++e) {
@@ -408,31 +358,21 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
       continue;
     }
     result.reconciled[e] = 1;
-    double lo = 0.0, hi = 0.0, weighted = 0.0, weight_sum = 0.0;
+    double lo = 0.0, hi = 0.0, sum = 0.0;
     for (std::size_t k = 0; k < cover.size(); ++k) {
       const std::size_t s = cover[k];
-      const std::size_t i = local_index(s, e);
-      const double x = runs[s].log_good[i];
+      const double x = runs[s].log_good[local_index(s, e)];
       if (k == 0) {
         lo = hi = x;
       } else {
         lo = std::min(lo, x);
         hi = std::max(hi, x);
       }
-      // Tighter bootstrap intervals count more; an unweighted shard (no
-      // precision pass, or a degenerate zero-width interval) contributes
-      // at the reference weight 1.
-      double w = 1.0;
-      if (!runs[s].interval_width.empty()) {
-        const double width = runs[s].interval_width[i];
-        if (width > 0.0) w = std::min(1.0 / (width * width), 1e12);
-      }
-      weighted += w * x;
-      weight_sum += w;
+      sum += x;
     }
     result.residual_gap[e] = hi - lo;
-    result.log_good[e] = weighted / weight_sum;
-    if (result.residual_gap[e] <= options.disagreement_tol) {
+    result.log_good[e] = sum / static_cast<double>(cover.size());
+    if (result.residual_gap[e] <= kShardDisagreementTol) {
       ++result.averaged_links;
     } else {
       disputed.push_back(e);

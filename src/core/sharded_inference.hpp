@@ -1,11 +1,13 @@
 // Sharded inference: internet-scale tomography by partitioning the path
 // mesh (the ROADMAP's "Internet-scale topologies via sharded inference").
 //
-// The monolithic pipeline hits a wall long before 10k routers: the
-// incremental NNLS engine's Gram system is dense |E| x |E|, so a 20k-link
-// mesh wants gigabytes for a matrix that is, in coverage terms, almost
-// block-diagonal — distinct vantage clusters rarely share links. This
-// module exploits exactly that structure:
+// Sharding pays in wall time. The monolithic solve's cost is its NNLS
+// passive-set factor, whose triangular solves grow with the number of
+// passive columns; at 10k routers that is one factor over thousands of
+// links. In coverage terms the system is almost block-diagonal — distinct
+// vantage clusters rarely share links — so it splits into many small
+// systems whose passive sets stay small. This module exploits exactly that
+// structure, in one pipeline for every plan (a one-shard plan included):
 //
 //   1. plan_shards partitions the paths by vantage-point cluster (all
 //      paths sharing a source node), merges clusters that share a link or
@@ -19,56 +21,54 @@
 //      ingress/egress lists, so running it on a link-restricted shard
 //      subgraph would flag nodes the monolithic run does not), then runs
 //      the existing harvest→demote→NNLS pipeline per shard on re-indexed
-//      local subsystems, fanned across the thread pool. Each shard derives
-//      its seeds from (seed, shard index), so the result is bit-identical
-//      for any `jobs`.
-//   3. Links covered by several shards are reconciled: agreeing shards
-//      average in log space, weighted by per-shard bootstrap precision
-//      (PR-8's batched Gram-skeleton engine); disagreeing shards fall back
-//      to a joint re-solve of the union subsystem — every harvested
-//      equation touching a disputed link, with the settled links'
-//      contributions substituted into the right-hand side. Per-link
-//      provenance (shard_of / reconciled / residual_gap) is recorded.
+//      local subsystems, fanned across the thread pool. Each shard writes
+//      only its own slot, so the result is bit-identical for any `jobs`.
+//   3. Links covered by several shards are reconciled by one rule: shards
+//      that agree within kShardDisagreementTol take the plain log-space
+//      mean; shards that disagree fall back to a joint re-solve of the
+//      union subsystem — every harvested equation touching a disputed
+//      link, with the settled links' contributions substituted into the
+//      right-hand side. Per-link provenance (shard_of / reconciled /
+//      residual_gap) is recorded.
 //
 // Exactness contract: pair-equation candidates always share a link, so a
 // link-disjoint shard contains precisely the monolithic harvest's
 // equations that live inside it. When the pair budget does not bind
 // (redundant mode accepts every usable correlation-free candidate, making
 // acceptance order-independent), an uncapped plan therefore reproduces the
-// monolithic solution up to Gram-summation rounding — the differential
-// suite (test_sharded_fast) pins this at 1e-8 across the registry.
+// monolithic solution up to Gram-summation rounding, and a one-shard plan
+// reproduces it bit for bit — the differential suite (test_sharded_fast)
+// pins both across the registry.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/bootstrap.hpp"
 #include "core/correlation_algorithm.hpp"
 #include "graph/coverage.hpp"
 #include "sim/measurement_block.hpp"
 
 namespace tomo::core {
 
+/// Largest |Δ log P(link good)| between two shards' estimates of a shared
+/// link that still counts as agreement; past it the link joins a joint
+/// re-solve instead of being averaged.
+inline constexpr double kShardDisagreementTol = 1e-6;
+
 struct ShardedOptions {
   /// Upper bound on paths per shard. 0 = unbounded: shards are exactly the
   /// link-disjoint components (no shared links, reconciliation idle) —
   /// the configuration the differential suite compares against the
   /// monolithic pipeline. Positive values split oversized components and
-  /// accept shared links in exchange for smaller per-shard Gram systems.
+  /// accept shared links in exchange for smaller per-shard systems.
   std::size_t max_shard_paths = 0;
   /// Shard fan-out width (1 = inline on the caller, 0 = all hardware
   /// cores). The result is bit-identical for any value.
   std::size_t jobs = 1;
-  /// Base seed for the per-shard sub-streams (bootstrap precision runs).
+  /// Inert: nothing in the sharded pipeline reads it. Kept only because
+  /// the benchmark runner still assigns it; it goes with the next change
+  /// to the benchmark.
   std::uint64_t seed = 1;
-  /// Bootstrap replicates per shared-link shard backing the precision
-  /// weights of the log-space average; 0 = unweighted mean. Only shards
-  /// that cover a shared link pay for this.
-  std::size_t precision_replicates = 16;
-  /// Largest |Δ log P(link good)| between two shards' estimates of a
-  /// shared link that still counts as agreement; past it the link joins a
-  /// joint re-solve instead of being averaged.
-  double disagreement_tol = 1e-6;
   InferenceOptions inference;
 };
 
@@ -103,8 +103,8 @@ struct ShardTelemetry {
   std::size_t equations = 0;
   std::size_t refined_links = 0;  // demoted by the shard's fallback rounds
   double solve_seconds = 0.0;
-  /// The shard's resample lost every usable equation: its links fall back
-  /// to log_good = 0 (exactly what the monolithic solver leaves for
+  /// The shard admits no usable equation: its links fall back to
+  /// log_good = 0 (exactly what the monolithic solver leaves for
   /// unconstrained columns).
   bool failed = false;
 };
@@ -129,8 +129,8 @@ struct ShardedInferenceResult {
   std::vector<ShardTelemetry> shards;
 };
 
-/// The sharded pipeline. With a single-shard plan this degenerates to (and
-/// is bit-identical with) infer_congestion on the full system.
+/// The sharded pipeline: plan → per-shard inference → reconcile, for every
+/// plan. A one-shard plan returns infer_congestion's estimates bit for bit.
 ShardedInferenceResult infer_sharded(const graph::Graph& g,
                                      const std::vector<graph::Path>& paths,
                                      const graph::CoverageIndex& coverage,

@@ -75,8 +75,10 @@ WindowEstimate StreamingInference::push_window(
   const Stopwatch solve_timer;
   linalg::LogSystemSolution solution;
   if (incremental_solver()) {
-    const bool reuse = options_.reuse_gram && weight_samples == 0 &&
-                       gram_valid_ && support_unchanged(harvest.system);
+    // Variance weights change every row value, so only unweighted solves
+    // can reuse G.
+    const bool reuse = weight_samples == 0 && gram_valid_ &&
+                       support_unchanged(harvest.system);
     if (reuse) {
       // Same equations, new measurements: G = AᵀA is exactly the batch
       // matrix already; only the rhs products depend on the y values.

@@ -10,10 +10,10 @@
 //
 //   - Gram reuse: when the harvested equation support is unchanged from
 //     the previous window (the steady state once the structure stabilizes)
-//     only the right-hand-side products are re-accumulated; G = AᵀA is
-//     reused. When the support changed, G is rebuilt from scratch — in
-//     either case bitwise what the batch build produces (additive,
-//     row-ordered accumulation; see linalg::accumulate_gram).
+//     and the solve is unweighted, only the right-hand-side products are
+//     re-accumulated; G = AᵀA is reused. Otherwise G is rebuilt from
+//     scratch — in either case bitwise what the batch build produces
+//     (additive, row-ordered accumulation; see linalg::accumulate_gram).
 //   - NNLS warm start: the solve is seeded from the previous window's
 //     converged active set via the UpdatableCholesky-backed engine, so the
 //     steady-state cost per window is a handful of O(k²) factor edits
@@ -44,9 +44,6 @@ struct StreamingOptions {
   /// Seed each window's NNLS from the previous window's converged active
   /// set (NNLS only; the first window is always cold).
   bool warm_start = true;
-  /// Reuse the cached G = AᵀA when the harvested support is unchanged
-  /// (unweighted solves only — variance weights change every row value).
-  bool reuse_gram = true;
 };
 
 struct WindowEstimate {

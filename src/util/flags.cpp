@@ -92,6 +92,15 @@ std::int64_t Flags::get_int(const std::string& name) const {
   return v;
 }
 
+std::size_t Flags::get_count(const std::string& name) const {
+  const std::int64_t v = get_int(name);
+  if (v < 0) {
+    throw Error("flag --" + name + " expects a non-negative count, got " +
+                std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 double Flags::get_double(const std::string& name) const {
   const Flag& flag = find(name, Kind::kDouble);
   char* end = nullptr;

@@ -5,6 +5,7 @@
 // tiny: the binaries need a handful of numeric knobs, not a CLI framework.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -31,6 +32,10 @@ class Flags {
   bool parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;
+  /// An int flag that counts something (a size, a number of trials or
+  /// threads): throws tomo::Error naming the flag when the value is
+  /// negative, instead of letting a cast wrap it to a huge count.
+  std::size_t get_count(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;

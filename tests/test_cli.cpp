@@ -1,6 +1,7 @@
 // Integration tests driving the tomo_cli binary end to end: generate a
 // topology, check it, simulate congestion, infer, merge, localize — the
-// full workflow a user runs, through the real executable.
+// full workflow a user runs, through the real executable — plus the
+// tomo_daemon flag checks.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +15,9 @@
 #ifndef TOMO_CLI_PATH
 #error "TOMO_CLI_PATH must be defined by the build"
 #endif
+#ifndef TOMO_DAEMON_PATH
+#error "TOMO_DAEMON_PATH must be defined by the build"
+#endif
 
 namespace {
 
@@ -22,9 +26,8 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult run_cli(const std::string& args) {
-  const std::string command =
-      std::string(TOMO_CLI_PATH) + " " + args + " 2>&1";
+CommandResult run_binary(const std::string& binary, const std::string& args) {
+  const std::string command = binary + " " + args + " 2>&1";
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   std::string output;
@@ -34,6 +37,14 @@ CommandResult run_cli(const std::string& args) {
   }
   const int status = pclose(pipe);
   return {WEXITSTATUS(status), output};
+}
+
+CommandResult run_cli(const std::string& args) {
+  return run_binary(TOMO_CLI_PATH, args);
+}
+
+CommandResult run_daemon(const std::string& args) {
+  return run_binary(TOMO_DAEMON_PATH, args);
 }
 
 // Unique per test process: ctest -j runs every discovered case as its own
@@ -162,6 +173,32 @@ TEST(CliErrors, HelpExitsZero) {
   const CommandResult r = run_cli("gen --help");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("--kind"), std::string::npos);
+}
+
+// A zero window used to divide by zero (SIGFPE) when batch labelled its
+// output line; it must be rejected like serve rejects it.
+TEST(DaemonErrors, BatchRejectsZeroWindow) {
+  const std::string trace = temp_path("daemon_trace.obs");
+  const std::string system = "--scenario waxman-full --shrink --seed 7";
+  const CommandResult record = run_daemon(
+      "record " + system + " --snapshots 64 --packets 200 --out " + trace);
+  ASSERT_EQ(record.exit_code, 0) << record.output;
+  const CommandResult r =
+      run_daemon("batch " + system + " --input " + trace + " --window 0");
+  std::remove(trace.c_str());
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("tomo_daemon: window size must be positive"),
+            std::string::npos)
+      << r.output;
+}
+
+// A negative count is an error naming the flag, not a cast to 2^64 - 5.
+TEST(DaemonErrors, ServeRejectsNegativeWindow) {
+  const CommandResult r = run_daemon(
+      "serve --scenario waxman-full --shrink --window -5 < /dev/null");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("tomo_daemon: flag --window"), std::string::npos)
+      << r.output;
 }
 
 }  // namespace

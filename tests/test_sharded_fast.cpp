@@ -6,9 +6,10 @@
 // monolithic equations that live inside it, so the sharded solution must
 // match the monolithic pipeline's up to Gram-summation rounding. These
 // tests pin that across every registry scenario (1e-8, bitwise on
-// single-shard plans), pin bit-identity across --jobs, and check the
-// structural/reconciliation invariants of capped plans, including a
-// synthetic traceroute dump driven end to end through the sharded path.
+// one-shard plans, which run the same plan → shard → reconcile pipeline),
+// pin bit-identity across --jobs, and check the structural/reconciliation
+// invariants of capped plans, including a synthetic traceroute dump driven
+// end to end through the sharded path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
 #include "core/sharded_inference.hpp"
+#include "corr/identifiability.hpp"
 #include "corr/model_factory.hpp"
 #include "graph/coverage.hpp"
 #include "sim/measurement.hpp"
@@ -164,10 +166,25 @@ TEST_P(RegistryShardedDifferential, UnboundedPlanMatchesMonolithic) {
   EXPECT_EQ(sharded.plan.shared_links, 0u)
       << GetParam() << ": unbounded plans are link-disjoint";
 
+  if (sharded.plan.shards.size() == 1) {
+    // Provenance stays split on one-shard plans too: the result names the
+    // hoisted structural refinement, the shard its own fallback rounds.
+    const std::vector<graph::LinkId> structural =
+        corr::structurally_unidentifiable_links(
+            p.inst.graph, p.inst.paths, p.inst.declared_sets);
+    EXPECT_EQ(sharded.refined_links, structural) << GetParam();
+    ASSERT_EQ(sharded.shards.size(), 1u);
+    ASSERT_GE(mono.refined_links.size(), structural.size()) << GetParam();
+    EXPECT_EQ(sharded.shards[0].refined_links,
+              mono.refined_links.size() - structural.size())
+        << GetParam();
+  }
+
   ASSERT_EQ(sharded.congestion_prob.size(), mono.congestion_prob.size());
   for (graph::LinkId e = 0; e < mono.congestion_prob.size(); ++e) {
     if (sharded.plan.shards.size() == 1) {
-      // Single-shard bypass: literally the monolithic call, bit for bit.
+      // One shard holds the whole system, so the general pipeline must
+      // reproduce the monolithic call bit for bit.
       EXPECT_EQ(sharded.congestion_prob[e], mono.congestion_prob[e])
           << GetParam() << ": link " << e;
       EXPECT_EQ(sharded.log_good[e], mono.log_good[e])
@@ -273,7 +290,7 @@ TEST(ShardedFast, SharedLinkReconciliationProperties) {
   // shard estimates spread past the tolerance enter joint re-solves.
   for (graph::LinkId e = 0; e < p.inst.graph.link_count(); ++e) {
     if (result.reconciled[e] &&
-        result.residual_gap[e] <= options.disagreement_tol) {
+        result.residual_gap[e] <= kShardDisagreementTol) {
       EXPECT_GT(result.averaged_links, 0u);
       break;
     }
@@ -283,24 +300,6 @@ TEST(ShardedFast, SharedLinkReconciliationProperties) {
   } else {
     EXPECT_EQ(result.resolved_links, 0u);
   }
-}
-
-TEST(ShardedFast, PrecisionWeightsOffStillReconciles) {
-  ScenarioConfig config;
-  config.topology = TopologyKind::kBarabasiAlbert;
-  config.vantage_points = 10;
-  config.seed = 23;
-  const PreparedScenario p = prepare(config, 29);
-
-  ShardedOptions options;
-  options.max_shard_paths = 10;
-  options.precision_replicates = 0;  // unweighted log-space mean
-  options.inference = unbudgeted_inference();
-  const ShardedInferenceResult result =
-      infer_sharded(p.inst.graph, p.inst.paths, p.coverage,
-                    p.inst.declared_sets, p.block, options);
-  check_result_invariants(result, p.inst.graph.link_count(),
-                          "unweighted reconciliation");
 }
 
 /// Synthesizes a traceroute dump: `sites` vantage hosts fully meshed over

@@ -65,13 +65,11 @@ core::InferenceResult batch_infer(const Prepared& p, std::size_t jobs = 1) {
 std::vector<WindowEstimate> streamed_infer(const Prepared& p,
                                            std::size_t window,
                                            std::size_t jobs,
-                                           bool warm_start = true,
-                                           bool reuse_gram = true) {
+                                           bool warm_start = true) {
   StreamingOptions options;
   options.inference.solver.jobs = jobs;
   options.inference.equations.jobs = jobs;
   options.warm_start = warm_start;
-  options.reuse_gram = reuse_gram;
   StreamingInference inference(p.inst.graph, p.inst.paths,
                                p.inst.declared_sets, options);
   std::vector<WindowEstimate> out;
@@ -223,15 +221,19 @@ INSTANTIATE_TEST_SUITE_P(
 /// truncated to the same snapshot prefix. This pins the whole incremental
 /// plumbing (splice, harvest, Gram reuse) with zero tolerance, leaving the
 /// warm start as the only approximately-equal step in the headline test.
+/// At least one steady-state window must take the Gram-reuse branch (only
+/// the right-hand-side products refreshed), so reuse is pinned bitwise too.
 TEST(StreamingFast, ColdWindowsEqualPrefixBatchBitwise) {
   const Prepared p = prepare("waxman-bursty");
   const std::vector<WindowEstimate> streamed =
-      streamed_infer(p, 97, 1, /*warm_start=*/false, /*reuse_gram=*/true);
+      streamed_infer(p, 97, 1, /*warm_start=*/false);
   const graph::CoverageIndex coverage(p.inst.graph, p.inst.paths);
   std::size_t ingested = 0;
+  bool any_reused = false;
   for (const WindowEstimate& estimate : streamed) {
     ingested = estimate.snapshots;
     if (!estimate.usable) continue;
+    any_reused = any_reused || estimate.gram_reused;
     const sim::EmpiricalMeasurement prefix(
         p.simr.measurement.slice(0, ingested));
     const core::InferenceResult batch = core::infer_congestion(
@@ -245,26 +247,6 @@ TEST(StreamingFast, ColdWindowsEqualPrefixBatchBitwise) {
         << "window " << estimate.window;
   }
   EXPECT_EQ(ingested, 300u);
-}
-
-/// Gram reuse must never change bits: the steady-state windows (unchanged
-/// harvested support) refresh only the right-hand side products.
-TEST(StreamingFast, GramReuseChangesNoBits) {
-  const Prepared p = prepare("brite-high");
-  const std::vector<WindowEstimate> reused = streamed_infer(p, 97, 1);
-  const std::vector<WindowEstimate> rebuilt =
-      streamed_infer(p, 97, 1, /*warm_start=*/true, /*reuse_gram=*/false);
-  ASSERT_EQ(reused.size(), rebuilt.size());
-  bool any_reused = false;
-  for (std::size_t k = 0; k < reused.size(); ++k) {
-    any_reused = any_reused || reused[k].gram_reused;
-    EXPECT_FALSE(rebuilt[k].gram_reused);
-    EXPECT_EQ(reused[k].inference.log_good, rebuilt[k].inference.log_good)
-        << "window " << k;
-    EXPECT_EQ(reused[k].inference.congestion_prob,
-              rebuilt[k].inference.congestion_prob)
-        << "window " << k;
-  }
   EXPECT_TRUE(any_reused)
       << "expected at least one steady-state window to reuse the Gram";
 }

@@ -232,6 +232,22 @@ TEST(Flags, RejectsMalformedValue) {
   EXPECT_THROW(flags.get_int("n"), Error);
 }
 
+TEST(Flags, CountRejectsNegativeValueNamingTheFlag) {
+  Flags flags("prog", "test");
+  flags.add_int("window", 256, "size").add_int("trials", 1, "count");
+  const char* argv[] = {"prog", "--window", "-5", "--trials", "0"};
+  ASSERT_TRUE(flags.parse(5, argv));
+  EXPECT_EQ(flags.get_count("trials"), 0u);
+  try {
+    flags.get_count("window");
+    FAIL() << "a negative count must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(e.message().find("--window"), std::string::npos) << e.message();
+  }
+  // get_int still hands the signed value through unchanged.
+  EXPECT_EQ(flags.get_int("window"), -5);
+}
+
 TEST(Flags, HelpReturnsFalse) {
   Flags flags("prog", "test");
   const char* argv[] = {"prog", "--help"};

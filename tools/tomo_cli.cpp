@@ -66,10 +66,9 @@ int cmd_gen(int argc, const char* const* argv) {
   std::string description;
   if (flags.get_string("kind") == "brite") {
     topogen::HierarchicalParams params;
-    params.as_nodes = static_cast<std::size_t>(flags.get_int("size"));
-    params.endpoints = static_cast<std::size_t>(flags.get_int("endpoints"));
-    params.max_corrset_size =
-        static_cast<std::size_t>(flags.get_int("cluster"));
+    params.as_nodes = flags.get_count("size");
+    params.endpoints = flags.get_count("endpoints");
+    params.max_corrset_size = flags.get_count("cluster");
     params.fabric_prob = flags.get_double("fabric-prob");
     params.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
     auto topo = topogen::generate_hierarchical(params);
@@ -79,10 +78,9 @@ int cmd_gen(int argc, const char* const* argv) {
     description = topo.description;
   } else if (flags.get_string("kind") == "planetlab") {
     topogen::PlanetLabParams params;
-    params.routers = static_cast<std::size_t>(flags.get_int("size"));
-    params.vantage_points =
-        static_cast<std::size_t>(flags.get_int("endpoints"));
-    params.cluster_size = static_cast<std::size_t>(flags.get_int("cluster"));
+    params.routers = flags.get_count("size");
+    params.vantage_points = flags.get_count("endpoints");
+    params.cluster_size = flags.get_count("cluster");
     params.fabric_prob = flags.get_double("fabric-prob");
     params.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
     auto topo = topogen::generate_planetlab_like(params);
@@ -123,8 +121,7 @@ int cmd_check(int argc, const char* const* argv) {
   }
   bool too_large = false;
   for (std::size_t s = 0; s < sets.set_count(); ++s) {
-    too_large |= sets.set(s).size() >
-                 static_cast<std::size_t>(flags.get_int("max-set-size"));
+    too_large |= sets.set(s).size() > flags.get_count("max-set-size");
   }
   if (too_large) {
     std::printf("exact check skipped: a correlation set exceeds "
@@ -132,8 +129,7 @@ int cmd_check(int argc, const char* const* argv) {
     return nodes.empty() ? 0 : 1;
   }
   const auto report = corr::check_identifiability(
-      coverage, sets,
-      static_cast<std::size_t>(flags.get_int("max-set-size")));
+      coverage, sets, flags.get_count("max-set-size"));
   if (report.holds) {
     std::printf("exact check: Assumption 4 HOLDS — every correlation "
                 "subset covers a distinct path set\n");
@@ -184,10 +180,9 @@ int cmd_simulate(int argc, const char* const* argv) {
       sets, congested, marginals, flags.get_double("strength"));
 
   sim::SimulatorConfig config;
-  config.snapshots = static_cast<std::size_t>(flags.get_int("snapshots"));
-  config.packets_per_path =
-      static_cast<std::size_t>(flags.get_int("packets"));
-  config.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
+  config.snapshots = flags.get_count("snapshots");
+  config.packets_per_path = flags.get_count("packets");
+  config.jobs = flags.get_count("jobs");
   config.seed = rng();
   const auto result =
       sim::simulate(system.graph, system.paths, *truth, config);
@@ -244,12 +239,11 @@ int cmd_infer(int argc, const char* const* argv) {
                                    sets, measurement, options);
 
   std::vector<double> lower, upper;
-  const std::size_t replicates =
-      static_cast<std::size_t>(flags.get_int("bootstrap"));
+  const std::size_t replicates = flags.get_count("bootstrap");
   if (replicates > 0 && !flags.get_bool("independent")) {
     core::BootstrapOptions boot;
     boot.replicates = replicates;
-    boot.jobs = static_cast<std::size_t>(flags.get_int("bootstrap-jobs"));
+    boot.jobs = flags.get_count("bootstrap-jobs");
     boot.inference = options;
     const core::BootstrapResult intervals = core::bootstrap_congestion(
         system.graph, system.paths, coverage, sets, measurement.block(),
@@ -335,8 +329,7 @@ int cmd_localize(int argc, const char* const* argv) {
       stream::load_trace(flags.get_string("obs")));
   TOMO_REQUIRE(measurement.path_count() == system.paths.size(),
                "observation file path count does not match the topology");
-  const std::size_t snapshot =
-      static_cast<std::size_t>(flags.get_int("snapshot"));
+  const std::size_t snapshot = flags.get_count("snapshot");
   TOMO_REQUIRE(snapshot < measurement.sample_count(),
                "snapshot out of range");
 

@@ -43,8 +43,8 @@
 #include "sim/simulator.hpp"
 #include "stream/obs_stream.hpp"
 #include "stream/serve.hpp"
-#include "util/bitops.hpp"
 #include "stream/streaming_inference.hpp"
+#include "util/bitops.hpp"
 #include "util/error.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
@@ -110,8 +110,7 @@ core::InferenceOptions inference_from(const Flags& flags) {
   core::InferenceOptions options;
   options.solver.kind =
       linalg::solver_kind_from_string(flags.get_string("solver"));
-  const std::size_t jobs =
-      static_cast<std::size_t>(flags.get_int("jobs"));
+  const std::size_t jobs = flags.get_count("jobs");
   options.solver.jobs = jobs;
   options.equations.jobs = jobs;
   return options;
@@ -152,10 +151,9 @@ int cmd_record(int argc, const char* const* argv) {
                "simulation)");
 
   sim::SimulatorConfig config;
-  config.snapshots = static_cast<std::size_t>(flags.get_int("snapshots"));
-  config.packets_per_path =
-      static_cast<std::size_t>(flags.get_int("packets"));
-  config.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
+  config.snapshots = flags.get_count("snapshots");
+  config.packets_per_path = flags.get_count("packets");
+  config.jobs = flags.get_count("jobs");
   config.seed = flags.get_int("sim-seed") != 0
                     ? static_cast<std::uint64_t>(flags.get_int("sim-seed"))
                     : mix_seed(static_cast<std::uint64_t>(
@@ -173,8 +171,7 @@ int cmd_record(int argc, const char* const* argv) {
     TOMO_REQUIRE(os.good(), "cannot open " + out + " for writing");
     stream::ObsStreamWriter writer(os, result.measurement.path_count);
     for (const sim::MeasurementBlock& window : stream::split_windows(
-             result.measurement,
-             static_cast<std::size_t>(flags.get_int("window")))) {
+             result.measurement, flags.get_count("window"))) {
       writer.write_window(window);
     }
     writer.close();
@@ -204,8 +201,6 @@ int cmd_serve(int argc, const char* const* argv) {
                 "byte-identical for any value");
   flags.add_bool("cold", false,
                  "disable the NNLS warm start (every window solves cold)");
-  flags.add_bool("no-gram-reuse", false,
-                 "rebuild the Gram matrix every window");
   flags.add_int("poll-ms", 0,
                 "tail mode: retry interval after EOF (0 = stop at EOF)");
   flags.add_int("max-windows", 0, "stop after this many windows (0 = all)");
@@ -219,13 +214,10 @@ int cmd_serve(int argc, const char* const* argv) {
   stream::ServeOptions options;
   options.streaming.inference = inference_from(flags);
   options.streaming.warm_start = !flags.get_bool("cold");
-  options.streaming.reuse_gram = !flags.get_bool("no-gram-reuse");
-  options.window_snapshots =
-      static_cast<std::size_t>(flags.get_int("window"));
-  options.ring_capacity = static_cast<std::size_t>(flags.get_int("ring"));
+  options.window_snapshots = flags.get_count("window");
+  options.ring_capacity = flags.get_count("ring");
   options.poll_ms = static_cast<long>(flags.get_int("poll-ms"));
-  options.max_windows =
-      static_cast<std::size_t>(flags.get_int("max-windows"));
+  options.max_windows = flags.get_count("max-windows");
   if (flags.get_bool("mean-err") && !system.truth.empty()) {
     options.truth = &system.truth;
   }
@@ -286,6 +278,8 @@ int cmd_batch(int argc, const char* const* argv) {
   flags.add_bool("mean-err", true,
                  "report mean_err when ground truth is known");
   if (!flags.parse(argc, argv)) return 0;
+  const std::size_t window = flags.get_count("window");
+  TOMO_REQUIRE(window > 0, "window size must be positive");
 
   const ResolvedSystem system = resolve_system(flags);
 
@@ -297,8 +291,6 @@ int cmd_batch(int argc, const char* const* argv) {
   }
   sim::MeasurementBlock block =
       stream::read_trace(input == "-" ? std::cin : file);
-  const std::size_t window =
-      static_cast<std::size_t>(flags.get_int("window"));
   const std::size_t windows = (block.snapshot_count + window - 1) / window;
   const std::size_t snapshots = block.snapshot_count;
   const sim::EmpiricalMeasurement measurement(std::move(block));

@@ -169,7 +169,6 @@ ShardedScore run_sharded_entry(bench::Run& run,
     // Mirrors apply_trial_settings: with one trial the trial pool idles,
     // so --jobs fans the shards instead (bit-identical either way).
     options.jobs = s.trials == 1 ? s.jobs : 1;
-    options.seed = ctx.seed(tag + 0x5d);
     options.inference = config.inference;
     const core::ShardedInferenceResult result = core::infer_sharded(
         inst.graph, inst.paths, coverage, inst.declared_sets, block, options);
@@ -258,8 +257,7 @@ int run_scenarios(int argc, char** argv) {
   }
 
   if (flags.get_bool("sharded")) {
-    const std::size_t max_shard_paths =
-        static_cast<std::size_t>(flags.get_int("max-shard-paths"));
+    const std::size_t max_shard_paths = flags.get_count("max-shard-paths");
     Table table({"scenario", "links", "paths", "shards", "shared_links",
                  "averaged", "resolved", "sharded_mean_err",
                  "sharded_p90_err"});
