@@ -20,10 +20,12 @@
 #include <vector>
 
 #include "core/correlation_algorithm.hpp"
+#include "core/equations.hpp"
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/coverage.hpp"
 #include "linalg/rank_tracker.hpp"
+#include "linalg/solvers.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
 #include "stream/streaming_inference.hpp"
@@ -247,6 +249,37 @@ TEST(StreamingFast, ColdWindowsEqualPrefixBatchBitwise) {
         << "window " << estimate.window;
   }
   EXPECT_EQ(ingested, 300u);
+  EXPECT_TRUE(any_reused)
+      << "expected at least one steady-state window to reuse the Gram";
+}
+
+/// Gram reuse must never change bits: each warm-started steady-state window
+/// that refreshed only the right-hand-side products must equal the same
+/// solve (same equations, same warm start) on a freshly built Gram.
+TEST(StreamingFast, GramReuseChangesNoBits) {
+  const Prepared p = prepare("brite-high");
+  const std::vector<WindowEstimate> streamed = streamed_infer(p, 97, 1);
+  bool any_reused = false;
+  for (std::size_t k = 0; k < streamed.size(); ++k) {
+    if (!streamed[k].gram_reused) continue;
+    any_reused = true;
+    // Reuse needs a valid Gram, so the previous window was usable and its
+    // active set is this window's warm start.
+    ASSERT_GT(k, 0u);
+    ASSERT_TRUE(streamed[k - 1].usable);
+    linalg::SolverOptions solver;
+    solver.warm_start = streamed[k - 1].inference.active_set;
+    core::InferenceResult rebuilt;
+    core::apply_solution(
+        rebuilt, linalg::solve_log_system(
+                     core::sparse_view(streamed[k].inference.system), solver));
+    EXPECT_EQ(streamed[k].inference.log_good, rebuilt.log_good)
+        << "window " << k;
+    EXPECT_EQ(streamed[k].inference.congestion_prob, rebuilt.congestion_prob)
+        << "window " << k;
+    EXPECT_EQ(streamed[k].inference.active_set, rebuilt.active_set)
+        << "window " << k;
+  }
   EXPECT_TRUE(any_reused)
       << "expected at least one steady-state window to reuse the Gram";
 }
