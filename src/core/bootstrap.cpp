@@ -4,7 +4,6 @@
 #include <future>
 #include <utility>
 
-#include "sim/estimator.hpp"
 #include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 
@@ -88,26 +87,19 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
   std::vector<std::vector<double>> estimates(options.replicates);
   std::vector<std::uint8_t> fell_back(options.replicates, 0);
 
-  // The Gram-skeleton fast path is valid only when a replicate provably
-  // re-harvests the exact same system, which needs:
-  //  - every accepted equation still usable on the replicate (checked
-  //    per replicate below) — a resample can only *lose* good
-  //    snapshots, never invent them, so with min_good <= 1 no dropped
-  //    candidate can become usable;
-  //  - include_redundant, so every eligible single is an accepted
-  //    equation (in non-redundant mode an eligible-but-dependent single
-  //    feeds pair candidates without appearing in the system, and its
-  //    usability flip would go undetected). The rank tracker absorbs
-  //    only independent — hence accepted — rows, so a *dependent*
-  //    candidate losing usability shifts a diagnostic counter but never
-  //    the harvested equations;
-  //  - the demotion chain replays: structural refinement is
-  //    measurement-independent, and each demotion round's decision is a
-  //    function of that round's harvest, so checking the intermediate
-  //    rounds' witness_paths (plus the final system, checked by the y
-  //    loop) per replicate certifies the whole chain.
-  // Anything outside that envelope falls back to a full re-harvest:
-  // infer_congestion verbatim.
+  // The Gram-skeleton fast path runs a replicate on the point harvest when
+  // replay_harvest certifies that re-harvesting the resample rebuilds the
+  // same system: every candidate the point harvest found unusable is still
+  // unusable (always, here: a resample only loses good snapshots, and with
+  // min_good <= 1 nothing unusable can turn usable), and every witness and
+  // final-system equation is still usable. Its blind spot, a usable
+  // candidate dropped as dependent turning unusable, is harmless only
+  // under include_redundant: every eligible single is then an equation (in
+  // non-redundant mode an eligible-but-dependent single feeds pair
+  // candidates without appearing in the system), and a dependent pair
+  // turning unusable shifts a diagnostic counter but never the harvested
+  // equations. Anything outside that envelope falls back to a full
+  // re-harvest: infer_congestion verbatim.
   const EquationBuildOptions& eq = options.inference.equations;
   const bool support_reusable =
       incremental && eq.include_redundant && eq.min_good_snapshots <= 1;
@@ -145,55 +137,27 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
     const sim::EmpiricalMeasurement measurement(
         block.resample(picks, resample_scratch));
     resample_seconds += resample_watch.seconds();
-    if (support_reusable) {
-      bool supports_hold = true;
-      // Intermediate demotion rounds first: if any of their equations
-      // lost usability the demotion decisions may diverge.
-      for (const std::vector<graph::PathId>& wp : harvest.witness_paths) {
-        const double prob = wp.size() == 1
-                                ? measurement.good_prob(wp[0])
-                                : measurement.pair_good_prob(wp[0], wp[1]);
-        if (!sim::log_estimate(prob, n, eq.min_good_snapshots).usable) {
-          supports_hold = false;
-          break;
-        }
+    if (support_reusable &&
+        replay_harvest(harvest, measurement, eq.min_good_snapshots, ys)) {
+      const linalg::SparseSystemView view =
+          sparse_view_with_rhs(harvest.system, ys, weight_samples);
+      linalg::LogSystemSolution solution;
+      if (weight_samples == 0) {
+        linalg::refresh_gram_rhs(scratch, view, fast_solver.jobs);
+        solution = linalg::solve_log_system(view, scratch, fast_solver);
+      } else {
+        // Variance weights scale every row by its replicate estimate, so
+        // the Gram matrix itself changes; rebuild it — the harvest skip
+        // still amortizes the expensive part.
+        linalg::GramSystem gs;
+        linalg::accumulate_gram(gs, view, 1);
+        solution =
+            linalg::solve_log_system(view, gs, replicate_inference.solver);
       }
-      for (std::size_t i = 0;
-           supports_hold && i < harvest.system.equations.size(); ++i) {
-        const Equation& e = harvest.system.equations[i];
-        const double prob =
-            e.paths.size() == 1
-                ? measurement.good_prob(e.paths[0])
-                : measurement.pair_good_prob(e.paths[0], e.paths[1]);
-        const sim::LogProbEstimate est =
-            sim::log_estimate(prob, n, eq.min_good_snapshots);
-        if (!est.usable) {
-          supports_hold = false;
-          break;
-        }
-        ys[i] = est.log_prob;
-      }
-      if (supports_hold) {
-        const linalg::SparseSystemView view =
-            sparse_view_with_rhs(harvest.system, ys, weight_samples);
-        linalg::LogSystemSolution solution;
-        if (weight_samples == 0) {
-          linalg::refresh_gram_rhs(scratch, view, fast_solver.jobs);
-          solution = linalg::solve_log_system(view, scratch, fast_solver);
-        } else {
-          // Variance weights scale every row by its replicate estimate,
-          // so the Gram matrix itself changes; rebuild it — the harvest
-          // skip still amortizes the expensive part.
-          linalg::GramSystem gs;
-          linalg::accumulate_gram(gs, view, 1);
-          solution = linalg::solve_log_system(view, gs,
-                                              replicate_inference.solver);
-        }
-        InferenceResult replicate;
-        apply_solution(replicate, std::move(solution));
-        estimates[r] = std::move(replicate.congestion_prob);
-        return;
-      }
+      InferenceResult replicate;
+      apply_solution(replicate, std::move(solution));
+      estimates[r] = std::move(replicate.congestion_prob);
+      return;
     }
     // Support changed (or the configuration cannot prove it stable):
     // a full re-harvest.

@@ -11,16 +11,16 @@
 //
 // The engine amortizes everything replicates share. Picks are gathered
 // word-level into bit-packed MeasurementBlock columns, the equation
-// harvest runs once on the point estimate, and each replicate that keeps
-// the harvest's support alive re-estimates only the right-hand sides and
-// solves on the shared Gram skeleton (linalg::refresh_gram_rhs + NNLS
-// warm start), falling back to a full re-harvest only when support
-// actually changes. Replicates fan across the thread pool on
-// per-replicate seed streams, so intervals are bit-identical for any
-// `jobs`. The historical serial path — per-bit resample, full
-// re-inference per replicate — is kept in tests/reference: at matched
-// seeds this engine with warm_start off is bitwise equal to it; with
-// warm_start on both reach the same optimum.
+// harvest runs once on the point estimate, and each replicate that
+// core::replay_harvest certifies (the same check the streaming driver
+// runs per window) re-estimates only the right-hand sides and solves on
+// the shared Gram skeleton (linalg::refresh_gram_rhs + NNLS warm start),
+// falling back to a full re-harvest only when support actually changes.
+// Replicates fan across the thread pool on per-replicate seed streams, so
+// intervals are bit-identical for any `jobs`. The historical serial path —
+// per-bit resample, full re-inference per replicate — is kept in
+// tests/reference: at matched seeds this engine with warm_start off is
+// bitwise equal to it; with warm_start on both reach the same optimum.
 #pragma once
 
 #include <cstdint>

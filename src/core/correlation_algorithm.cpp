@@ -54,8 +54,8 @@ RefinedHarvest harvest_refined_system(
     }
   }
 
-  harvest.system =
-      build_equations(coverage, refined, measurement, options.equations);
+  harvest.system = build_equations(coverage, refined, measurement,
+                                   options.equations, &harvest.unusable);
 
   // Fallback rounds: links untouched by any usable equation are
   // unidentifiable under the declared structure — act as if they were
@@ -78,18 +78,43 @@ RefinedHarvest harvest_refined_system(
     }
     if (!progress) break;  // already singletons; nothing left to relax
     // This round's harvest is about to be replaced: record its equation
-    // path sets so bootstrap replicates can certify the demotion decision
-    // replays (see RefinedHarvest::witness_paths).
+    // path sets so replay_harvest can certify the demotion decision
+    // replays.
     for (const Equation& eq : harvest.system.equations) {
       harvest.witness_paths.push_back(eq.paths);
     }
     refined = demote_to_singletons(refined, uncovered);
     harvest.refined_links.insert(harvest.refined_links.end(),
                                  uncovered.begin(), uncovered.end());
-    harvest.system =
-        build_equations(coverage, refined, measurement, options.equations);
+    harvest.system = build_equations(coverage, refined, measurement,
+                                     options.equations, &harvest.unusable);
   }
   return harvest;
+}
+
+bool replay_harvest(const RefinedHarvest& kept,
+                    const sim::MeasurementProvider& measurement,
+                    std::size_t min_good_snapshots, std::vector<double>& ys) {
+  const auto usable = [&](CandidatePaths candidate) {
+    return candidate_estimate(measurement, candidate, min_good_snapshots)
+        .usable;
+  };
+  for (const CandidatePaths& candidate : kept.unusable) {
+    if (usable(candidate)) return false;
+  }
+  for (const std::vector<graph::PathId>& wp : kept.witness_paths) {
+    if (!usable({wp.front(), wp.back()})) return false;
+  }
+  const std::vector<Equation>& equations = kept.system.equations;
+  ys.resize(equations.size());
+  for (std::size_t i = 0; i < equations.size(); ++i) {
+    const std::vector<graph::PathId>& paths = equations[i].paths;
+    const sim::LogProbEstimate est = candidate_estimate(
+        measurement, {paths.front(), paths.back()}, min_good_snapshots);
+    if (!est.usable) return false;
+    ys[i] = est.log_prob;
+  }
+  return true;
 }
 
 void apply_solution(InferenceResult& result,

@@ -54,18 +54,20 @@ struct InferenceResult {
 /// The structure-determination phase of the correlation algorithm,
 /// factored out so the batch and streaming drivers run literally the same
 /// code: Assumption-4 refinement, the pair-equation harvest, and the §3.3
-/// demotion rounds.
+/// demotion rounds. Everything in that chain is measurement-independent
+/// except which candidates each round finds usable, and the final
+/// equations' y values; the two records below pin that usability for
+/// replay_harvest.
 struct RefinedHarvest {
   EquationSystem system;  // harvest under the refined structure
   std::vector<graph::LinkId> refined_links;  // demoted to singletons
   /// Path sets of the intermediate demotion rounds' equations (harvests a
-  /// later round replaced). Everything else in the refine→harvest→demote
-  /// chain is measurement-independent, so a caller re-running the chain on
-  /// a *weaker* measurement (the bootstrap's resamples: good snapshots can
-  /// only be lost, never invented) replays it identically iff these path
-  /// sets and the final system's equations all stay usable — the batched
-  /// bootstrap's support-stability certificate.
+  /// later round replaced).
   std::vector<std::vector<graph::PathId>> witness_paths;
+  /// Every candidate a round of the chain tried and found unusable, round
+  /// by round in candidate order (a candidate several rounds tried appears
+  /// once per round).
+  std::vector<CandidatePaths> unusable;
 };
 
 /// Runs refinement + harvest + demotion on the measurements seen so far.
@@ -77,6 +79,29 @@ RefinedHarvest harvest_refined_system(
     const graph::CoverageIndex& coverage, const corr::CorrelationSets& sets,
     const sim::MeasurementProvider& measurement,
     const InferenceOptions& options);
+
+/// Checks a kept harvest against another measurement: true iff every
+/// candidate `kept.unusable` records is still unusable there, and every
+/// witness path set and final-system equation is still usable. It then
+/// fills ys[i] with equation i's y over `measurement`, formed by
+/// candidate_estimate as build_equations forms it (`ys` is resized; its
+/// contents are unspecified on false).
+///
+/// Re-running the chain on a measurement where every candidate it tried
+/// keeps its usability rebuilds `kept` exactly — equations, order,
+/// counters and refined links — with only the y values new. The check
+/// covers every tried candidate except the usable ones the harvest dropped
+/// as linearly dependent, so a caller must know those cannot turn
+/// unusable or that it does not care if they do:
+///  - a streamed prefix only gains good snapshots, so nothing usable ever
+///    turns unusable (stream::StreamingInference);
+///  - a bootstrap resample can lose good snapshots, but with
+///    include_redundant every usable single is an equation, and a
+///    dependent pair turning unusable moves only a dropped_* counter
+///    (bootstrap_congestion).
+bool replay_harvest(const RefinedHarvest& kept,
+                    const sim::MeasurementProvider& measurement,
+                    std::size_t min_good_snapshots, std::vector<double>& ys);
 
 /// Converts a solved log-domain system into the probability-domain fields
 /// of an InferenceResult (log_good, clamped congestion_prob, active set,

@@ -116,10 +116,21 @@ bool PairPrecheck::correlation_free(graph::PathId p, graph::PathId q) const {
                                      coverage_.sorted_links_of(q));
 }
 
+sim::LogProbEstimate candidate_estimate(
+    const sim::MeasurementProvider& measurement, CandidatePaths candidate,
+    std::size_t min_good_snapshots) {
+  const auto [p, q] = candidate;
+  const double prob =
+      p == q ? measurement.good_prob(p) : measurement.pair_good_prob(p, q);
+  return sim::log_estimate(prob, measurement.sample_count(),
+                           min_good_snapshots);
+}
+
 EquationSystem build_equations(const graph::CoverageIndex& coverage,
                                const corr::CorrelationSets& sets,
                                const sim::MeasurementProvider& measurement,
-                               const EquationBuildOptions& options) {
+                               const EquationBuildOptions& options,
+                               std::vector<CandidatePaths>* unusable) {
   TOMO_REQUIRE(coverage.link_count() == sets.link_count(),
                "coverage and correlation sets disagree on link count");
   TOMO_REQUIRE(coverage.path_count() == measurement.path_count(),
@@ -160,10 +171,10 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
       continue;
     }
     const sim::LogProbEstimate est =
-        sim::log_estimate(measurement.good_prob(p), measurement.sample_count(),
-                          options.min_good_snapshots);
+        candidate_estimate(measurement, {p, p}, options.min_good_snapshots);
     if (!est.usable) {
       ++sys.dropped_unusable;
+      if (unusable != nullptr) unusable->emplace_back(p, p);
       continue;
     }
     eligible[p] = 1;  // usable & correlation-free: a pair-phase citizen
@@ -190,7 +201,7 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
       options.use_pairs &&
       (options.include_redundant || !tracker.full_rank());
   if (want_pairs) {
-    std::vector<std::pair<graph::PathId, graph::PathId>> candidates;
+    std::vector<CandidatePaths> candidates;
     for (graph::LinkId e = 0; e < link_count; ++e) {
       const auto& through = coverage.paths_through(e);
       for (std::size_t i = 0; i < through.size(); ++i) {
@@ -219,9 +230,8 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
       ev.corr_free = all_singletons || precheck->correlation_free(p, q);
       if (ev.corr_free) {
         sorted_union_into(plinks(p), plinks(q), ev.links);
-        ev.est = sim::log_estimate(measurement.pair_good_prob(p, q),
-                                   measurement.sample_count(),
-                                   options.min_good_snapshots);
+        ev.est = candidate_estimate(measurement, candidates[idx],
+                                    options.min_good_snapshots);
       }
     };
 
@@ -281,6 +291,7 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
         }
         if (!ev.est.usable) {
           ++sys.dropped_unusable;
+          if (unusable != nullptr) unusable->push_back(candidates[start + k]);
           continue;
         }
         // Once full rank is reached, redundant-mode acceptance no longer

@@ -24,11 +24,13 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "corr/correlation.hpp"
 #include "graph/coverage.hpp"
 #include "linalg/solvers.hpp"
+#include "sim/estimator.hpp"
 #include "sim/measurement.hpp"
 
 namespace tomo::core {
@@ -102,13 +104,26 @@ class PairPrecheck {
   std::vector<std::uint64_t> bits_;
 };
 
+/// A harvest candidate by its path ids: {p, p} is path p's single-path
+/// equation, {p, q} with p != q the pair equation of p and q.
+using CandidatePaths = std::pair<graph::PathId, graph::PathId>;
+
+/// The estimate of P(every path of `candidate` good): the y
+/// build_equations installs, or its reason to drop the candidate as
+/// unusable.
+sim::LogProbEstimate candidate_estimate(
+    const sim::MeasurementProvider& measurement, CandidatePaths candidate,
+    std::size_t min_good_snapshots);
+
 /// Builds the equation system for the given correlation structure. Pass
 /// CorrelationSets::singletons() to obtain the independence baseline's
-/// system.
+/// system. When `unusable` is given, every candidate the build tried and
+/// dropped as unusable is appended to it, in candidate order.
 EquationSystem build_equations(const graph::CoverageIndex& coverage,
                                const corr::CorrelationSets& sets,
                                const sim::MeasurementProvider& measurement,
-                               const EquationBuildOptions& options = {});
+                               const EquationBuildOptions& options = {},
+                               std::vector<CandidatePaths>* unusable = nullptr);
 
 /// Solver-facing sparse view of the harvest: one row per equation,
 /// borrowing the equations' link storage (the view must not outlive

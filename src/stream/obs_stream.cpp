@@ -93,7 +93,8 @@ void ObsStreamWriter::close() {
   os_.flush();
 }
 
-ObsStreamReader::ObsStreamReader(std::istream& is) : is_(is) {}
+ObsStreamReader::ObsStreamReader(std::istream& is, std::size_t expected_paths)
+    : is_(is), expected_paths_(expected_paths) {}
 
 void ObsStreamReader::fail(const std::string& what) const {
   throw Error("obs-stream line " + std::to_string(line_no_) + ": " + what);
@@ -145,20 +146,25 @@ bool ObsStreamReader::parse_line(std::string line) {
 
   if (tag == "paths") {
     if (paths_ != 0) fail("duplicate dimension line");
+    std::size_t snapshots = 0;
     if (batch_) {
-      std::size_t snapshots = 0;
       std::string snap_tag;
       if (!(ls >> paths_ >> snap_tag >> snapshots) ||
           snap_tag != "snapshots") {
         fail("malformed dimension line");
       }
       if (paths_ == 0 || snapshots == 0) fail("empty observation matrix");
-      check_block_size(paths_, snapshots);
+    } else if (!(ls >> paths_) || paths_ == 0) {
+      fail("malformed paths line");
+    }
+    if (expected_paths_ != 0 && paths_ != expected_paths_) {
+      fail("header declares " + std::to_string(paths_) +
+           " paths but the topology has " + std::to_string(expected_paths_));
+    }
+    check_block_size(paths_, batch_ ? snapshots : 1);
+    if (batch_) {
       pending_ = sim::MeasurementBlock::all_good(paths_, snapshots);
       pending_line_ = line_no_;
-    } else {
-      if (!(ls >> paths_) || paths_ == 0) fail("malformed paths line");
-      check_block_size(paths_, 1);
     }
     return false;
   }

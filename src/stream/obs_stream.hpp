@@ -71,7 +71,9 @@ class ObsStreamWriter {
 
 class ObsStreamReader {
  public:
-  explicit ObsStreamReader(std::istream& is);
+  /// With `expected_paths` > 0 (the topology's path count), a dimension
+  /// line declaring any other count is rejected as soon as it is read.
+  explicit ObsStreamReader(std::istream& is, std::size_t expected_paths = 0);
 
   /// The next complete window, in stream order; nullopt when the stream
   /// has no complete window buffered (EOF mid-stream — retryable — or
@@ -101,6 +103,7 @@ class ObsStreamReader {
   bool parse_line(std::string line);  // true when a window just completed
 
   std::istream& is_;
+  std::size_t expected_paths_;
   std::size_t line_no_ = 0;
   std::string carry_;  // partial (unterminated) trailing line, tail mode
   bool have_header_ = false;

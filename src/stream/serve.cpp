@@ -69,11 +69,12 @@ ServeReport serve(std::istream& input, std::ostream& output,
   std::size_t truncations = 0;  // producer-owned until the join below
 
   // Producer: tail the input and feed the ring. The reader is touched by
-  // this thread only.
+  // this thread only, and rejects a paths header that disagrees with the
+  // topology before any window is read.
   std::thread producer([&] {
     try {
       std::optional<ObsStreamReader> reader;
-      reader.emplace(input);
+      reader.emplace(input, paths.size());
       long long last_size = -1;
       for (;;) {
         std::optional<sim::MeasurementBlock> window = reader->next();
@@ -108,7 +109,7 @@ ServeReport serve(std::istream& input, std::ostream& output,
               ++truncations;
               input.clear();
               input.seekg(0);
-              reader.emplace(input);
+              reader.emplace(input, paths.size());
             }
             last_size = size;
           }
@@ -124,15 +125,15 @@ ServeReport serve(std::istream& input, std::ostream& output,
 
   ServeReport report;
   // Whatever stops the consumer — close, max_windows, a dead output, or an
-  // exception from push_window (a paths header that disagrees with the
-  // topology, say) — the ring is closed and the producer joined before
-  // serve returns or rethrows: destroying a joinable std::thread would
-  // call std::terminate.
+  // exception from push_window — the ring is closed and the producer
+  // joined before serve returns or rethrows: destroying a joinable
+  // std::thread would call std::terminate.
   try {
     StreamingInference inference(g, paths, declared, options.streaming);
     while (std::optional<sim::MeasurementBlock> window = ring.pop()) {
       const WindowEstimate estimate = inference.push_window(*window);
       ++report.windows;
+      if (estimate.harvest_replayed) ++report.replayed_windows;
       report.snapshots = estimate.snapshots;
       report.total_seconds += estimate.seconds;
       report.max_window_seconds =

@@ -51,6 +51,9 @@ struct ServeOptions {
 struct ServeReport {
   std::size_t windows = 0;         // windows ingested
   std::size_t usable_windows = 0;  // windows with a solved estimate
+  /// Windows that replayed the previous harvest instead of re-harvesting
+  /// (WindowEstimate::harvest_replayed).
+  std::size_t replayed_windows = 0;
   std::size_t snapshots = 0;       // cumulative snapshots ingested
   double total_seconds = 0.0;      // sum of per-window update times
   double max_window_seconds = 0.0;

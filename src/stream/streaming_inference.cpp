@@ -1,11 +1,27 @@
 #include "stream/streaming_inference.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/equations.hpp"
 #include "util/stopwatch.hpp"
 
 namespace tomo::stream {
+
+namespace {
+
+/// True iff both systems have the same equation supports in the same
+/// order: the rows G = AᵀA is accumulated from.
+bool same_support(const core::EquationSystem& a,
+                  const core::EquationSystem& b) {
+  return std::equal(a.equations.begin(), a.equations.end(),
+                    b.equations.begin(), b.equations.end(),
+                    [](const core::Equation& x, const core::Equation& y) {
+                      return x.links == y.links;
+                    });
+}
+
+}  // namespace
 
 StreamingInference::StreamingInference(const graph::Graph& g,
                                        const std::vector<graph::Path>& paths,
@@ -22,25 +38,6 @@ bool StreamingInference::incremental_solver() const {
   return options_.inference.solver.kind == linalg::SolverKind::kNnls;
 }
 
-bool StreamingInference::support_unchanged(
-    const core::EquationSystem& system) const {
-  if (system.link_count != gram_.gram.cols()) return false;
-  if (system.equations.size() != gram_support_.size()) return false;
-  for (std::size_t i = 0; i < gram_support_.size(); ++i) {
-    if (system.equations[i].links != gram_support_[i]) return false;
-  }
-  return true;
-}
-
-void StreamingInference::remember_support(
-    const core::EquationSystem& system) {
-  gram_support_.clear();
-  gram_support_.reserve(system.equations.size());
-  for (const core::Equation& eq : system.equations) {
-    gram_support_.push_back(eq.links);
-  }
-}
-
 WindowEstimate StreamingInference::push_window(
     const sim::MeasurementBlock& window) {
   const Stopwatch timer;
@@ -49,13 +46,34 @@ WindowEstimate StreamingInference::push_window(
   measurement_.append(window);
   out.snapshots = measurement_.block().snapshot_count;
 
-  core::RefinedHarvest harvest = core::harvest_refined_system(
-      graph_, paths_, coverage_, declared_, measurement_, options_.inference);
-  if (harvest.system.equations.empty()) {
-    // Nothing solvable yet; drop the caches so the next window starts
-    // clean, and report the window as not yet usable.
+  // Only a candidate the kept harvest found unusable can have changed
+  // usability since (a prefix only gains good snapshots), so when none has
+  // the re-harvest would rebuild the kept system with new y values.
+  out.harvest_replayed =
+      kept_.has_value() &&
+      core::replay_harvest(*kept_, measurement_,
+                           options_.inference.equations.min_good_snapshots,
+                           ys_);
+  bool support_unchanged = out.harvest_replayed;
+  if (out.harvest_replayed) {
+    core::EquationSystem& system = kept_->system;
+    for (std::size_t i = 0; i < system.equations.size(); ++i) {
+      system.equations[i].y = ys_[i];
+    }
+    system.build_seconds = 0.0;  // nothing was built
+  } else {
+    core::RefinedHarvest harvest = core::harvest_refined_system(
+        graph_, paths_, coverage_, declared_, measurement_,
+        options_.inference);
+    support_unchanged =
+        kept_.has_value() && same_support(kept_->system, harvest.system);
+    kept_ = std::move(harvest);
+  }
+  const core::EquationSystem& system = kept_->system;
+  if (system.equations.empty()) {
+    // Nothing solvable yet; drop the solver caches so the next window
+    // starts clean, and report the window as not yet usable.
     gram_valid_ = false;
-    gram_support_.clear();
     prev_active_.clear();
     out.seconds = timer.seconds();
     return out;
@@ -65,7 +83,7 @@ WindowEstimate StreamingInference::push_window(
       options_.inference.weight_by_variance ? measurement_.sample_count()
                                             : 0;
   const linalg::SparseSystemView view =
-      core::sparse_view(harvest.system, weight_samples);
+      core::sparse_view(system, weight_samples);
 
   linalg::SolverOptions solver = options_.inference.solver;
   if (options_.warm_start && incremental_solver()) {
@@ -77,8 +95,8 @@ WindowEstimate StreamingInference::push_window(
   if (incremental_solver()) {
     // Variance weights change every row value, so only unweighted solves
     // can reuse G.
-    const bool reuse = weight_samples == 0 && gram_valid_ &&
-                       support_unchanged(harvest.system);
+    const bool reuse =
+        weight_samples == 0 && gram_valid_ && support_unchanged;
     if (reuse) {
       // Same equations, new measurements: G = AᵀA is exactly the batch
       // matrix already; only the rhs products depend on the y values.
@@ -88,11 +106,6 @@ WindowEstimate StreamingInference::push_window(
       gram_ = linalg::GramSystem{};
       linalg::accumulate_gram(gram_, view, solver.jobs);
       gram_valid_ = weight_samples == 0;
-      if (gram_valid_) {
-        remember_support(harvest.system);
-      } else {
-        gram_support_.clear();
-      }
     }
     solution = linalg::solve_log_system(view, gram_, solver);
   } else {
@@ -101,8 +114,8 @@ WindowEstimate StreamingInference::push_window(
   }
   out.warm_started = !solver.warm_start.empty();
   out.inference.solve_seconds = solve_timer.seconds();
-  out.inference.system = std::move(harvest.system);
-  out.inference.refined_links = std::move(harvest.refined_links);
+  out.inference.system = system;
+  out.inference.refined_links = kept_->refined_links;
   prev_active_ = solution.active_set;
   core::apply_solution(out.inference, std::move(solution));
   out.usable = true;

@@ -2,18 +2,30 @@
 // arriving window at a time.
 //
 // Each push_window splices the window into the cumulative
-// StreamingMeasurement, re-runs the *same* structure-determination code as
-// the batch path (core::harvest_refined_system: Assumption-4 refinement,
-// pair-equation harvest, §3.3 demotion rounds — always from the original
-// declared sets, so window k's structure equals a batch run over the first
-// k windows), and re-solves with two incremental accelerations:
+// StreamingMeasurement and re-estimates over every snapshot so far with
+// three incremental accelerations:
 //
-//   - Gram reuse: when the harvested equation support is unchanged from
-//     the previous window (the steady state once the structure stabilizes)
-//     and the solve is unweighted, only the right-hand-side products are
-//     re-accumulated; G = AᵀA is reused. Otherwise G is rebuilt from
-//     scratch — in either case bitwise what the batch build produces
-//     (additive, row-ordered accumulation; see linalg::accumulate_gram).
+//   - Harvest replay: the refine→harvest→demote chain
+//     (core::harvest_refined_system, always from the original declared
+//     sets) reads the measurements only through which candidates each
+//     round finds usable and through the final equations' y values. The
+//     driver keeps the last harvest and checks it against the grown
+//     measurement with core::replay_harvest (the bootstrap's fast path
+//     runs the same check): when every candidate it recorded as unusable
+//     is still unusable, the window keeps its equations, order, counters
+//     and refined links and re-estimates only the y values. Otherwise, and
+//     always for the first window, it runs the full harvest and keeps
+//     that. A streamed prefix only gains good snapshots, so a usable
+//     candidate never turns unusable; the check therefore covers every
+//     candidate the chain tried, and a replayed window is bitwise the
+//     re-harvest — window k's system equals a batch harvest over the
+//     first k windows either way.
+//   - Gram reuse: when the equation support is unchanged from the previous
+//     window (always after a replay) and the solve is unweighted, only the
+//     right-hand-side products are re-accumulated; G = AᵀA is reused.
+//     Otherwise G is rebuilt from scratch — in either case bitwise what
+//     the batch build produces (additive, row-ordered accumulation; see
+//     linalg::accumulate_gram).
 //   - NNLS warm start: the solve is seeded from the previous window's
 //     converged active set via the UpdatableCholesky-backed engine, so the
 //     steady-state cost per window is a handful of O(k²) factor edits
@@ -30,6 +42,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "core/correlation_algorithm.hpp"
@@ -56,9 +69,12 @@ struct WindowEstimate {
   /// The estimate over *all* snapshots so far (same fields as the batch
   /// result, including the solved system diagnostics).
   core::InferenceResult inference;
+  /// The window replayed the previous window's harvest (only the y values
+  /// re-estimated) instead of re-harvesting; see core::replay_harvest.
+  bool harvest_replayed = false;
   bool gram_reused = false;
   bool warm_started = false;
-  double seconds = 0.0;  // wall time of this window's append+harvest+solve
+  double seconds = 0.0;  // wall time of append + harvest/replay + solve
 };
 
 class StreamingInference {
@@ -77,8 +93,6 @@ class StreamingInference {
 
  private:
   bool incremental_solver() const;
-  bool support_unchanged(const core::EquationSystem& system) const;
-  void remember_support(const core::EquationSystem& system);
 
   const graph::Graph& graph_;
   const std::vector<graph::Path>& paths_;
@@ -87,10 +101,14 @@ class StreamingInference {
   graph::CoverageIndex coverage_;
   StreamingMeasurement measurement_;
 
-  // Inter-window caches (incremental NNLS only).
+  // The last window's harvest (empty before the first window) and the
+  // replay's right-hand-side buffer.
+  std::optional<core::RefinedHarvest> kept_;
+  std::vector<double> ys_;
+
+  // Inter-window solver caches (incremental NNLS only).
   linalg::GramSystem gram_;
   bool gram_valid_ = false;
-  std::vector<std::vector<graph::LinkId>> gram_support_;
   std::vector<std::size_t> prev_active_;
 };
 

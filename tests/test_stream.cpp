@@ -339,6 +339,9 @@ TEST(Serve, EmitsOneDeterministicJsonLinePerWindow) {
         serve(input, output, sys.graph, sys.paths, sys.sets, options);
     EXPECT_EQ(report.windows, 3u);  // 150 + 150 + 100
     EXPECT_EQ(report.snapshots, 400u);
+    // Every candidate is usable from window 0 on, so the later windows
+    // replay its harvest.
+    EXPECT_EQ(report.replayed_windows, 2u);
     return output.str();
   };
   const std::string serial = run(1);
@@ -485,18 +488,48 @@ TEST(Serve, TailReopensWhenTheInputFileShrinks) {
   EXPECT_GE(polls, 2u);
 }
 
-/// A stream whose paths header disagrees with the topology fails in the
-/// consumer (StreamingMeasurement::append). serve must close the ring and
-/// join the producer before the error propagates — destroying a joinable
-/// std::thread calls std::terminate.
+/// An error in the consumer (here a truth vector of the wrong length,
+/// rejected when the first window is scored) must close the ring and join
+/// the producer, which is blocked on the full ring, before it propagates.
+TEST(Serve, ConsumerErrorStillJoinsTheProducer) {
+  auto sys = tomo::testing::figure_1a();
+  std::stringstream input;
+  ObsStreamWriter writer(input, sys.paths.size());
+  for (int k = 0; k < 8; ++k) {
+    writer.write_window(sim::MeasurementBlock::all_good(sys.paths.size(), 4));
+  }
+  writer.close();
+  const std::vector<double> truth(1, 0.0);  // the topology has 4 links
+  ServeOptions options;
+  options.ring_capacity = 1;
+  options.truth = &truth;
+  std::stringstream output;
+  EXPECT_THROW(serve(input, output, sys.graph, sys.paths, sys.sets, options),
+               Error);
+}
+
+/// A stream whose paths header disagrees with the topology, larger or
+/// smaller, fails at the header line with both counts named, before any
+/// window reaches inference. serve must still join the producer before the
+/// error propagates — destroying a joinable std::thread calls
+/// std::terminate.
 TEST(Serve, PathCountMismatchThrowsAndJoinsTheProducer) {
   auto sys = tomo::testing::figure_1a();  // 3 paths
-  std::stringstream input(
-      "tomo-obs-stream v1\npaths 10\nwindow 4\nend\nwindow 4\nend\n"
-      "close\n");
-  std::stringstream output;
-  EXPECT_THROW(serve(input, output, sys.graph, sys.paths, sys.sets, {}),
-               Error);
+  for (const std::string declared : {"10", "2"}) {
+    std::stringstream input("tomo-obs-stream v1\npaths " + declared +
+                            "\nwindow 4\ncongested 2 0\nend\nwindow 4\n"
+                            "end\nclose\n");
+    std::stringstream output;
+    try {
+      serve(input, output, sys.graph, sys.paths, sys.sets, {});
+      ADD_FAILURE() << "paths " << declared << ": expected a tomo::Error";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.message(), "obs-stream line 2: header declares " +
+                                 declared +
+                                 " paths but the topology has 3");
+    }
+    EXPECT_TRUE(output.str().empty()) << "paths " << declared;
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -30,6 +31,7 @@
 #include "sim/simulator.hpp"
 #include "stream/streaming_inference.hpp"
 #include "stream/streaming_measurement.hpp"
+#include "test_helpers.hpp"
 
 namespace tomo::stream {
 namespace {
@@ -207,6 +209,82 @@ TEST_P(RegistryStreamEquivalence, SingleWindowStreamIsBitIdentical) {
   EXPECT_EQ(only.inference.solver_detail, batch.solver_detail);
 }
 
+/// The replay differential's window schedule: 1- and 2-snapshot windows
+/// first, so early windows find unusable candidates that later windows
+/// see turn usable (the full harvest runs), then doubling windows, over
+/// which usability settles (the kept harvest replays).
+std::vector<sim::MeasurementBlock> replay_schedule(
+    const sim::MeasurementBlock& block) {
+  std::vector<sim::MeasurementBlock> out;
+  std::size_t first = 0;
+  for (const std::size_t size : {1, 1, 2, 2, 4, 8, 16, 32, 64}) {
+    out.push_back(block.slice(first, size));
+    first += size;
+  }
+  out.push_back(block.slice(first, block.snapshot_count - first));
+  return out;
+}
+
+/// Asserts `got` is bitwise the harvested system `want`: every field but
+/// the build time.
+void expect_same_system(const core::EquationSystem& got,
+                        const core::EquationSystem& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.link_count, want.link_count) << what;
+  EXPECT_EQ(got.n1, want.n1) << what;
+  EXPECT_EQ(got.n2, want.n2) << what;
+  EXPECT_EQ(got.rank, want.rank) << what;
+  EXPECT_EQ(got.dropped_correlated, want.dropped_correlated) << what;
+  EXPECT_EQ(got.dropped_unusable, want.dropped_unusable) << what;
+  EXPECT_EQ(got.dropped_dependent, want.dropped_dependent) << what;
+  EXPECT_EQ(got.pair_candidates_tried, want.pair_candidates_tried) << what;
+  ASSERT_EQ(got.equations.size(), want.equations.size()) << what;
+  for (std::size_t i = 0; i < want.equations.size(); ++i) {
+    const core::Equation& g = got.equations[i];
+    const core::Equation& w = want.equations[i];
+    EXPECT_EQ(g.links, w.links) << what << " equation " << i;
+    EXPECT_EQ(g.paths, w.paths) << what << " equation " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.y),
+              std::bit_cast<std::uint64_t>(w.y))
+        << what << " equation " << i << ": y " << g.y << " vs " << w.y;
+  }
+}
+
+/// Harvest replay is exact: whether a window replayed the previous
+/// window's harvest or re-harvested, its system is bitwise what a fresh
+/// harvest over the same prefix builds. The schedule exercises both
+/// branches on every registry entry.
+TEST_P(RegistryStreamEquivalence, ReplayedHarvestEqualsFreshHarvest) {
+  const Prepared p = prepare(GetParam());
+  const graph::CoverageIndex coverage(p.inst.graph, p.inst.paths);
+  StreamingInference inference(p.inst.graph, p.inst.paths,
+                               p.inst.declared_sets);
+  std::size_t replayed = 0, reharvested = 0;
+  for (const sim::MeasurementBlock& w :
+       replay_schedule(p.simr.measurement)) {
+    const WindowEstimate estimate = inference.push_window(w);
+    const std::string what =
+        GetParam() + " window " + std::to_string(estimate.window);
+    if (estimate.harvest_replayed) {
+      ASSERT_GT(estimate.window, 0u) << what;
+      ++replayed;
+    } else if (estimate.window > 0) {
+      ++reharvested;
+    }
+    const sim::EmpiricalMeasurement prefix(
+        p.simr.measurement.slice(0, estimate.snapshots));
+    const core::RefinedHarvest fresh = core::harvest_refined_system(
+        p.inst.graph, p.inst.paths, coverage, p.inst.declared_sets, prefix,
+        core::InferenceOptions{});
+    ASSERT_EQ(estimate.usable, !fresh.system.equations.empty()) << what;
+    if (!estimate.usable) continue;
+    expect_same_system(estimate.inference.system, fresh.system, what);
+    EXPECT_EQ(estimate.inference.refined_links, fresh.refined_links) << what;
+  }
+  EXPECT_GT(replayed, 0u) << "no window replayed the kept harvest";
+  EXPECT_GT(reharvested, 0u) << "no window past the first re-harvested";
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllScenarios, RegistryStreamEquivalence,
     ::testing::ValuesIn(core::ScenarioCatalog::instance().names()),
@@ -282,6 +360,44 @@ TEST(StreamingFast, GramReuseChangesNoBits) {
   }
   EXPECT_TRUE(any_reused)
       << "expected at least one steady-state window to reuse the Gram";
+}
+
+/// The replay's fallback on a hand-built stream: Figure 1(a)'s path 0 is
+/// congested through window 0 and first good in window 1. Window 0's
+/// harvest records its single as unusable, so window 1 must re-harvest;
+/// nothing changes usability after that, so window 2 must replay. Every
+/// window equals a fresh harvest of its prefix.
+TEST(StreamingFast, FirstGoodSnapshotForcesReharvestThenReplay) {
+  const tomo::testing::ToySystem sys = tomo::testing::figure_1a();
+  std::vector<sim::MeasurementBlock> windows(
+      3, sim::MeasurementBlock::all_good(sys.paths.size(), 4));
+  windows[0].good_row(0)[0] = 0;  // path 0 congested in all 4 snapshots
+  windows[0].recount();
+
+  const graph::CoverageIndex coverage(sys.graph, sys.paths);
+  StreamingInference inference(sys.graph, sys.paths, sys.sets);
+  sim::MeasurementBlock seen;
+  std::vector<bool> replayed;
+  for (const sim::MeasurementBlock& w : windows) {
+    const WindowEstimate estimate = inference.push_window(w);
+    const std::string what = "window " + std::to_string(estimate.window);
+    replayed.push_back(estimate.harvest_replayed);
+    seen.append(w);
+    const sim::EmpiricalMeasurement prefix{sim::MeasurementBlock(seen)};
+    const core::RefinedHarvest fresh = core::harvest_refined_system(
+        sys.graph, sys.paths, coverage, sys.sets, prefix,
+        core::InferenceOptions{});
+    if (estimate.window == 0) {
+      ASSERT_FALSE(fresh.unusable.empty()) << what;
+      EXPECT_EQ(fresh.unusable.front(), core::CandidatePaths(0, 0)) << what;
+    } else {
+      EXPECT_TRUE(fresh.unusable.empty()) << what;
+    }
+    ASSERT_TRUE(estimate.usable) << what;
+    expect_same_system(estimate.inference.system, fresh.system, what);
+    EXPECT_EQ(estimate.inference.refined_links, fresh.refined_links) << what;
+  }
+  EXPECT_EQ(replayed, (std::vector<bool>{false, false, true}));
 }
 
 }  // namespace

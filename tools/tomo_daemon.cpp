@@ -250,12 +250,15 @@ int cmd_serve(int argc, const char* const* argv) {
     std::fprintf(stderr, "tomo_daemon: input reopened %zu time(s)\n",
                  report.truncations);
   }
-  // Which bit-kernel table the window splices/harvests dispatched to —
-  // stderr only, so the JSON window stream on stdout stays byte-stable.
+  // How many windows replayed their harvest and which bit-kernel table the
+  // splices/harvests dispatched to — stderr only, so the JSON window stream
+  // on stdout stays byte-stable.
   std::fprintf(stderr,
-               "served %zu windows (%zu usable, %zu snapshots): "
-               "%.1f ms/window mean, %.1f ms max (%s bit kernels)\n",
-               report.windows, report.usable_windows, report.snapshots,
+               "served %zu windows (%zu usable, %zu replayed, %zu "
+               "snapshots): %.1f ms/window mean, %.1f ms max (%s bit "
+               "kernels)\n",
+               report.windows, report.usable_windows,
+               report.replayed_windows, report.snapshots,
                report.windows
                    ? 1e3 * report.total_seconds /
                          static_cast<double>(report.windows)
