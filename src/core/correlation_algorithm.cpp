@@ -64,7 +64,7 @@ RefinedHarvest harvest_refined_system(
        options.demote_uncovered && round < kMaxDemotionRounds;
        ++round) {
     std::vector<std::uint8_t> covered(coverage.link_count(), 0);
-    for (const Equation& eq : harvest.system.equations) {
+    for (const Equation eq : harvest.system.equations) {
       for (graph::LinkId e : eq.links) covered[e] = 1;
     }
     std::vector<graph::LinkId> uncovered;
@@ -80,8 +80,8 @@ RefinedHarvest harvest_refined_system(
     // This round's harvest is about to be replaced: record its equation
     // path sets so replay_harvest can certify the demotion decision
     // replays.
-    for (const Equation& eq : harvest.system.equations) {
-      harvest.witness_paths.push_back(eq.paths);
+    for (const Equation eq : harvest.system.equations) {
+      harvest.witness_paths.emplace_back(eq.paths.front(), eq.paths.back());
     }
     refined = demote_to_singletons(refined, uncovered);
     harvest.refined_links.insert(harvest.refined_links.end(),
@@ -102,13 +102,13 @@ bool replay_harvest(const RefinedHarvest& kept,
   for (const CandidatePaths& candidate : kept.unusable) {
     if (usable(candidate)) return false;
   }
-  for (const std::vector<graph::PathId>& wp : kept.witness_paths) {
-    if (!usable({wp.front(), wp.back()})) return false;
+  for (const CandidatePaths& candidate : kept.witness_paths) {
+    if (!usable(candidate)) return false;
   }
-  const std::vector<Equation>& equations = kept.system.equations;
+  const EquationList& equations = kept.system.equations;
   ys.resize(equations.size());
   for (std::size_t i = 0; i < equations.size(); ++i) {
-    const std::vector<graph::PathId>& paths = equations[i].paths;
+    const std::span<const graph::PathId> paths = equations[i].paths;
     const sim::LogProbEstimate est = candidate_estimate(
         measurement, {paths.front(), paths.back()}, min_good_snapshots);
     if (!est.usable) return false;

@@ -62,8 +62,8 @@ struct RefinedHarvest {
   EquationSystem system;  // harvest under the refined structure
   std::vector<graph::LinkId> refined_links;  // demoted to singletons
   /// Path sets of the intermediate demotion rounds' equations (harvests a
-  /// later round replaced).
-  std::vector<std::vector<graph::PathId>> witness_paths;
+  /// later round replaced), as candidates.
+  std::vector<CandidatePaths> witness_paths;
   /// Every candidate a round of the chain tried and found unusable, round
   /// by round in candidate order (a candidate several rounds tried appears
   /// once per round).

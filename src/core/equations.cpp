@@ -183,7 +183,7 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
       ++sys.dropped_dependent;
       continue;
     }
-    sys.equations.push_back(Equation{plinks(p), {p}, est.log_prob});
+    sys.equations.push_back(plinks(p), {p, p}, est.log_prob);
     ++sys.n1;
   }
 
@@ -223,8 +223,9 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
     if (!all_singletons) precheck.emplace(sets, coverage, eligible);
 
     // Pure per-candidate evaluation; safe to run on any worker. Slots are
-    // reused across batches (links keeps its capacity), so rejected
-    // candidates allocate nothing after warm-up.
+    // reused across batches (links keeps its capacity; an accepted pair's
+    // support is copied into the system), so candidates allocate nothing
+    // after warm-up.
     const auto evaluate = [&](std::size_t idx, CandidateEval& ev) {
       const auto& [p, q] = candidates[idx];
       ev.corr_free = all_singletons || precheck->correlation_free(p, q);
@@ -305,8 +306,7 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
           continue;
         }
         const auto& [p, q] = candidates[start + k];
-        sys.equations.push_back(
-            Equation{std::move(ev.links), {p, q}, ev.est.log_prob});
+        sys.equations.push_back(ev.links, {p, q}, ev.est.log_prob);
         ++sys.n2;
       }
     }
@@ -344,7 +344,7 @@ linalg::SparseSystemView sparse_view(const EquationSystem& system,
   view.cols = system.link_count;
   view.rows.reserve(system.equations.size());
   const double n = static_cast<double>(weight_samples);
-  for (const Equation& eq : system.equations) {
+  for (const Equation eq : system.equations) {
     linalg::SparseRow row;
     row.support = eq.links.data();
     row.support_size = eq.links.size();
@@ -370,7 +370,7 @@ linalg::SparseSystemView sparse_view_with_rhs(const EquationSystem& system,
   view.rows.reserve(system.equations.size());
   const double n = static_cast<double>(weight_samples);
   for (std::size_t i = 0; i < system.equations.size(); ++i) {
-    const Equation& eq = system.equations[i];
+    const Equation eq = system.equations[i];
     linalg::SparseRow row;
     row.support = eq.links.data();
     row.support_size = eq.links.size();

@@ -23,7 +23,9 @@
 // (test_equations_fast) enforces against the scalar reference measurement.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -35,14 +37,91 @@
 
 namespace tomo::core {
 
+/// A harvest candidate by its path ids: {p, p} is path p's single-path
+/// equation, {p, q} with p != q the pair equation of p and q.
+using CandidatePaths = std::pair<graph::PathId, graph::PathId>;
+
+/// One equation, read in place: both views borrow the EquationList it came
+/// from and last while that list does, unmodified.
 struct Equation {
-  std::vector<graph::LinkId> links;  // sorted union, the 0/1 row support
-  std::vector<graph::PathId> paths;  // 1 (single) or 2 (pair)
-  double y;                          // log P(all paths good)
+  std::span<const graph::LinkId> links;  // sorted union, the 0/1 row support
+  std::span<const graph::PathId> paths;  // 1 (single) or 2 (pair)
+  double y;                              // log P(all paths good)
+};
+
+/// A system's equations packed by rows: every support back to back in one
+/// array, beside the rows' path ids and right-hand sides. Copying or
+/// releasing a list costs a handful of allocations, not two per equation;
+/// a streamed window hands a copy of the kept system to every estimate.
+class EquationList {
+ public:
+  /// Yields each Equation by value, in order (for range-for).
+  class const_iterator {
+   public:
+    const_iterator(const EquationList* list, std::size_t i)
+        : list_(list), i_(i) {}
+    Equation operator*() const { return (*list_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const const_iterator& other) const {
+      return i_ == other.i_;
+    }
+
+   private:
+    const EquationList* list_;
+    std::size_t i_;
+  };
+
+  std::size_t size() const { return ys_.size(); }
+  bool empty() const { return ys_.empty(); }
+  Equation operator[](std::size_t i) const {
+    const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+    const std::size_t length = ends_[i] - begin;
+    const graph::PathId* paths = paths_[i].data();
+    const std::size_t path_count = paths[0] == paths[1] ? 1 : 2;
+    return {{links_.data() + begin, length}, {paths, path_count}, ys_[i]};
+  }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size()}; }
+
+  void reserve(std::size_t rows) {
+    ends_.reserve(rows);
+    paths_.reserve(rows);
+    ys_.reserve(rows);
+  }
+  /// Appends the equation of `paths` ({p, p} for path p's single) over the
+  /// sorted support `links`.
+  void push_back(std::span<const graph::LinkId> links, CandidatePaths paths,
+                 double y) {
+    links_.insert(links_.end(), links.begin(), links.end());
+    ends_.push_back(links_.size());
+    paths_.push_back({paths.first, paths.second});
+    ys_.push_back(y);
+  }
+
+  /// Every equation's right-hand side, in order: a replayed harvest
+  /// rewrites only these.
+  std::span<double> ys() { return ys_; }
+
+  /// True iff both lists have the same supports in the same order: the
+  /// rows G = AᵀA is accumulated from.
+  bool same_supports(const EquationList& other) const {
+    return ends_ == other.ends_ && links_ == other.links_;
+  }
+
+ private:
+  // Row i's support is links_[ends_[i - 1], ends_[i]) (from 0 for row 0),
+  // its paths are paths_[i] ({p, p} for a single) and its y is ys_[i].
+  std::vector<graph::LinkId> links_;
+  std::vector<std::size_t> ends_;
+  std::vector<std::array<graph::PathId, 2>> paths_;
+  std::vector<double> ys_;
 };
 
 struct EquationSystem {
-  std::vector<Equation> equations;  // the harvest's sparse product
+  EquationList equations;  // the harvest's sparse product
   std::size_t link_count = 0;
   std::size_t n1 = 0;             // accepted single-path equations
   std::size_t n2 = 0;             // accepted pair equations
@@ -103,10 +182,6 @@ class PairPrecheck {
   std::size_t words_;
   std::vector<std::uint64_t> bits_;
 };
-
-/// A harvest candidate by its path ids: {p, p} is path p's single-path
-/// equation, {p, q} with p != q the pair equation of p and q.
-using CandidatePaths = std::pair<graph::PathId, graph::PathId>;
 
 /// The estimate of P(every path of `candidate` good): the y
 /// build_equations installs, or its reason to drop the candidate as

@@ -432,7 +432,7 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
       view.cols = group.size();
       for (std::size_t s : involved) {
         const auto& links = plan.shards[s].links;
-        for (const Equation& eq : runs[s].system.equations) {
+        for (const Equation eq : runs[s].system.equations) {
           std::vector<std::size_t> support;
           double y = eq.y;
           for (graph::LinkId local : eq.links) {

@@ -73,7 +73,7 @@ struct SparseRow {
 };
 
 /// Borrowed sparse view of the equation system (the rows' index storage is
-/// owned by the caller, e.g. core::EquationSystem's per-equation links).
+/// owned by the caller, e.g. core::EquationList's packed link array).
 struct SparseSystemView {
   std::size_t cols = 0;
   std::vector<SparseRow> rows;

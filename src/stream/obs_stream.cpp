@@ -50,8 +50,8 @@ void save_observations(const std::string& filename,
   TOMO_REQUIRE(os.good(), "failed writing " + filename);
 }
 
-sim::MeasurementBlock read_trace(std::istream& is) {
-  ObsStreamReader reader(is);
+sim::MeasurementBlock read_trace(std::istream& is, std::size_t expected_paths) {
+  ObsStreamReader reader(is, expected_paths);
   sim::MeasurementBlock all;
   while (auto window = reader.next()) {
     if (reader.batch_format()) return std::move(*window);
@@ -62,10 +62,11 @@ sim::MeasurementBlock read_trace(std::istream& is) {
   return all;
 }
 
-sim::MeasurementBlock load_trace(const std::string& filename) {
+sim::MeasurementBlock load_trace(const std::string& filename,
+                                 std::size_t expected_paths) {
   std::ifstream is(filename);
   TOMO_REQUIRE(is.good(), "cannot open " + filename);
-  return read_trace(is);
+  return read_trace(is, expected_paths);
 }
 
 ObsStreamWriter::ObsStreamWriter(std::ostream& os, std::size_t path_count)

@@ -48,9 +48,13 @@ void save_observations(const std::string& filename,
 /// Reads a complete trace — a classic file, or a stream whose windows are
 /// appended in order — into one block. Throws tomo::Error on malformed
 /// input, a trace without observations, or a stream cut off mid-window
-/// (e.g. a recording killed mid-write).
-sim::MeasurementBlock read_trace(std::istream& is);
-sim::MeasurementBlock load_trace(const std::string& filename);
+/// (e.g. a recording killed mid-write). With `expected_paths` > 0 (the
+/// topology's path count), a header declaring any other count is rejected
+/// at its line, as ObsStreamReader does.
+sim::MeasurementBlock read_trace(std::istream& is,
+                                 std::size_t expected_paths = 0);
+sim::MeasurementBlock load_trace(const std::string& filename,
+                                 std::size_t expected_paths = 0);
 
 class ObsStreamWriter {
  public:

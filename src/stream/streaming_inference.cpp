@@ -8,21 +8,6 @@
 
 namespace tomo::stream {
 
-namespace {
-
-/// True iff both systems have the same equation supports in the same
-/// order: the rows G = AᵀA is accumulated from.
-bool same_support(const core::EquationSystem& a,
-                  const core::EquationSystem& b) {
-  return std::equal(a.equations.begin(), a.equations.end(),
-                    b.equations.begin(), b.equations.end(),
-                    [](const core::Equation& x, const core::Equation& y) {
-                      return x.links == y.links;
-                    });
-}
-
-}  // namespace
-
 StreamingInference::StreamingInference(const graph::Graph& g,
                                        const std::vector<graph::Path>& paths,
                                        const corr::CorrelationSets& declared,
@@ -57,16 +42,16 @@ WindowEstimate StreamingInference::push_window(
   bool support_unchanged = out.harvest_replayed;
   if (out.harvest_replayed) {
     core::EquationSystem& system = kept_->system;
-    for (std::size_t i = 0; i < system.equations.size(); ++i) {
-      system.equations[i].y = ys_[i];
-    }
+    std::copy(ys_.begin(), ys_.end(), system.equations.ys().begin());
     system.build_seconds = 0.0;  // nothing was built
   } else {
     core::RefinedHarvest harvest = core::harvest_refined_system(
         graph_, paths_, coverage_, declared_, measurement_,
         options_.inference);
-    support_unchanged =
-        kept_.has_value() && same_support(kept_->system, harvest.system);
+    if (kept_.has_value()) {
+      const core::EquationList& fresh = harvest.system.equations;
+      support_unchanged = kept_->system.equations.same_supports(fresh);
+    }
     kept_ = std::move(harvest);
   }
   const core::EquationSystem& system = kept_->system;

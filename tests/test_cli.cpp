@@ -192,6 +192,24 @@ TEST(DaemonErrors, BatchRejectsZeroWindow) {
       << r.output;
 }
 
+// batch reads the whole trace against the topology it was given: a trace
+// recorded on another topology fails at its header with both path counts.
+TEST(DaemonErrors, BatchRejectsTraceOfAnotherTopology) {
+  const std::string trace = temp_path("daemon_other_trace.obs");
+  {
+    std::ofstream os(trace);
+    os << "tomo-obs-stream v1\npaths 2\nwindow 4\ncongested 1 0\nend\nclose\n";
+  }
+  const std::string system = "--scenario waxman-full --shrink --seed 7";
+  const CommandResult r =
+      run_daemon("batch " + system + " --input " + trace + " --window 4");
+  std::remove(trace.c_str());
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("obs-stream line 2: header declares 2 paths"),
+            std::string::npos)
+      << r.output;
+}
+
 // A negative count is an error naming the flag, not a cast to 2^64 - 5.
 TEST(DaemonErrors, ServeRejectsNegativeWindow) {
   const CommandResult r = run_daemon(

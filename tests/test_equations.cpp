@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/equations.hpp"
@@ -31,9 +32,10 @@ TEST(Equations, Figure1aBuildsThePaperSystem) {
   EXPECT_EQ(eq.rank, 4u);
   EXPECT_TRUE(eq.full_rank());
   // The pair equation covers exactly {e2,e3,e4}.
-  const Equation& pair = eq.equations.back();
+  const Equation pair = eq.equations[eq.equations.size() - 1];
   ASSERT_EQ(pair.paths.size(), 2u);
-  EXPECT_EQ(pair.links, (std::vector<graph::LinkId>{1, 2, 3}));
+  const std::vector<graph::LinkId> want{1, 2, 3};
+  EXPECT_TRUE(std::ranges::equal(pair.links, want));
 }
 
 TEST(Equations, RightHandSidesAreLogProbabilities) {

@@ -56,9 +56,9 @@ void expect_identical(const EquationSystem& a, const EquationSystem& b,
                       const std::string& what) {
   ASSERT_EQ(a.equations.size(), b.equations.size()) << what;
   for (std::size_t i = 0; i < a.equations.size(); ++i) {
-    EXPECT_EQ(a.equations[i].links, b.equations[i].links)
+    EXPECT_TRUE(std::ranges::equal(a.equations[i].links, b.equations[i].links))
         << what << ": equation " << i;
-    EXPECT_EQ(a.equations[i].paths, b.equations[i].paths)
+    EXPECT_TRUE(std::ranges::equal(a.equations[i].paths, b.equations[i].paths))
         << what << ": equation " << i;
     // Bitwise equality: the fast paths must perform the same arithmetic.
     EXPECT_EQ(a.equations[i].y, b.equations[i].y)

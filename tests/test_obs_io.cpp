@@ -145,6 +145,32 @@ TEST(ObsIo, StreamCutOffMidWindowIsRejected) {
             std::string::npos);
 }
 
+// Given the topology's path count, a whole-trace read rejects a header
+// declaring any other count at its line, in either format, with both
+// counts named — not later at a path id or a block append.
+TEST(ObsIo, HeaderForAnotherTopologyIsRejectedAtItsLine) {
+  const auto message = [](const std::string& text) {
+    std::stringstream s(text);
+    try {
+      read_trace(s, 3);
+    } catch (const Error& e) {
+      return e.message();
+    }
+    return std::string("no error");
+  };
+  const auto expected = [](const std::string& declared) {
+    const std::string tail = " paths but the topology has 3";
+    return "obs-stream line 2: header declares " + declared + tail;
+  };
+  const std::string window = "window 4\ncongested 1 0\nend\n";
+  EXPECT_EQ(message("tomo-obs-stream v1\npaths 10\n" + window), expected("10"));
+  EXPECT_EQ(message("tomo-obs-stream v1\npaths 2\n" + window), expected("2"));
+  EXPECT_EQ(message("tomo-observations v1\npaths 2 snapshots 4\n"),
+            expected("2"));
+  std::stringstream matching("tomo-obs-stream v1\npaths 3\n" + window);
+  EXPECT_EQ(read_trace(matching, 3).snapshot_count, 4u);
+}
+
 TEST(ObsIo, IgnoresCommentsAndBlankLines) {
   std::stringstream s(
       "# recorded by prober\n\ntomo-observations v1\n"

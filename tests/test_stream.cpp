@@ -524,9 +524,9 @@ TEST(Serve, PathCountMismatchThrowsAndJoinsTheProducer) {
       serve(input, output, sys.graph, sys.paths, sys.sets, {});
       ADD_FAILURE() << "paths " << declared << ": expected a tomo::Error";
     } catch (const Error& e) {
-      EXPECT_EQ(e.message(), "obs-stream line 2: header declares " +
-                                 declared +
-                                 " paths but the topology has 3");
+      const std::string head = "obs-stream line 2: header declares ";
+      const std::string tail = " paths but the topology has 3";
+      EXPECT_EQ(e.message(), head + declared + tail);
     }
     EXPECT_TRUE(output.str().empty()) << "paths " << declared;
   }

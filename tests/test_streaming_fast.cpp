@@ -242,8 +242,10 @@ void expect_same_system(const core::EquationSystem& got,
   for (std::size_t i = 0; i < want.equations.size(); ++i) {
     const core::Equation& g = got.equations[i];
     const core::Equation& w = want.equations[i];
-    EXPECT_EQ(g.links, w.links) << what << " equation " << i;
-    EXPECT_EQ(g.paths, w.paths) << what << " equation " << i;
+    EXPECT_TRUE(std::ranges::equal(g.links, w.links))
+        << what << " equation " << i;
+    EXPECT_TRUE(std::ranges::equal(g.paths, w.paths))
+        << what << " equation " << i;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(g.y),
               std::bit_cast<std::uint64_t>(w.y))
         << what << " equation " << i << ": y " << g.y << " vs " << w.y;

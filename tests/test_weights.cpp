@@ -65,8 +65,9 @@ TEST(VarianceWeights, WellSupportedEquationsWeighMore) {
   // variance (1-p)/(pN) is smaller, so its weight is larger.
   EquationSystem sys;
   sys.link_count = 2;
-  sys.equations.push_back(Equation{{0}, {0}, std::log(0.9)});
-  sys.equations.push_back(Equation{{1}, {1}, std::log(0.1)});
+  const std::vector<graph::LinkId> link0{0}, link1{1};
+  sys.equations.push_back(link0, {0, 0}, std::log(0.9));
+  sys.equations.push_back(link1, {1, 1}, std::log(0.1));
   const reference::DenseSystem dense = dense_weighted(sys, 1000);
   EXPECT_GT(dense.a(0, 0), dense.a(1, 1));
 }

@@ -222,7 +222,7 @@ int cmd_infer(int argc, const char* const* argv) {
       graph::load_system(flags.get_string("topology"));
   const corr::CorrelationSets sets = sets_of(system);
   const sim::EmpiricalMeasurement measurement(
-      stream::load_trace(flags.get_string("obs")));
+      stream::load_trace(flags.get_string("obs"), system.paths.size()));
   TOMO_REQUIRE(measurement.path_count() == system.paths.size(),
                "observation file path count does not match the topology");
   const graph::CoverageIndex coverage(system.graph, system.paths);
@@ -326,7 +326,7 @@ int cmd_localize(int argc, const char* const* argv) {
       graph::load_system(flags.get_string("topology"));
   const corr::CorrelationSets sets = sets_of(system);
   const sim::EmpiricalMeasurement measurement(
-      stream::load_trace(flags.get_string("obs")));
+      stream::load_trace(flags.get_string("obs"), system.paths.size()));
   TOMO_REQUIRE(measurement.path_count() == system.paths.size(),
                "observation file path count does not match the topology");
   const std::size_t snapshot = flags.get_count("snapshot");

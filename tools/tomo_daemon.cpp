@@ -292,8 +292,8 @@ int cmd_batch(int argc, const char* const* argv) {
     file.open(input);
     TOMO_REQUIRE(file.good(), "cannot open " + input);
   }
-  sim::MeasurementBlock block =
-      stream::read_trace(input == "-" ? std::cin : file);
+  std::istream& in = input == "-" ? std::cin : file;
+  sim::MeasurementBlock block = stream::read_trace(in, system.paths->size());
   const std::size_t windows = (block.snapshot_count + window - 1) / window;
   const std::size_t snapshots = block.snapshot_count;
   const sim::EmpiricalMeasurement measurement(std::move(block));
