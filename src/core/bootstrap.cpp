@@ -40,8 +40,6 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
                                      const sim::MeasurementBlock& block,
                                      const BootstrapOptions& options) {
   TOMO_REQUIRE(options.replicates >= 2, "bootstrap needs >= 2 replicates");
-  TOMO_REQUIRE(options.confidence > 0.0 && options.confidence < 1.0,
-               "confidence must be in (0,1)");
   TOMO_REQUIRE(!block.empty(), "bootstrap needs a non-empty measurement");
 
   const std::size_t links = g.link_count();
@@ -87,23 +85,6 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
   std::vector<std::vector<double>> estimates(options.replicates);
   std::vector<std::uint8_t> fell_back(options.replicates, 0);
 
-  // The Gram-skeleton fast path runs a replicate on the point harvest when
-  // replay_harvest certifies that re-harvesting the resample rebuilds the
-  // same system: every candidate the point harvest found unusable is still
-  // unusable (always, here: a resample only loses good snapshots, and with
-  // min_good <= 1 nothing unusable can turn usable), and every witness and
-  // final-system equation is still usable. Its blind spot, a usable
-  // candidate dropped as dependent turning unusable, is harmless only
-  // under include_redundant: every eligible single is then an equation (in
-  // non-redundant mode an eligible-but-dependent single feeds pair
-  // candidates without appearing in the system), and a dependent pair
-  // turning unusable shifts a diagnostic counter but never the harvested
-  // equations. Anything outside that envelope falls back to a full
-  // re-harvest: infer_congestion verbatim.
-  const EquationBuildOptions& eq = options.inference.equations;
-  const bool support_reusable =
-      incremental && eq.include_redundant && eq.min_good_snapshots <= 1;
-
   InferenceOptions replicate_inference = options.inference;
   // Parallelism lives at the replicate level; inner jobs stay inline.
   replicate_inference.solver.jobs = 1;
@@ -137,10 +118,14 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
     const sim::EmpiricalMeasurement measurement(
         block.resample(picks, resample_scratch));
     resample_seconds += resample_watch.seconds();
-    if (support_reusable &&
-        replay_harvest(harvest, measurement, eq.min_good_snapshots, ys)) {
+    // Gram-skeleton fast path. A resample only loses good snapshots, so
+    // of replay_harvest's check only the usable half can fail, and its
+    // blind spot (a pair dropped as dependent turning unusable) moves a
+    // counter, never an equation: a certified replicate solves exactly the
+    // system its re-harvest would.
+    if (incremental && replay_harvest(harvest, measurement, ys)) {
       const linalg::SparseSystemView view =
-          sparse_view_with_rhs(harvest.system, ys, weight_samples);
+          sparse_view(harvest.system, weight_samples, ys);
       linalg::LogSystemSolution solution;
       if (weight_samples == 0) {
         linalg::refresh_gram_rhs(scratch, view, fast_solver.jobs);
@@ -159,8 +144,8 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
       estimates[r] = std::move(replicate.congestion_prob);
       return;
     }
-    // Support changed (or the configuration cannot prove it stable):
-    // a full re-harvest.
+    // Support changed (or the solver has no Gram to share): a full
+    // re-harvest.
     fell_back[r] = 1;
     try {
       estimates[r] = infer_congestion(g, paths, coverage, sets,
@@ -232,7 +217,7 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
                  result.skipped, options.replicates, result.replicates);
   }
 
-  const double tail = (1.0 - options.confidence) / 2.0;
+  const double tail = (1.0 - kBootstrapConfidence) / 2.0;
   result.lower.resize(links);
   result.upper.resize(links);
   for (graph::LinkId e = 0; e < links; ++e) {

@@ -37,11 +37,13 @@
 
 namespace tomo::core {
 
+/// Central mass of every bootstrap interval.
+inline constexpr double kBootstrapConfidence = 0.90;
+
 struct BootstrapOptions {
   /// Raised from the historical 30 now that replicates are ~free on the
   /// shared Gram skeleton.
   std::size_t replicates = 200;
-  double confidence = 0.90;  // central interval mass
   std::uint64_t seed = 1;
   /// Replicate fan-out width (1 = inline on the caller, 0 = all hardware
   /// cores). Intervals are bit-identical for any value.
@@ -63,9 +65,9 @@ struct BootstrapResult {
   /// Always surfaced (and warned about past 10%) — a silently shrunken
   /// sample used to masquerade as the requested replicate count.
   std::size_t skipped = 0;
-  /// Replicates whose equation support changed (or could not be proven
-  /// stable), forcing a full re-harvest instead of the Gram-skeleton fast
-  /// path. Includes the skipped ones.
+  /// Replicates replay_harvest did not certify (every replicate, for a
+  /// solver other than NNLS), forcing a full re-harvest instead of the
+  /// Gram-skeleton fast path. Includes the skipped ones.
   std::size_t reharvested = 0;
   /// Wall-clock seconds spent materializing replicate measurements
   /// (MeasurementBlock::resample), summed across workers — on a

@@ -57,12 +57,13 @@ RefinedHarvest harvest_refined_system(
   harvest.system = build_equations(coverage, refined, measurement,
                                    options.equations, &harvest.unusable);
 
-  // Fallback rounds: links untouched by any usable equation are
-  // unidentifiable under the declared structure — act as if they were
-  // uncorrelated (paper §3.3) and rebuild.
-  for (std::size_t round = 0;
-       options.demote_uncovered && round < kMaxDemotionRounds;
-       ++round) {
+  // Fallback rounds: links untouched by any usable equation (every path
+  // through them also crosses a same-set link) are unidentifiable under
+  // the declared structure — act as if they were uncorrelated (paper §3.3)
+  // and rebuild, so the previously correlated paths become usable. Their
+  // own estimates inherit the independence algorithm's bias, but every
+  // other link keeps its clean equations.
+  for (std::size_t round = 0; round < kMaxDemotionRounds; ++round) {
     std::vector<std::uint8_t> covered(coverage.link_count(), 0);
     for (const Equation eq : harvest.system.equations) {
       for (graph::LinkId e : eq.links) covered[e] = 1;
@@ -94,10 +95,9 @@ RefinedHarvest harvest_refined_system(
 
 bool replay_harvest(const RefinedHarvest& kept,
                     const sim::MeasurementProvider& measurement,
-                    std::size_t min_good_snapshots, std::vector<double>& ys) {
+                    std::vector<double>& ys) {
   const auto usable = [&](CandidatePaths candidate) {
-    return candidate_estimate(measurement, candidate, min_good_snapshots)
-        .usable;
+    return candidate_estimate(measurement, candidate).usable;
   };
   for (const CandidatePaths& candidate : kept.unusable) {
     if (usable(candidate)) return false;
@@ -109,8 +109,8 @@ bool replay_harvest(const RefinedHarvest& kept,
   ys.resize(equations.size());
   for (std::size_t i = 0; i < equations.size(); ++i) {
     const std::span<const graph::PathId> paths = equations[i].paths;
-    const sim::LogProbEstimate est = candidate_estimate(
-        measurement, {paths.front(), paths.back()}, min_good_snapshots);
+    const sim::LogProbEstimate est =
+        candidate_estimate(measurement, {paths.front(), paths.back()});
     if (!est.usable) return false;
     ys[i] = est.log_prob;
   }

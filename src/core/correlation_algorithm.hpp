@@ -12,24 +12,17 @@
 namespace tomo::core {
 
 struct InferenceOptions {
-  /// End-to-end solver configuration — kind, Gram-build jobs, tolerances,
-  /// warm start — threaded down to linalg::solve_log_system. The solve
+  /// End-to-end solver configuration — kind, Gram-build jobs, warm
+  /// start — threaded down to linalg::solve_log_system. The solve
   /// runs on the equation system's sparse view: for NNLS the dense
   /// incidence matrix is never materialized.
   linalg::SolverOptions solver;
   EquationBuildOptions equations;
   /// Apply the paper's §3.3 fallback: links flagged unidentifiable by the
   /// structural Assumption-4 check are treated as uncorrelated (moved to
-  /// singleton sets) before equations are formed.
+  /// singleton sets) before equations are formed. The fallback's second
+  /// stage, demoting links no usable equation covers, always runs.
   bool refine_unidentifiable = true;
-  /// Second stage of the same fallback: links that end up in *no* usable
-  /// equation (every path through them also crosses a same-set link) are
-  /// effectively unidentifiable under the declared structure; treat them
-  /// as uncorrelated and rebuild, so the previously correlated paths
-  /// become usable. Their own estimates inherit the independence
-  /// algorithm's bias, but every other link keeps its clean equations —
-  /// exactly the trade-off the paper describes.
-  bool demote_uncovered = true;
   /// Weight each equation by the inverse standard deviation of its
   /// estimate (delta method) before solving, so thinly supported
   /// measurements count less. No effect with oracle measurements.
@@ -90,18 +83,14 @@ RefinedHarvest harvest_refined_system(
 /// Re-running the chain on a measurement where every candidate it tried
 /// keeps its usability rebuilds `kept` exactly — equations, order,
 /// counters and refined links — with only the y values new. The check
-/// covers every tried candidate except the usable ones the harvest dropped
-/// as linearly dependent, so a caller must know those cannot turn
-/// unusable or that it does not care if they do:
-///  - a streamed prefix only gains good snapshots, so nothing usable ever
-///    turns unusable (stream::StreamingInference);
-///  - a bootstrap resample can lose good snapshots, but with
-///    include_redundant every usable single is an equation, and a
-///    dependent pair turning unusable moves only a dropped_* counter
-///    (bootstrap_congestion).
+/// covers every tried candidate except the usable pairs the harvest
+/// dropped as linearly dependent (every usable single is an equation).
+/// Such a pair turning unusable, which a bootstrap resample can cause but
+/// a grown stream prefix cannot, moves a dropped_* counter but never an
+/// equation.
 bool replay_harvest(const RefinedHarvest& kept,
                     const sim::MeasurementProvider& measurement,
-                    std::size_t min_good_snapshots, std::vector<double>& ys);
+                    std::vector<double>& ys);
 
 /// Converts a solved log-domain system into the probability-domain fields
 /// of an InferenceResult (log_good, clamped congestion_prob, active set,

@@ -117,13 +117,10 @@ bool PairPrecheck::correlation_free(graph::PathId p, graph::PathId q) const {
 }
 
 sim::LogProbEstimate candidate_estimate(
-    const sim::MeasurementProvider& measurement, CandidatePaths candidate,
-    std::size_t min_good_snapshots) {
+    const sim::MeasurementProvider& measurement, CandidatePaths candidate) {
   const auto [p, q] = candidate;
-  const double prob =
-      p == q ? measurement.good_prob(p) : measurement.pair_good_prob(p, q);
-  return sim::log_estimate(prob, measurement.sample_count(),
-                           min_good_snapshots);
+  return sim::log_estimate(p == q ? measurement.good_prob(p)
+                                  : measurement.pair_good_prob(p, q));
 }
 
 EquationSystem build_equations(const graph::CoverageIndex& coverage,
@@ -142,13 +139,13 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
 
   EquationSystem sys;
   sys.link_count = link_count;
-  // Upper bounds: every path can yield a single, and pair acceptance is
-  // capped by the pair budget — one per link unless redundant mode raises
-  // it via max_pair_equations (non-redundant mode keeps at most |E| rows).
-  sys.equations.reserve(
-      path_count + std::max(link_count, options.include_redundant
-                                            ? options.max_pair_equations
-                                            : std::size_t{0}));
+  // Room for a single per path and for the larger of the pair budget and
+  // |E| pairs (a capacity hint: past the budget, only pairs that raise
+  // the rank are accepted).
+  const std::size_t pair_budget = options.max_pair_equations != 0
+                                      ? options.max_pair_equations
+                                      : link_count;
+  sys.equations.reserve(path_count + std::max(link_count, pair_budget));
   linalg::RankTracker tracker(link_count);
 
   // Per-path sorted link lists live on the coverage index, computed once
@@ -170,19 +167,14 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
       ++sys.dropped_correlated;
       continue;
     }
-    const sim::LogProbEstimate est =
-        candidate_estimate(measurement, {p, p}, options.min_good_snapshots);
+    const sim::LogProbEstimate est = candidate_estimate(measurement, {p, p});
     if (!est.usable) {
       ++sys.dropped_unusable;
       if (unusable != nullptr) unusable->emplace_back(p, p);
       continue;
     }
     eligible[p] = 1;  // usable & correlation-free: a pair-phase citizen
-    const bool independent = tracker.try_add_ones(plinks(p));
-    if (!independent && !options.include_redundant) {
-      ++sys.dropped_dependent;
-      continue;
-    }
+    tracker.try_add_ones(plinks(p));
     sys.equations.push_back(plinks(p), {p, p}, est.log_prob);
     ++sys.n1;
   }
@@ -192,15 +184,7 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
   // per-link path lists; the lowest shared link of a pair "owns" it, which
   // deduplicates candidates without a global seen-set while preserving the
   // historical first-encounter order.
-  const std::size_t pair_budget =
-      options.include_redundant
-          ? (options.max_pair_equations != 0 ? options.max_pair_equations
-                                             : link_count)
-          : link_count;
-  const bool want_pairs =
-      options.use_pairs &&
-      (options.include_redundant || !tracker.full_rank());
-  if (want_pairs) {
+  if (options.use_pairs) {
     std::vector<CandidatePaths> candidates;
     for (graph::LinkId e = 0; e < link_count; ++e) {
       const auto& through = coverage.paths_through(e);
@@ -231,8 +215,7 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
       ev.corr_free = all_singletons || precheck->correlation_free(p, q);
       if (ev.corr_free) {
         sorted_union_into(plinks(p), plinks(q), ev.links);
-        ev.est = candidate_estimate(measurement, candidates[idx],
-                                    options.min_good_snapshots);
+        ev.est = candidate_estimate(measurement, candidates[idx]);
       }
     };
 
@@ -272,15 +255,8 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
       }
 
       for (std::size_t k = 0; k < batch; ++k) {
-        const bool budget_reached =
-            options.include_redundant && sys.n2 >= pair_budget;
-        if (tracker.full_rank() && (!options.include_redundant ||
-                                    budget_reached)) {
-          stop = true;
-          break;
-        }
-        if (options.max_pair_candidates != 0 &&
-            sys.pair_candidates_tried >= options.max_pair_candidates) {
+        const bool budget_reached = sys.n2 >= pair_budget;
+        if (tracker.full_rank() && budget_reached) {
           stop = true;
           break;
         }
@@ -295,11 +271,11 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
           if (unusable != nullptr) unusable->push_back(candidates[start + k]);
           continue;
         }
-        // Once full rank is reached, redundant-mode acceptance no longer
-        // needs the (expensive) elimination sweep.
+        // Once full rank is reached, acceptance no longer needs the
+        // (expensive) elimination sweep.
         const bool independent =
             tracker.full_rank() ? false : tracker.try_add_ones(ev.links);
-        if (!independent && (!options.include_redundant || budget_reached)) {
+        if (!independent && budget_reached) {
           // Past the budget, only rank-increasing pairs are still worth
           // taking (the hunt for missing columns continues).
           ++sys.dropped_dependent;
@@ -313,7 +289,6 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
   }
 
   sys.rank = tracker.rank();
-  TOMO_ASSERT(options.include_redundant || sys.rank == sys.n1 + sys.n2);
 
   sys.build_seconds = build_timer.seconds();
   return sys;
@@ -339,46 +314,26 @@ double variance_weight(double log_prob, double samples) {
 }  // namespace
 
 linalg::SparseSystemView sparse_view(const EquationSystem& system,
-                                     std::size_t weight_samples) {
-  linalg::SparseSystemView view;
-  view.cols = system.link_count;
-  view.rows.reserve(system.equations.size());
-  const double n = static_cast<double>(weight_samples);
-  for (const Equation eq : system.equations) {
-    linalg::SparseRow row;
-    row.support = eq.links.data();
-    row.support_size = eq.links.size();
-    if (weight_samples > 0) {
-      // Every support entry carries the weight; the rhs scales with it.
-      row.value = variance_weight(eq.y, n);
-      row.y = row.value * eq.y;
-    } else {
-      row.y = eq.y;
-    }
-    view.rows.push_back(row);
-  }
-  return view;
-}
-
-linalg::SparseSystemView sparse_view_with_rhs(const EquationSystem& system,
-                                              const std::vector<double>& ys,
-                                              std::size_t weight_samples) {
-  TOMO_REQUIRE(ys.size() == system.equations.size(),
-               "sparse_view_with_rhs: rhs count does not match the system");
+                                     std::size_t weight_samples,
+                                     std::span<const double> ys) {
+  TOMO_REQUIRE(ys.empty() || ys.size() == system.equations.size(),
+               "sparse_view: rhs count does not match the system");
   linalg::SparseSystemView view;
   view.cols = system.link_count;
   view.rows.reserve(system.equations.size());
   const double n = static_cast<double>(weight_samples);
   for (std::size_t i = 0; i < system.equations.size(); ++i) {
     const Equation eq = system.equations[i];
+    const double y = ys.empty() ? eq.y : ys[i];
     linalg::SparseRow row;
     row.support = eq.links.data();
     row.support_size = eq.links.size();
     if (weight_samples > 0) {
-      row.value = variance_weight(ys[i], n);
-      row.y = row.value * ys[i];
+      // Every support entry carries the weight; the rhs scales with it.
+      row.value = variance_weight(y, n);
+      row.y = row.value * y;
     } else {
-      row.y = ys[i];
+      row.y = y;
     }
     view.rows.push_back(row);
   }

@@ -7,10 +7,13 @@
 //   pairs   — path pairs whose *union* of links is correlation-free
 //             (Eq. 10); only intersecting pairs can add rank, since the
 //             union row of two disjoint basis rows is their sum.
-// Candidates stream through an incremental rank tracker; only rank-
-// increasing equations with usable measurements (non-zero empirical
-// probability) are kept. The result is N1 + N2 <= |E| independent
-// equations, exactly the system the paper solves.
+// A candidate is usable when its empirical probability is non-zero. One
+// rule decides what is kept: every usable single is an equation; pairs
+// are accepted until the system is full rank and the pair budget is
+// spent, and after that only rank-increasing pairs are. An incremental
+// rank tracker follows the accepted rows, so the system may hold
+// linearly dependent equations — the solver then fits every available
+// measurement (what [12] effectively does).
 //
 // The pair harvest is the hot path at dense-mesh scale and is built as a
 // streaming generator: per-link candidate emission deduplicated by
@@ -125,9 +128,9 @@ struct EquationSystem {
   std::size_t link_count = 0;
   std::size_t n1 = 0;             // accepted single-path equations
   std::size_t n2 = 0;             // accepted pair equations
-  std::size_t rank = 0;           // == n1 + n2
+  std::size_t rank = 0;           // rank of the accepted rows
   std::size_t dropped_correlated = 0;  // candidates with correlated links
-  std::size_t dropped_unusable = 0;    // zero/low empirical probability
+  std::size_t dropped_unusable = 0;    // zero empirical probability
   std::size_t dropped_dependent = 0;   // linearly dependent candidates
   std::size_t pair_candidates_tried = 0;
   /// Wall seconds spent inside build_equations (harvest telemetry; not a
@@ -139,19 +142,9 @@ struct EquationSystem {
 
 struct EquationBuildOptions {
   bool use_pairs = true;
-  /// Upper bound on pair candidates examined (each may cost an elimination
-  /// sweep); 0 means no bound.
-  std::size_t max_pair_candidates = 0;
-  /// Minimum good-snapshot support for an empirical estimate to be usable.
-  std::size_t min_good_snapshots = 1;
-  /// When true (default), every usable equation the correlation structure
-  /// admits is kept, including linearly dependent ones — the solver then
-  /// fits all available measurements (what [12] effectively does). When
-  /// false, only rank-increasing equations are kept: the minimal
-  /// N1 + N2 <= |E| system of the paper's §4 presentation.
-  bool include_redundant = true;
-  /// Cap on accepted pair equations in redundant mode (0 = one per link,
-  /// i.e. |E|). Ignored when include_redundant is false.
+  /// Pair budget: usable pairs are accepted, dependent or not, until this
+  /// many are; after that only rank-increasing pairs are (0 = one per
+  /// link, i.e. |E|).
   std::size_t max_pair_equations = 0;
   /// Worker threads for the batched pair-candidate evaluation (1 = inline
   /// on the caller, 0 = all hardware cores). Candidates are precomputed in
@@ -184,11 +177,9 @@ class PairPrecheck {
 };
 
 /// The estimate of P(every path of `candidate` good): the y
-/// build_equations installs, or its reason to drop the candidate as
-/// unusable.
+/// build_equations installs, or unusable when that probability is 0.
 sim::LogProbEstimate candidate_estimate(
-    const sim::MeasurementProvider& measurement, CandidatePaths candidate,
-    std::size_t min_good_snapshots);
+    const sim::MeasurementProvider& measurement, CandidatePaths candidate);
 
 /// Builds the equation system for the given correlation structure. Pass
 /// CorrelationSets::singletons() to obtain the independence baseline's
@@ -202,22 +193,16 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
 
 /// Solver-facing sparse view of the harvest: one row per equation,
 /// borrowing the equations' link storage (the view must not outlive
-/// `system`). With `weight_samples` > 0 each row is scaled by the inverse
-/// standard deviation of its estimate: by the delta method,
+/// `system`). Row i's right-hand side is equation i's y, or ys[i] when
+/// `ys` is given — the bootstrap fast path, where a resampled replicate
+/// keeps the harvest's supports but re-estimates every log-probability.
+/// With `weight_samples` > 0 each row is scaled by the inverse standard
+/// deviation of its estimate: by the delta method,
 /// Var(log p-hat) ~= (1 - p) / (p * N) for a binomial proportion over N
 /// snapshots, so well-supported equations count more in the solve. Oracle
 /// measurements (0 samples) are exact and stay unweighted.
 linalg::SparseSystemView sparse_view(const EquationSystem& system,
-                                     std::size_t weight_samples = 0);
-
-/// Sparse view of `system` with replacement right-hand sides — the bootstrap
-/// fast path, where a resampled replicate keeps the harvest's supports but
-/// re-estimates every log-probability. ys[i] is equation i's new y; weights
-/// (when `weight_samples` > 0) are recomputed from the new values, exactly
-/// what a fresh harvest of the replicate would install. Same borrowing rule
-/// as sparse_view: the view must not outlive `system`.
-linalg::SparseSystemView sparse_view_with_rhs(const EquationSystem& system,
-                                              const std::vector<double>& ys,
-                                              std::size_t weight_samples = 0);
+                                     std::size_t weight_samples = 0,
+                                     std::span<const double> ys = {});
 
 }  // namespace tomo::core

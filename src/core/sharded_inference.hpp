@@ -34,7 +34,7 @@
 // Exactness contract: pair-equation candidates always share a link, so a
 // link-disjoint shard contains precisely the monolithic harvest's
 // equations that live inside it. When the pair budget does not bind
-// (redundant mode accepts every usable correlation-free candidate, making
+// (every usable correlation-free candidate is then accepted, making
 // acceptance order-independent), an uncapped plan therefore reproduces the
 // monolithic solution up to Gram-summation rounding, and a one-shard plan
 // reproduces it bit for bit — the differential suite (test_sharded_fast)

@@ -26,6 +26,9 @@ namespace {
 /// columns an inline warm-up would.
 constexpr double kSeedRelTol = 1e-12;
 
+/// Gradient / positivity tolerance of the active-set logic.
+constexpr double kTol = 1e-10;
+
 /// Passive-position map entry of a column outside the passive set.
 constexpr std::uint32_t kNotPassive =
     std::numeric_limits<std::uint32_t>::max();
@@ -56,12 +59,11 @@ double gather_column(const SparseGram& g,
 class IncrementalNnls {
  public:
   IncrementalNnls(const GramSystem& gs, std::size_t max_iterations,
-                  double tol, const std::vector<std::size_t>& warm,
+                  const std::vector<std::size_t>& warm,
                   const NnlsWarmFactor* cached)
       : gs_(gs),
         n_(gs.gram.cols()),
         max_iterations_(max_iterations),
-        tol_(tol),
         warm_(warm),
         cached_(cached),
         pos_(n_, kNotPassive),
@@ -139,7 +141,7 @@ class IncrementalNnls {
       }
       bool feasible = true;
       for (std::size_t i = 0; i < passive_.size(); ++i) {
-        if (z[i] <= tol_) feasible = false;
+        if (z[i] <= kTol) feasible = false;
       }
       if (feasible) {
         for (std::size_t i = 0; i < passive_.size(); ++i) {
@@ -148,7 +150,7 @@ class IncrementalNnls {
         break;
       }
       for (std::size_t i = passive_.size(); i-- > 0;) {
-        if (z[i] <= tol_) drop(i);
+        if (z[i] <= kTol) drop(i);
       }
     }
   }
@@ -171,7 +173,7 @@ class IncrementalNnls {
 
   std::size_t select(const Vector& w) const {
     std::size_t best = n_;
-    double best_w = tol_;
+    double best_w = kTol;
     for (std::size_t j = 0; j < n_; ++j) {
       if (pos_[j] == kNotPassive && !blocked_[j] && w[j] > best_w) {
         best_w = w[j];
@@ -251,7 +253,7 @@ class IncrementalNnls {
       bool all_positive = true;
       double alpha = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < passive_.size(); ++i) {
-        if (z[i] <= tol_) {
+        if (z[i] <= kTol) {
           all_positive = false;
           const double xj = result_.x[passive_[i]];
           const double denom = xj - z[i];
@@ -291,7 +293,7 @@ class IncrementalNnls {
       // moves, every iteration strictly shrinks the candidate pool).
       for (std::size_t i = passive_.size(); i-- > 0;) {
         const std::size_t j = passive_[i];
-        if (result_.x[j] > tol_) continue;
+        if (result_.x[j] > kTol) continue;
         result_.x[j] = 0.0;
         if (!moved) blocked_[j] = 1;
         drop(i);
@@ -335,7 +337,6 @@ class IncrementalNnls {
   const GramSystem& gs_;
   const std::size_t n_;
   const std::size_t max_iterations_;
-  const double tol_;
   const std::vector<std::size_t>& warm_;
   const NnlsWarmFactor* cached_;
   NnlsResult result_;
@@ -391,8 +392,7 @@ NnlsResult nnls_gram(const GramSystem& system, const NnlsOptions& options) {
   }
   const std::size_t cap =
       resolve_iteration_cap(options.max_iterations, g.cols());
-  return IncrementalNnls(system, cap, options.tol, options.warm_start,
-                         options.warm_factor)
+  return IncrementalNnls(system, cap, options.warm_start, options.warm_factor)
       .run();
 }
 

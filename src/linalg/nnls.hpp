@@ -52,8 +52,6 @@ NnlsWarmFactor seed_warm_factor(const GramSystem& gs,
 struct NnlsOptions {
   /// 0 means the 3 * cols + 10 default, which is ample in practice.
   std::size_t max_iterations = 0;
-  /// Gradient/positivity tolerance of the active-set logic.
-  double tol = 1e-10;
   /// Warm start: columns seeded into the passive set before the active-set
   /// loop runs — typically the previous window's
   /// converged support in a streaming solve. Out-of-range, duplicate, or

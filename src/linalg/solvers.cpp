@@ -137,8 +137,6 @@ LogSystemSolution solve_nnls(const SparseSystemView& system,
                              const GramSystem& gs,
                              const SolverOptions& options) {
   NnlsOptions nnls_options;
-  nnls_options.max_iterations = options.max_iterations;
-  nnls_options.tol = options.tol;
   nnls_options.warm_start = options.warm_start;
   nnls_options.warm_factor = options.nnls_warm_factor;
   NnlsResult r = nnls_gram(gs, nnls_options);

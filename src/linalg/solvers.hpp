@@ -45,10 +45,6 @@ std::string to_string(SolverKind kind);
 /// core::InferenceOptions down to the engine.
 struct SolverOptions {
   SolverKind kind = SolverKind::kNnls;
-  /// Iteration cap for the iterative engines (0 = their defaults).
-  std::size_t max_iterations = 0;
-  /// Active-set / convergence tolerance for NNLS.
-  double tol = 1e-10;
   /// Worker threads for the sparse Gram build (1 = inline on the caller,
   /// 0 = all hardware cores). The result is bit-identical for any value.
   std::size_t jobs = 1;

@@ -6,23 +6,14 @@
 
 namespace tomo::sim {
 
-LogProbEstimate log_estimate(double prob, std::size_t samples,
-                             std::size_t min_good) {
+LogProbEstimate log_estimate(double prob) {
   TOMO_REQUIRE(prob >= 0.0 && prob <= 1.0 + 1e-12,
                "probability estimate outside [0,1]");
   LogProbEstimate out;
-  out.prob = prob;
-  if (prob <= 0.0) {
-    return out;  // unusable: log undefined
+  if (prob > 0.0) {
+    out.log_prob = std::log(prob);
+    out.usable = true;
   }
-  if (samples > 0) {
-    const double good = prob * static_cast<double>(samples);
-    if (good + 1e-9 < static_cast<double>(min_good)) {
-      return out;  // unusable: too few supporting snapshots
-    }
-  }
-  out.log_prob = std::log(prob);
-  out.usable = true;
   return out;
 }
 

@@ -1,29 +1,21 @@
 // Log-probability estimates for the equation right-hand sides.
 //
-// The §4 algorithm works with y = log P(paths good). An empirical
+// The §4 algorithm works with y = log P(paths good). An estimated
 // probability of zero (the paths were never simultaneously good during the
 // experiment) has no usable logarithm; such equations are flagged unusable
-// and dropped by the equation builder, as are estimates backed by too few
-// good snapshots to be trustworthy.
+// and dropped by the equation builder. For a count-based measurement a
+// non-zero probability means at least one good snapshot backs it.
 #pragma once
-
-#include <cstddef>
-
-#include "util/stats.hpp"
 
 namespace tomo::sim {
 
 struct LogProbEstimate {
-  double log_prob = 0.0;   // log of the estimated probability
-  double prob = 0.0;       // the estimated probability itself
-  bool usable = false;     // false when prob == 0 (or below min_good)
+  double log_prob = 0.0;  // log of the estimated probability
+  bool usable = false;    // false when the probability is 0
 };
 
-/// Converts an estimated probability (and the snapshot count backing it)
-/// into a usable log estimate. `min_good` is the minimum number of good
-/// snapshots required; estimates from an exact oracle pass `samples = 0`
-/// and are usable whenever prob > 0.
-LogProbEstimate log_estimate(double prob, std::size_t samples,
-                             std::size_t min_good = 1);
+/// Converts an estimated probability into a log estimate, usable iff
+/// `prob` > 0.
+LogProbEstimate log_estimate(double prob);
 
 }  // namespace tomo::sim

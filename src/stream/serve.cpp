@@ -20,11 +20,34 @@ namespace tomo::stream {
 
 namespace {
 
+/// Windows the producer may read ahead of inference.
+constexpr std::size_t kRingCapacity = 8;
+
 void append_double(std::string& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
 }
+
+/// Closes the ring and joins the producer when it goes out of scope, so
+/// every exit from serve — the stream closing, max_windows, a dead output
+/// or an exception — unblocks a producer stuck in push and joins it:
+/// destroying a joinable std::thread would call std::terminate.
+class ProducerJoin {
+ public:
+  ProducerJoin(WindowRing& ring, std::thread& producer)
+      : ring_(ring), producer_(producer) {}
+  ProducerJoin(const ProducerJoin&) = delete;
+  ProducerJoin& operator=(const ProducerJoin&) = delete;
+  ~ProducerJoin() {
+    ring_.close();
+    producer_.join();
+  }
+
+ private:
+  WindowRing& ring_;
+  std::thread& producer_;
+};
 
 }  // namespace
 
@@ -64,7 +87,7 @@ ServeReport serve(std::istream& input, std::ostream& output,
                   const std::vector<graph::Path>& paths,
                   const corr::CorrelationSets& declared,
                   const ServeOptions& options) {
-  WindowRing ring(options.ring_capacity);
+  WindowRing ring(kRingCapacity);
   std::exception_ptr producer_error;
   std::size_t truncations = 0;  // producer-owned until the join below
 
@@ -124,13 +147,14 @@ ServeReport serve(std::istream& input, std::ostream& output,
   });
 
   ServeReport report;
-  // Whatever stops the consumer — close, max_windows, a dead output, or an
-  // exception from push_window — the ring is closed and the producer
-  // joined before serve returns or rethrows: destroying a joinable
-  // std::thread would call std::terminate.
-  try {
+  // The consumer stops when the ring drains (the producer is done), at
+  // max_windows, or on a dead output.
+  bool drained = false;
+  {
+    const ProducerJoin join(ring, producer);
     StreamingInference inference(g, paths, declared, options.streaming);
-    while (std::optional<sim::MeasurementBlock> window = ring.pop()) {
+    std::optional<sim::MeasurementBlock> window;
+    while ((window = ring.pop())) {
       const WindowEstimate estimate = inference.push_window(*window);
       ++report.windows;
       if (estimate.harvest_replayed) ++report.replayed_windows;
@@ -169,15 +193,13 @@ ServeReport serve(std::istream& input, std::ostream& output,
         break;
       }
     }
-  } catch (...) {
-    ring.close();
-    producer.join();
-    throw;
+    drained = !window.has_value();
   }
-  ring.close();  // unblocks a producer stuck in push after max_windows
-  producer.join();
-  report.truncations = truncations;  // join() ordered the producer's writes
-  if (producer_error) std::rethrow_exception(producer_error);
+  report.truncations = truncations;  // the join ordered the producer's writes
+  // A producer error matters only when the consumer waited on it: past
+  // max_windows or a dead output, the producer's read-ahead failed on input
+  // no window needed.
+  if (drained && producer_error) std::rethrow_exception(producer_error);
   return report;
 }
 

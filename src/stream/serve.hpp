@@ -29,7 +29,6 @@ struct ServeOptions {
   /// Window schedule when the input is a complete classic observation
   /// file (stream-format inputs carry their own window boundaries).
   std::size_t window_snapshots = 256;
-  std::size_t ring_capacity = 8;
   /// Tail mode: when > 0 and the input hits EOF without a close marker,
   /// retry every poll_ms milliseconds instead of stopping.
   long poll_ms = 0;
@@ -72,8 +71,10 @@ struct ServeReport {
 /// give equal bytes — the cross-jobs identity contract.
 std::string window_json(const WindowEstimate& estimate, double mean_err);
 
-/// Runs the loop until the stream closes (or max_windows). Reader errors
-/// and inference errors propagate as tomo::Error.
+/// Runs the loop until the stream closes (or max_windows). Inference
+/// errors propagate as tomo::Error, and so do reader errors on input the
+/// loop waited for; past max_windows or a closed output, a reader error
+/// on input the producer read ahead is dropped.
 ServeReport serve(std::istream& input, std::ostream& output,
                   const graph::Graph& g,
                   const std::vector<graph::Path>& paths,

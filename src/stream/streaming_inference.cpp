@@ -35,10 +35,7 @@ WindowEstimate StreamingInference::push_window(
   // usability since (a prefix only gains good snapshots), so when none has
   // the re-harvest would rebuild the kept system with new y values.
   out.harvest_replayed =
-      kept_.has_value() &&
-      core::replay_harvest(*kept_, measurement_,
-                           options_.inference.equations.min_good_snapshots,
-                           ys_);
+      kept_.has_value() && core::replay_harvest(*kept_, measurement_, ys_);
   bool support_unchanged = out.harvest_replayed;
   if (out.harvest_replayed) {
     core::EquationSystem& system = kept_->system;

@@ -21,7 +21,7 @@ namespace tomo::stream {
 
 class WindowRing {
  public:
-  explicit WindowRing(std::size_t capacity = 8);
+  explicit WindowRing(std::size_t capacity);
 
   /// Blocks until a slot frees up; false when the ring was closed before
   /// the window could be queued (the window is dropped).

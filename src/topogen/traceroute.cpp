@@ -1,9 +1,9 @@
 #include "topogen/traceroute.hpp"
 
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -114,12 +114,6 @@ graph::MeasuredSystem parse_traceroutes(std::istream& is) {
     system.partition.push_back({e});
   }
   return system;
-}
-
-graph::MeasuredSystem load_traceroutes(const std::string& filename) {
-  std::ifstream is(filename);
-  TOMO_REQUIRE(is.good(), "cannot open " + filename);
-  return parse_traceroutes(is);
 }
 
 }  // namespace tomo::topogen

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "graph/serialize.hpp"
 
@@ -27,8 +26,5 @@ namespace tomo::topogen {
 /// (identical hop sequences) are collapsed into one path. Throws
 /// tomo::Error with line numbers on malformed input.
 graph::MeasuredSystem parse_traceroutes(std::istream& is);
-
-/// File convenience wrapper.
-graph::MeasuredSystem load_traceroutes(const std::string& filename);
 
 }  // namespace tomo::topogen

@@ -36,9 +36,6 @@ class Json {
   static Json object();
   static Json array();
 
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-
   /// Appends key/value; requires an object. Returns *this for chaining.
   Json& set(std::string key, Json value);
 

@@ -39,7 +39,7 @@ core::BootstrapResult bootstrap_congestion(
   }
   TOMO_REQUIRE(result.replicates >= 2, "bootstrap: too few usable replicates");
 
-  const double tail = (1.0 - options.confidence) / 2.0;
+  const double tail = (1.0 - core::kBootstrapConfidence) / 2.0;
   result.lower.resize(links);
   result.upper.resize(links);
   for (graph::LinkId e = 0; e < links; ++e) {

@@ -1,10 +1,10 @@
-#include "linalg/cholesky.hpp"
+#include "reference/cholesky.hpp"
 
 #include <cmath>
 
 #include "util/error.hpp"
 
-namespace tomo::linalg {
+namespace tomo::reference {
 
 CholeskyDecomposition::CholeskyDecomposition(const Matrix& a)
     : l_(a.rows(), a.cols()) {
@@ -77,4 +77,4 @@ Vector normal_equations_least_squares(const Matrix& a, const Vector& b,
   return CholeskyDecomposition(ata).solve(atb);
 }
 
-}  // namespace tomo::linalg
+}  // namespace tomo::reference

@@ -1,15 +1,14 @@
-// Cholesky factorization and normal-equation least squares.
-//
-// For tall systems with modest condition numbers (the tomography systems'
-// 0/1 rows are well behaved), solving A^T A x = A^T b via Cholesky is
-// several times faster than Householder QR. QR remains the default where
-// accuracy is at a premium; this path backs the solver microbenchmarks and
-// offers a cheap alternative for iterative callers (IRLS-style loops).
+// Dense Cholesky factorization and normal-equation least squares: the
+// from-scratch factor linalg::UpdatableCholesky (the NNLS passive-set
+// factor, edited column by column) is pinned against.
 #pragma once
 
 #include "linalg/matrix.hpp"
 
-namespace tomo::linalg {
+namespace tomo::reference {
+
+using linalg::Matrix;
+using linalg::Vector;
 
 /// Cholesky factor of a symmetric positive-definite matrix: A = L L^T.
 class CholeskyDecomposition {
@@ -35,4 +34,4 @@ class CholeskyDecomposition {
 Vector normal_equations_least_squares(const Matrix& a, const Vector& b,
                                       double ridge = 0.0);
 
-}  // namespace tomo::linalg
+}  // namespace tomo::reference

@@ -47,13 +47,16 @@ struct Workload {
   sim::SimulationResult simr;
 };
 
-Workload registry_workload(const std::string& name) {
+/// 150 snapshots by default: two full 64-snapshot words plus a ragged
+/// tail.
+Workload registry_workload(const std::string& name,
+                           std::size_t snapshots = 150) {
   core::ScenarioConfig config = core::shrink_for_tests(
       core::ScenarioCatalog::instance().at(name).config);
   config.seed = 0xb001;
   Workload w{core::build_scenario(config), {}};
   sim::SimulatorConfig sc;
-  sc.snapshots = 150;  // two full 64-snapshot words plus a ragged tail
+  sc.snapshots = snapshots;
   sc.packets_per_path = 400;
   sc.seed = 0x51ee;
   w.simr = sim::simulate(w.inst.graph, w.inst.paths, *w.inst.truth, sc);
@@ -120,20 +123,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------- fallback & skipping ----
 
-// min_good_snapshots > 1 voids the support-stability certificate (a
-// dropped candidate could cross the threshold), so the static gate must
-// route every replicate through the full re-harvest.
+// At few snapshots some resamples lose a good snapshot an equation of the
+// point harvest rested on: replay_harvest refuses those replicates, which
+// take the full re-harvest, while the rest keep the fast path. Both must
+// agree with the reference bit for bit.
 TEST(BootstrapFast, UnprovableSupportFallsBackToReferencePath) {
   // worm-mislabeled: secretly correlated links, so the refine/demote
-  // chain actually fires before the harvest this configuration re-runs.
-  const Workload w = registry_workload("worm-mislabeled");
+  // chain actually fires before the harvest a replicate re-runs.
+  const Workload w = registry_workload("worm-mislabeled", 11);
   const graph::CoverageIndex cov(w.inst.graph, w.inst.paths);
+  const sim::EmpiricalMeasurement full{
+      sim::MeasurementBlock(w.simr.measurement)};
+  ASSERT_FALSE(harvest_refined_system(w.inst.graph, w.inst.paths, cov,
+                                      w.inst.declared_sets, full, {})
+                   .refined_links.empty());
 
   BootstrapOptions options;
   options.replicates = 8;
   options.seed = 0x5a11;
   options.warm_start = false;
-  options.inference.equations.min_good_snapshots = 2;
 
   const BootstrapResult serial = reference::bootstrap_congestion(
       w.inst.graph, w.inst.paths, cov, w.inst.declared_sets,
@@ -141,9 +149,10 @@ TEST(BootstrapFast, UnprovableSupportFallsBackToReferencePath) {
   const BootstrapResult batched =
       bootstrap_congestion(w.inst.graph, w.inst.paths, cov,
                            w.inst.declared_sets, w.simr.measurement, options);
-  EXPECT_EQ(batched.reharvested, options.replicates);
+  EXPECT_GT(batched.reharvested, 0u);
+  EXPECT_LT(batched.reharvested, options.replicates);
   EXPECT_EQ(serial.reharvested, 0u);  // the reference never reports it
-  expect_identical(batched, serial, "min_good_snapshots=2");
+  expect_identical(batched, serial, "worm-mislabeled");
 }
 
 // A path with a single good snapshot flips its equations' usability in

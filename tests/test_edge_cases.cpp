@@ -2,6 +2,7 @@
 // adversarial) caller will eventually produce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -183,7 +184,6 @@ TEST(EquationsEdge, RedundantBudgetIsHonoured) {
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   const sim::OracleMeasurement oracle(*model, cov);
   core::EquationBuildOptions opts;
-  opts.include_redundant = true;
   opts.max_pair_equations = 1;
   const auto eq = core::build_equations(cov, sys.sets, oracle, opts);
   EXPECT_LE(eq.n2, 1u + 0u);  // budget 1 (plus rank-increasing continuation
@@ -191,6 +191,8 @@ TEST(EquationsEdge, RedundantBudgetIsHonoured) {
                               // already full after one pair)
 }
 
+// A path good in no snapshot has no usable estimate: it gets no equation,
+// single or pair, and its single is counted and recorded as unusable.
 TEST(EquationsEdge, MinGoodSnapshotsFiltersThinEstimates) {
   auto sys = tomo::testing::figure_1a();
   auto model = tomo::testing::figure_1a_model(sys.sets);
@@ -198,13 +200,20 @@ TEST(EquationsEdge, MinGoodSnapshotsFiltersThinEstimates) {
   config.snapshots = 100;
   config.seed = 3;
   auto simr = reference::simulate_exact(sys.graph, sys.paths, *model, config);
-  const sim::EmpiricalMeasurement meas(std::move(simr.measurement));
+  sim::MeasurementBlock block = std::move(simr.measurement);
+  std::fill_n(block.good_row(0), block.words_per_path(), 0);
+  block.recount();
+  const sim::EmpiricalMeasurement meas(std::move(block));
+  ASSERT_EQ(meas.good_prob(0), 0.0);
   const graph::CoverageIndex cov(sys.graph, sys.paths);
-  core::EquationBuildOptions strict;
-  strict.min_good_snapshots = 1000;  // impossible with 100 snapshots
-  const auto eq = core::build_equations(cov, sys.sets, meas, strict);
-  EXPECT_TRUE(eq.equations.empty());
-  EXPECT_GE(eq.dropped_unusable, 3u);
+  std::vector<core::CandidatePaths> unusable;
+  const auto eq = core::build_equations(cov, sys.sets, meas, {}, &unusable);
+  ASSERT_FALSE(eq.equations.empty());
+  for (const core::Equation e : eq.equations) {
+    EXPECT_EQ(std::ranges::count(e.paths, graph::PathId{0}), 0);
+  }
+  EXPECT_GE(eq.dropped_unusable, 1u);
+  EXPECT_EQ(std::ranges::count(unusable, core::CandidatePaths{0, 0}), 1);
 }
 
 // ------------------------------------------------------------ scenario ----

@@ -107,9 +107,7 @@ TEST(Equations, PairCandidateCapRespected) {
   auto model = figure_1a_model(sys.sets);
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   const sim::OracleMeasurement oracle(*model, cov);
-  EquationBuildOptions opts;
-  opts.max_pair_candidates = 0;  // unlimited
-  const auto unlimited = build_equations(cov, sys.sets, oracle, opts);
+  const auto unlimited = build_equations(cov, sys.sets, oracle);
   EXPECT_TRUE(unlimited.full_rank());
 }
 

@@ -193,11 +193,9 @@ TEST(EquationsFast, RandomTopologiesSeedsAndOptionVariations) {
     const PreparedScenario p = prepare(config, rng.below(1u << 30));
     const sim::EmpiricalMeasurement fast(p.sim_result.measurement);
 
-    std::vector<EquationBuildOptions> variations(4);
-    variations[1].include_redundant = false;
-    variations[2].max_pair_candidates = 40;
-    variations[3].min_good_snapshots = 5;
-    variations[3].max_pair_equations = 25;
+    std::vector<EquationBuildOptions> variations(3);
+    variations[1].use_pairs = false;
+    variations[2].max_pair_equations = 25;
     for (std::size_t v = 0; v < variations.size(); ++v) {
       EquationBuildOptions options = variations[v];
       const EquationSystem ref =

@@ -6,16 +6,16 @@
 #include <string>
 #include <vector>
 
-#include "linalg/cholesky.hpp"
 #include "linalg/irls.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/nnls.hpp"
-#include "reference/solvers.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/rank_tracker.hpp"
 #include "linalg/simplex.hpp"
 #include "linalg/solvers.hpp"
 #include "linalg/updatable_cholesky.hpp"
+#include "reference/cholesky.hpp"
+#include "reference/solvers.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -281,7 +281,7 @@ TEST(UpdatableCholesky, AppendMatchesFullFactorization) {
   Vector rhs(n);
   for (auto& v : rhs) v = rng.uniform(-2, 2);
   const Vector incremental = chol.solve(rhs);
-  const Vector direct = CholeskyDecomposition(g).solve(rhs);
+  const Vector direct = reference::CholeskyDecomposition(g).solve(rhs);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(incremental[i], direct[i], 1e-10);
   }
@@ -315,7 +315,7 @@ TEST(UpdatableCholesky, RemoveMatchesFactorOfSubmatrix) {
     Vector rhs(n - 1);
     for (auto& v : rhs) v = rng.uniform(-2, 2);
     const Vector incremental = chol.solve(rhs);
-    const Vector direct = CholeskyDecomposition(sub).solve(rhs);
+    const Vector direct = reference::CholeskyDecomposition(sub).solve(rhs);
     for (std::size_t i = 0; i + 1 < n; ++i) {
       EXPECT_NEAR(incremental[i], direct[i], 1e-9) << "drop " << drop;
     }

@@ -192,11 +192,6 @@ TEST(Bootstrap, ValidatesOptions) {
   EXPECT_THROW(bootstrap_congestion(sys.graph, sys.paths, cov, sys.sets,
                                     obs, options),
                Error);
-  options.replicates = 10;
-  options.confidence = 1.5;
-  EXPECT_THROW(bootstrap_congestion(sys.graph, sys.paths, cov, sys.sets,
-                                    obs, options),
-               Error);
 }
 
 }  // namespace

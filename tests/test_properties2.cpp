@@ -236,16 +236,17 @@ TEST_P(Seeds2, DemotionFallbackOnlyAddsCoverage) {
       corr::make_clustered_shock_model(sets, congested, marginals, 0.0);
   const graph::CoverageIndex cov(sys.graph, sys.paths);
   const sim::OracleMeasurement oracle(*truth, cov);
-  core::InferenceOptions with, without;
-  with.demote_uncovered = true;
-  without.demote_uncovered = false;
-  const auto r_with = core::infer_congestion(sys.graph, sys.paths, cov,
-                                             sets, oracle, with);
-  const auto r_without = core::infer_congestion(sys.graph, sys.paths, cov,
-                                                sets, oracle, without);
-  EXPECT_GE(r_with.system.rank, r_without.system.rank);
-  EXPECT_GE(r_with.system.equations.size(),
-            r_without.system.equations.size());
+  const auto r_with =
+      core::infer_congestion(sys.graph, sys.paths, cov, sets, oracle);
+  // Without the demotion rounds: the chain's first round, a harvest on the
+  // structurally refined sets.
+  const corr::CorrelationSets refined = core::demote_to_singletons(
+      sets, corr::structurally_unidentifiable_links(sys.graph, sys.paths,
+                                                    sets));
+  const core::EquationSystem without =
+      core::build_equations(cov, refined, oracle);
+  EXPECT_GE(r_with.system.rank, without.rank);
+  EXPECT_GE(r_with.system.equations.size(), without.equations.size());
 }
 
 }  // namespace

@@ -390,15 +390,20 @@ TEST(Serve, ClosedOutputStopsTheLoopAndIsReported) {
   EXPECT_EQ(report.windows, 1u);  // the window whose write failed
 }
 
+/// Stopping at max_windows closes the ring and joins the producer, whether
+/// it is blocked on the full ring or has already failed on input past the
+/// last window served: an error in input no served window needed is not
+/// the consumer's.
 TEST(Serve, MaxWindowsStopsEarlyAndStillJoinsTheProducer) {
   auto sys = tomo::testing::figure_1a();
   auto model = tomo::testing::figure_1a_model(sys.sets);
   sim::SimulatorConfig config;
-  config.snapshots = 600;
+  config.snapshots = 1200;
   config.seed = 34;
   const sim::SimulationResult result =
       sim::simulate(sys.graph, sys.paths, *model, config);
 
+  // 24 windows, more than the ring holds: the producer blocks.
   std::stringstream input;
   ObsStreamWriter writer(input, result.measurement.path_count);
   for (const sim::MeasurementBlock& w :
@@ -409,12 +414,33 @@ TEST(Serve, MaxWindowsStopsEarlyAndStillJoinsTheProducer) {
 
   std::stringstream output;
   ServeOptions options;
-  options.ring_capacity = 2;  // smaller than the 12 windows: producer blocks
   options.max_windows = 3;
   const ServeReport report =
       serve(input, output, sys.graph, sys.paths, sys.sets, options);
   EXPECT_EQ(report.windows, 3u);
   EXPECT_EQ(report.snapshots, 150u);
+
+  // Three windows, then a malformed line the producer reads ahead into.
+  std::stringstream broken_wire;
+  ObsStreamWriter broken_writer(broken_wire, result.measurement.path_count);
+  for (std::size_t k = 0; k < 3; ++k) {
+    broken_writer.write_window(result.measurement.slice(50 * k, 50));
+  }
+  broken_wire << "bogus line\n";
+  const std::string broken = broken_wire.str();
+  const auto serve_broken = [&](std::size_t max_windows) {
+    std::stringstream broken_input(broken);
+    std::stringstream broken_output;
+    options.max_windows = max_windows;
+    return serve(broken_input, broken_output, sys.graph, sys.paths,
+                 sys.sets, options);
+  };
+  ServeReport early;
+  EXPECT_NO_THROW(early = serve_broken(2));
+  EXPECT_EQ(early.windows, 2u);
+  EXPECT_EQ(early.snapshots, 100u);
+  // A fourth window needs the malformed line: its error propagates.
+  EXPECT_THROW(serve_broken(4), Error);
 }
 
 /// Tail-mode truncation: when the tailed file shrinks under the daemon
@@ -495,13 +521,12 @@ TEST(Serve, ConsumerErrorStillJoinsTheProducer) {
   auto sys = tomo::testing::figure_1a();
   std::stringstream input;
   ObsStreamWriter writer(input, sys.paths.size());
-  for (int k = 0; k < 8; ++k) {
+  for (int k = 0; k < 16; ++k) {  // more windows than the ring holds
     writer.write_window(sim::MeasurementBlock::all_good(sys.paths.size(), 4));
   }
   writer.close();
   const std::vector<double> truth(1, 0.0);  // the topology has 4 links
   ServeOptions options;
-  options.ring_capacity = 1;
   options.truth = &truth;
   std::stringstream output;
   EXPECT_THROW(serve(input, output, sys.graph, sys.paths, sys.sets, options),

@@ -204,7 +204,6 @@ int cmd_serve(int argc, const char* const* argv) {
   flags.add_int("poll-ms", 0,
                 "tail mode: retry interval after EOF (0 = stop at EOF)");
   flags.add_int("max-windows", 0, "stop after this many windows (0 = all)");
-  flags.add_int("ring", 8, "ingestion ring capacity (windows)");
   flags.add_bool("mean-err", true,
                  "report per-window mean_err when ground truth is known");
   if (!flags.parse(argc, argv)) return 0;
@@ -215,7 +214,6 @@ int cmd_serve(int argc, const char* const* argv) {
   options.streaming.inference = inference_from(flags);
   options.streaming.warm_start = !flags.get_bool("cold");
   options.window_snapshots = flags.get_count("window");
-  options.ring_capacity = flags.get_count("ring");
   options.poll_ms = static_cast<long>(flags.get_int("poll-ms"));
   options.max_windows = flags.get_count("max-windows");
   if (flags.get_bool("mean-err") && !system.truth.empty()) {
