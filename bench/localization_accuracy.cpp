@@ -18,19 +18,15 @@
 
 namespace {
 
-struct Tally {
-  std::size_t tp = 0, fp = 0, fn = 0;
+void add(tomo::core::LocalizationScore& total,
+         const tomo::core::LocalizationScore& score) {
+  total.true_positives += score.true_positives;
+  total.false_positives += score.false_positives;
+  total.false_negatives += score.false_negatives;
+}
 
-  Tally& operator+=(const Tally& other) {
-    tp += other.tp;
-    fp += other.fp;
-    fn += other.fn;
-    return *this;
-  }
-};
-
-struct TrialTallies {
-  Tally smallest, map_ind, map_corr;
+struct TrialScores {
+  tomo::core::LocalizationScore smallest, map_ind, map_corr;
 };
 
 }  // namespace
@@ -47,12 +43,6 @@ int main(int argc, char** argv) {
   const std::size_t eval_snapshots = flags.get_count("eval-snapshots");
   bench::Run run("localization_accuracy", s);
 
-  const auto add = [](Tally& t, const core::LocalizationScore& score) {
-    t.tp += score.true_positives;
-    t.fp += score.false_positives;
-    t.fn += score.false_negatives;
-  };
-
   const core::TrialSpec base =
       bench::resolve_trial_spec(s, 0x10c0, core::TopologyKind::kPlanetLab);
   const auto outcomes = run.trials([&](const core::TrialContext& ctx) {
@@ -65,7 +55,7 @@ int main(int argc, char** argv) {
     // of an independent evaluation run.
     const auto training = core::run_experiment(inst, spec.experiment_for(ctx));
 
-    TrialTallies tallies;
+    TrialScores scores;
     Rng rng(ctx.seed(0x20c0));
     for (std::size_t n = 0; n < eval_snapshots; ++n) {
       const auto state = inst.truth->sample(rng);
@@ -83,33 +73,26 @@ int main(int argc, char** argv) {
           coverage, congested, training.independence.congestion_prob);
       const auto mc = core::localize_greedy_map(
           coverage, congested, training.correlation.congestion_prob);
-      add(tallies.smallest,
+      add(scores.smallest,
           core::score_localization(state, ss.congested_links));
-      add(tallies.map_ind,
+      add(scores.map_ind,
           core::score_localization(state, mi.congested_links));
-      add(tallies.map_corr,
+      add(scores.map_corr,
           core::score_localization(state, mc.congested_links));
     }
-    return tallies;
+    return scores;
   });
-  Tally smallest, map_ind, map_corr;
+  core::LocalizationScore smallest, map_ind, map_corr;
   for (const auto& outcome : outcomes) {
-    smallest += outcome.value.smallest;
-    map_ind += outcome.value.map_ind;
-    map_corr += outcome.value.map_corr;
+    add(smallest, outcome.value.smallest);
+    add(map_ind, outcome.value.map_ind);
+    add(map_corr, outcome.value.map_corr);
   }
 
-  auto row = [&](const char* name, const Tally& t) {
-    const double detection =
-        t.tp + t.fn == 0
-            ? 1.0
-            : static_cast<double>(t.tp) / static_cast<double>(t.tp + t.fn);
-    const double fdr =
-        t.tp + t.fp == 0
-            ? 0.0
-            : static_cast<double>(t.fp) / static_cast<double>(t.tp + t.fp);
-    return std::vector<std::string>{name, Table::fmt(detection, 3),
-                                    Table::fmt(fdr, 3)};
+  auto row = [](const char* name, const core::LocalizationScore& score) {
+    return std::vector<std::string>{
+        name, Table::fmt(score.detection_rate(), 3),
+        Table::fmt(score.false_discovery_rate(), 3)};
   };
   Table table({"localizer", "detection_rate", "false_discovery_rate"});
   std::cout << "# Localization — per-snapshot congested-link inference "

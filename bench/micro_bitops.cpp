@@ -12,7 +12,6 @@
 // telemetry next to the macro benches. Timing numbers on stdout mean this
 // binary is *not* part of the force-scalar byte-identity cmp set.
 #include <algorithm>
-#include <array>
 #include <string>
 #include <vector>
 
@@ -73,7 +72,6 @@ int run_main(int argc, char** argv) {
     const std::size_t iters = 4'000'000 / std::max<std::size_t>(words, 1);
     const auto a = random_words(rng, words);
     const auto c = random_words(rng, words);
-    const auto d = random_words(rng, words);
     const std::string shape = std::to_string(bits) + "b";
 
     rows.push_back(
@@ -86,18 +84,6 @@ int run_main(int argc, char** argv) {
                  [&] { sink += s.and_popcount(a.data(), c.data(), words); }),
          time_ns(iters,
                  [&] { sink += b.and_popcount(a.data(), c.data(), words); })});
-    const std::array<const std::uint64_t*, 3> multi = {a.data(), c.data(),
-                                                       d.data()};
-    rows.push_back(
-        {"and_popcount_multi3", shape,
-         time_ns(iters,
-                 [&] {
-                   sink += s.and_popcount_multi(multi.data(), multi.size(),
-                                                words);
-                 }),
-         time_ns(iters, [&] {
-           sink += b.and_popcount_multi(multi.data(), multi.size(), words);
-         })});
 
     std::vector<std::uint64_t> dst(words + 1, 0);
     for (const unsigned shift : {1u, 17u, 63u}) {

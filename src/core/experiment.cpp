@@ -6,6 +6,7 @@
 #include "core/independence_algorithm.hpp"
 #include "sim/measurement.hpp"
 #include "util/error.hpp"
+#include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 
 namespace tomo::core {
@@ -35,6 +36,19 @@ std::vector<std::size_t> potentially_congested_links(
   std::vector<std::size_t> links(flagged.begin(), flagged.end());
   std::sort(links.begin(), links.end());
   return links;
+}
+
+double mean_congested_error(const std::vector<double>& truth,
+                            const std::vector<double>& estimate,
+                            const std::vector<graph::Path>& paths,
+                            const sim::MeasurementProvider& measurement) {
+  if (truth.empty()) return -1.0;
+  TOMO_REQUIRE(truth.size() == estimate.size(),
+               "mean error: truth and estimate differ in link count");
+  const std::vector<std::size_t> population =
+      potentially_congested_links(paths, measurement);
+  if (population.empty()) return -1.0;
+  return mean(metrics::absolute_errors(truth, estimate, population));
 }
 
 ExperimentResult evaluate_measurement(

@@ -49,4 +49,14 @@ std::vector<std::size_t> potentially_congested_links(
     const std::vector<graph::Path>& paths,
     const sim::MeasurementProvider& measurement);
 
+/// Mean absolute error of `estimate` against `truth` over the potentially
+/// congested links of `measurement`: the mean_err every streamed window
+/// and every batch answer reports. -1 when `truth` is empty or no link is
+/// potentially congested; a non-empty `truth` of another length than
+/// `estimate` is an error.
+double mean_congested_error(const std::vector<double>& truth,
+                            const std::vector<double>& estimate,
+                            const std::vector<graph::Path>& paths,
+                            const sim::MeasurementProvider& measurement);
+
 }  // namespace tomo::core

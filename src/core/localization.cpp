@@ -304,7 +304,7 @@ double LocalizationScore::detection_rate() const {
          static_cast<double>(positives);
 }
 
-double LocalizationScore::false_positive_rate() const {
+double LocalizationScore::false_discovery_rate() const {
   const std::size_t reported = true_positives + false_positives;
   if (reported == 0) return 0.0;
   return static_cast<double>(false_positives) /

@@ -72,8 +72,8 @@ struct LocalizationScore {
   std::size_t true_positives = 0;
   std::size_t false_positives = 0;
   std::size_t false_negatives = 0;
-  double detection_rate() const;      // TP / (TP + FN); 1 if no positives
-  double false_positive_rate() const; // FP / (FP + TP); 0 if none reported
+  double detection_rate() const;       // TP / (TP + FN); 1 if no positives
+  double false_discovery_rate() const; // FP / (FP + TP); 0 if none reported
 };
 LocalizationScore score_localization(
     const std::vector<std::uint8_t>& true_state,

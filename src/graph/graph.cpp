@@ -45,17 +45,6 @@ const std::vector<LinkId>& Graph::in_links(NodeId id) const {
   return in_[id];
 }
 
-std::optional<LinkId> Graph::find_link(NodeId src, NodeId dst) const {
-  check_node(src);
-  check_node(dst);
-  for (LinkId id : out_[src]) {
-    if (links_[id].dst == dst) {
-      return id;
-    }
-  }
-  return std::nullopt;
-}
-
 void Graph::check_node(NodeId id) const {
   TOMO_REQUIRE(id < node_names_.size(), "node id out of range");
 }

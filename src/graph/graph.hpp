@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,9 +41,6 @@ class Graph {
   /// Link ids leaving / entering a node.
   const std::vector<LinkId>& out_links(NodeId id) const;
   const std::vector<LinkId>& in_links(NodeId id) const;
-
-  /// First link src -> dst if one exists.
-  std::optional<LinkId> find_link(NodeId src, NodeId dst) const;
 
  private:
   void check_node(NodeId id) const;

@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <queue>
 
 #include "util/error.hpp"
 
 namespace tomo::graph {
 
+namespace {
+
+/// Dijkstra from `src`; returns for each node the incoming link on a
+/// shortest path (or nullopt when unreachable).
 std::vector<std::optional<LinkId>> shortest_path_tree(
     const Graph& g, NodeId src, const std::vector<double>& weights) {
   TOMO_REQUIRE(weights.empty() || weights.size() == g.link_count(),
@@ -39,21 +44,7 @@ std::vector<std::optional<LinkId>> shortest_path_tree(
   return parent;
 }
 
-std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
-                                  const std::vector<double>& weights) {
-  if (src == dst) return std::nullopt;
-  auto parent = shortest_path_tree(g, src, weights);
-  if (!parent[dst]) return std::nullopt;
-  std::vector<LinkId> links;
-  NodeId cursor = dst;
-  while (cursor != src) {
-    const LinkId id = *parent[cursor];
-    links.push_back(id);
-    cursor = g.link(id).src;
-  }
-  std::reverse(links.begin(), links.end());
-  return Path(g, std::move(links));
-}
+}  // namespace
 
 std::vector<Path> mesh_paths(const Graph& g,
                              const std::vector<NodeId>& endpoints,

@@ -5,7 +5,6 @@
 // default to hop count; generators can perturb them to diversify routes.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -13,20 +12,10 @@
 
 namespace tomo::graph {
 
-/// Dijkstra from `src`; returns for each node the incoming link on a
-/// shortest path (or nullopt when unreachable). `weights` must either be
-/// empty (hop count) or have one positive entry per link.
-std::vector<std::optional<LinkId>> shortest_path_tree(
-    const Graph& g, NodeId src, const std::vector<double>& weights = {});
-
-/// Shortest path src -> dst as a Path, or nullopt when unreachable or
-/// src == dst.
-std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
-                                  const std::vector<double>& weights = {});
-
 /// All-pairs shortest paths between the given endpoints (ordered pairs,
 /// src != dst), skipping unreachable pairs. This mimics a full-mesh
-/// unicast measurement among vantage points.
+/// unicast measurement among vantage points. `weights` must either be
+/// empty (hop count) or have one positive entry per link.
 std::vector<Path> mesh_paths(const Graph& g,
                              const std::vector<NodeId>& endpoints,
                              const std::vector<double>& weights = {});

@@ -107,13 +107,6 @@ double dot(const Vector& a, const Vector& b) {
   return sum;
 }
 
-Vector axpy(const Vector& a, double s, const Vector& b) {
-  TOMO_REQUIRE(a.size() == b.size(), "axpy size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + s * b[i];
-  return out;
-}
-
 Vector residual(const Matrix& a, const Vector& x, const Vector& b) {
   TOMO_REQUIRE(b.size() == a.rows(), "residual size mismatch");
   Vector ax = a.multiply(x);

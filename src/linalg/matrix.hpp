@@ -64,9 +64,6 @@ double norm_inf(const Vector& v);
 /// Dot product; sizes must match.
 double dot(const Vector& a, const Vector& b);
 
-/// a + s*b, element-wise; sizes must match.
-Vector axpy(const Vector& a, double s, const Vector& b);
-
 /// Residual b - A x.
 Vector residual(const Matrix& a, const Vector& x, const Vector& b);
 

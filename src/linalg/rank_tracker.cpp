@@ -99,18 +99,6 @@ bool RankTracker::reduce_and_absorb() {
   return true;
 }
 
-bool RankTracker::try_add_dense(const Vector& row) {
-  TOMO_REQUIRE(row.size() == dim_, "rank tracker row width mismatch");
-  if (full_rank()) return false;
-  for (std::size_t c = 0; c < dim_; ++c) {
-    if (row[c] != 0.0) {
-      touch(c);
-      values_[c] = row[c];
-    }
-  }
-  return reduce_and_absorb();
-}
-
 bool RankTracker::try_add_ones(const std::vector<std::size_t>& one_indices) {
   for (std::size_t idx : one_indices) {
     // Leave the accumulator clean before surfacing either error: the

@@ -17,8 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "linalg/matrix.hpp"
-
 namespace tomo::linalg {
 
 class RankTracker {
@@ -33,9 +31,6 @@ class RankTracker {
   /// row with ones at `one_indices` is linearly independent of the rows
   /// accepted so far. Duplicate indices in the input are an error.
   bool try_add_ones(const std::vector<std::size_t>& one_indices);
-
-  /// Same for a general dense row.
-  bool try_add_dense(const Vector& row);
 
  private:
   /// Sparse row as parallel column/value arrays sorted by column, first

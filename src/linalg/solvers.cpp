@@ -195,18 +195,11 @@ class ColumnScatter {
   explicit ColumnScatter(std::size_t n)
       : acc_(n, 0.0), words_((n + 63) / 64, 0) {}
 
-  /// Accumulates column i of G: the entries `prior` already stores, then
-  /// v^2 for every (incident row, support index) pair in ascending row
-  /// order — each entry's addition sequence of a dense build over the
-  /// concatenated rows.
-  void gather(const SparseGram& prior, const SparseSystemView& system,
-              const ColumnAdjacency& adj, std::size_t i) {
-    if (prior.cols() != 0) {
-      for (std::size_t p = prior.offsets[i]; p < prior.offsets[i + 1]; ++p) {
-        touch(prior.index[p]);
-        acc_[prior.index[p]] = prior.values[p];
-      }
-    }
+  /// Accumulates column i of G: v^2 for every (incident row, support
+  /// index) pair in ascending row order — each entry's addition sequence
+  /// of a dense build.
+  void gather(const SparseSystemView& system, const ColumnAdjacency& adj,
+              std::size_t i) {
     for (std::size_t slot = adj.offsets[i]; slot < adj.offsets[i + 1];
          ++slot) {
       const SparseRow& row = system.rows[adj.incident[slot]];
@@ -252,18 +245,34 @@ class ColumnScatter {
   std::size_t hi_ = 0;  // one past the highest touched word
 };
 
+/// The right-hand-side products of the negated system A u = -y: c = A^T b,
+/// each entry summed over its column's incident rows in ascending row
+/// order (the same bits for any jobs value), and b^T b.
+void build_rhs(GramSystem& gs, const SparseSystemView& system,
+               const ColumnAdjacency& adj, std::size_t jobs) {
+  gs.atb.assign(system.cols, 0.0);
+  util::parallel_for(jobs, system.cols, [&](std::size_t i) {
+    double ci = 0.0;
+    for (std::size_t slot = adj.offsets[i]; slot < adj.offsets[i + 1];
+         ++slot) {
+      const SparseRow& row = system.rows[adj.incident[slot]];
+      // b = -y: the solvers run on the negated non-negative system.
+      ci += row.value * -row.y;
+    }
+    gs.atb[i] = ci;
+  });
+  gs.btb = 0.0;
+  for (const SparseRow& row : system.rows) {
+    gs.btb += row.y * row.y;
+  }
+}
+
 /// accumulate_gram minus the view check (its callers made it).
 void build_gram(GramSystem& gs, const SparseSystemView& system,
                 std::size_t jobs) {
   const std::size_t n = system.cols;
   TOMO_REQUIRE(n < std::numeric_limits<std::uint32_t>::max(),
                "accumulate_gram: too many columns");
-  if (gs.gram.offsets.size() != n + 1) {
-    TOMO_REQUIRE(gs.gram.offsets.empty() && gs.atb.empty() && gs.btb == 0.0,
-                 "accumulate_gram: existing gram has a different column "
-                 "count");
-    gs.atb.assign(n, 0.0);
-  }
 
   // Columns go out in contiguous blocks, each with one workspace and its
   // own output buffers; laying the blocks end to end afterwards gives the
@@ -273,38 +282,27 @@ void build_gram(GramSystem& gs, const SparseSystemView& system,
   const std::size_t blocks = std::min(n, workers == 1 ? 1 : 8 * workers);
   const auto first_column = [&](std::size_t b) { return b * n / blocks; };
   std::vector<SparseGram> parts(blocks);  // index/values of each block
-  SparseGram next;
-  next.offsets.assign(n + 1, 0);
+  SparseGram gram;
+  gram.offsets.assign(n + 1, 0);
   util::parallel_for(jobs, blocks, [&](std::size_t b) {
     ColumnScatter scatter(n);
     for (std::size_t i = first_column(b); i < first_column(b + 1); ++i) {
-      scatter.gather(gs.gram, system, adj, i);
-      next.offsets[i + 1] = scatter.emit(parts[b].index, parts[b].values);
-      double ci = gs.atb[i];
-      for (std::size_t slot = adj.offsets[i]; slot < adj.offsets[i + 1];
-           ++slot) {
-        const SparseRow& row = system.rows[adj.incident[slot]];
-        // b = -y: the solvers run on the negated non-negative system.
-        ci += row.value * -row.y;
-      }
-      gs.atb[i] = ci;
+      scatter.gather(system, adj, i);
+      gram.offsets[i + 1] = scatter.emit(parts[b].index, parts[b].values);
     }
   });
-  for (std::size_t i = 0; i < n; ++i) next.offsets[i + 1] += next.offsets[i];
-  next.index.resize(next.offsets[n]);
-  next.values.resize(next.offsets[n]);
+  for (std::size_t i = 0; i < n; ++i) gram.offsets[i + 1] += gram.offsets[i];
+  gram.index.resize(gram.offsets[n]);
+  gram.values.resize(gram.offsets[n]);
   util::parallel_for(jobs, blocks, [&](std::size_t b) {
-    const std::size_t at = next.offsets[first_column(b)];
+    const std::size_t at = gram.offsets[first_column(b)];
     std::copy(parts[b].index.begin(), parts[b].index.end(),
-              next.index.begin() + static_cast<std::ptrdiff_t>(at));
+              gram.index.begin() + static_cast<std::ptrdiff_t>(at));
     std::copy(parts[b].values.begin(), parts[b].values.end(),
-              next.values.begin() + static_cast<std::ptrdiff_t>(at));
+              gram.values.begin() + static_cast<std::ptrdiff_t>(at));
   });
-  gs.gram = std::move(next);
-
-  for (const SparseRow& row : system.rows) {
-    gs.btb += row.y * row.y;
-  }
+  gs.gram = std::move(gram);
+  build_rhs(gs, system, adj, jobs);
 }
 
 }  // namespace
@@ -318,24 +316,9 @@ void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
 void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system,
                       std::size_t jobs) {
   check_view(system, "refresh_gram_rhs");
-  const std::size_t n = system.cols;
-  TOMO_REQUIRE(gs.gram.cols() == n,
+  TOMO_REQUIRE(gs.gram.cols() == system.cols,
                "refresh_gram_rhs: gram shape does not match the system");
-  gs.atb.assign(n, 0.0);
-  gs.btb = 0.0;
-  const ColumnAdjacency adj = column_adjacency(system);
-  util::parallel_for(jobs, n, [&](std::size_t i) {
-    double ci = 0.0;
-    for (std::size_t slot = adj.offsets[i]; slot < adj.offsets[i + 1];
-         ++slot) {
-      const SparseRow& row = system.rows[adj.incident[slot]];
-      ci += row.value * -row.y;
-    }
-    gs.atb[i] = ci;
-  });
-  for (const SparseRow& row : system.rows) {
-    gs.btb += row.y * row.y;
-  }
+  build_rhs(gs, system, column_adjacency(system), jobs);
 }
 
 LogSystemSolution solve_log_system(const SparseSystemView& system,

@@ -92,22 +92,20 @@ struct LogSystemSolution {
 LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const SolverOptions& options = {});
 
-/// Adds the Gram system (G = A^T A, c = A^T b, b^T b) of the *negated*
-/// system A u = -y over `system`'s rows on top of `gs` (sizing it on first
-/// use), fanning columns across up to `jobs` workers. Because every entry's
-/// partial sums run in ascending row order, accumulating any in-order
-/// partition of the rows window by window executes the exact same
-/// floating-point addition sequence as one build over the concatenated
-/// rows — values and index arrays are *bitwise* equal for any split and
-/// any jobs value. This is the streaming path's additive-Gram contract.
+/// Builds the Gram system (G = A^T A, c = A^T b, b^T b) of the *negated*
+/// system A u = -y over `system`'s rows into `gs`, replacing whatever `gs`
+/// held, and fans columns across up to `jobs` workers. Every entry sums
+/// its column's incident rows in ascending row order, so the values and
+/// index arrays are *bitwise* those solve_log_system builds internally,
+/// for any jobs value.
 void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
                      std::size_t jobs);
 
 /// Recomputes only the right-hand-side products (c = A^T b, b^T b) of `gs`
-/// from scratch for `system`'s rows, leaving G untouched. For the
-/// streaming fast path where a window leaves the equation support (hence
-/// G) unchanged but refreshes every y. Same row-ordered, jobs-invariant
-/// sums as a full build.
+/// for `system`'s rows, leaving G untouched: the streaming and bootstrap
+/// fast paths, where the equation support (hence G) is unchanged but every
+/// y is new. The same routine, hence the same bits, as accumulate_gram's
+/// right-hand side.
 void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system,
                       std::size_t jobs);
 

@@ -1,6 +1,7 @@
 #include "sim/measurement.hpp"
 
 #include <bit>
+#include <vector>
 
 #include "util/bitops.hpp"
 #include "util/error.hpp"
@@ -14,6 +15,10 @@ EmpiricalMeasurement::EmpiricalMeasurement(MeasurementBlock block)
                "measurement block is missing its popcounts");
 }
 
+void EmpiricalMeasurement::append(const MeasurementBlock& window) {
+  block_.append(window);
+}
+
 std::size_t EmpiricalMeasurement::path_count() const {
   return block_.path_count;
 }
@@ -25,30 +30,6 @@ std::size_t EmpiricalMeasurement::sample_count() const {
 std::size_t EmpiricalMeasurement::good_count(PathId p) const {
   TOMO_REQUIRE(p < path_count(), "path id out of range");
   return block_.good_counts[p];
-}
-
-double EmpiricalMeasurement::all_good_prob(
-    std::span<const PathId> paths) const {
-  if (paths.empty()) return 1.0;
-  if (paths.size() == 1) return good_prob(paths[0]);
-  if (paths.size() == 2) return pair_good_prob(paths[0], paths[1]);
-  // Multi-way AND+popcount through the kernel table; the row pointers
-  // live on the stack for the typical small path sets.
-  const std::uint64_t* stack_rows[16];
-  std::vector<const std::uint64_t*> heap_rows;
-  const std::uint64_t** rows = stack_rows;
-  if (paths.size() > 16) {
-    heap_rows.resize(paths.size());
-    rows = heap_rows.data();
-  }
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    TOMO_REQUIRE(paths[i] < block_.path_count, "path id out of range");
-    rows[i] = block_.good_row(paths[i]);
-  }
-  const std::size_t all = util::bitops::active().and_popcount_multi(
-      rows, paths.size(), block_.words_per_path());
-  return static_cast<double>(all) /
-         static_cast<double>(block_.snapshot_count);
 }
 
 double EmpiricalMeasurement::good_prob(PathId p) const {

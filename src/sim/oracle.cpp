@@ -1,6 +1,7 @@
 #include "sim/oracle.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -14,7 +15,17 @@ OracleMeasurement::OracleMeasurement(const corr::CongestionModel& model,
                "oracle: model and coverage disagree on link count");
 }
 
-double OracleMeasurement::all_good_prob(
+double OracleMeasurement::good_prob(PathId p) const {
+  const PathId one[1] = {p};
+  return links_good_prob(one);
+}
+
+double OracleMeasurement::pair_good_prob(PathId a, PathId b) const {
+  const PathId two[2] = {a, b};
+  return links_good_prob(two);
+}
+
+double OracleMeasurement::links_good_prob(
     std::span<const PathId> paths) const {
   std::vector<graph::LinkId> links;
   for (PathId p : paths) {

@@ -5,7 +5,7 @@
 // separate estimation error from inference error.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "corr/correlation.hpp"
 #include "graph/coverage.hpp"
@@ -22,14 +22,16 @@ class OracleMeasurement final : public MeasurementProvider {
                     const graph::CoverageIndex& coverage,
                     std::size_t max_total_links = 24);
 
-  using MeasurementProvider::all_good_prob;
-
   std::size_t path_count() const override { return coverage_.path_count(); }
-  double all_good_prob(std::span<const PathId> paths) const override;
+  double good_prob(PathId p) const override;
+  double pair_good_prob(PathId a, PathId b) const override;
   double exact_pattern_prob(const PathIdSet& pattern) const override;
   std::size_t sample_count() const override { return 0; }
 
  private:
+  /// P(every link on any of `paths` is good).
+  double links_good_prob(std::span<const PathId> paths) const;
+
   const corr::CongestionModel& model_;
   const graph::CoverageIndex& coverage_;
   std::size_t max_total_links_;

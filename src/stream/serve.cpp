@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "core/experiment.hpp"
-#include "metrics/error_metrics.hpp"
 #include "stream/obs_stream.hpp"
 #include "stream/window_ring.hpp"
 #include "util/error.hpp"
@@ -167,16 +166,9 @@ ServeReport serve(std::istream& input, std::ostream& output,
       if (estimate.usable) {
         ++report.usable_windows;
         if (options.truth != nullptr) {
-          const std::vector<std::size_t> population =
-              core::potentially_congested_links(paths,
-                                                inference.measurement());
-          const std::vector<double> errors = metrics::absolute_errors(
-              *options.truth, estimate.inference.congestion_prob, population);
-          if (!errors.empty()) {
-            double sum = 0.0;
-            for (double e : errors) sum += e;
-            mean_err = sum / static_cast<double>(errors.size());
-          }
+          mean_err = core::mean_congested_error(
+              *options.truth, estimate.inference.congestion_prob, paths,
+              inference.measurement());
         }
       }
       report.last_mean_err = mean_err;

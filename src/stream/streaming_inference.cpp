@@ -85,7 +85,6 @@ WindowEstimate StreamingInference::push_window(
       linalg::refresh_gram_rhs(gram_, view, solver.jobs);
       out.gram_reused = true;
     } else {
-      gram_ = linalg::GramSystem{};
       linalg::accumulate_gram(gram_, view, solver.jobs);
       gram_valid_ = weight_samples == 0;
     }

@@ -21,11 +21,12 @@
 //     re-harvest — window k's system equals a batch harvest over the
 //     first k windows either way.
 //   - Gram reuse: when the equation support is unchanged from the previous
-//     window (always after a replay) and the solve is unweighted, only the
-//     right-hand-side products are re-accumulated; G = AᵀA is reused.
-//     Otherwise G is rebuilt from scratch — in either case bitwise what
-//     the batch build produces (additive, row-ordered accumulation; see
-//     linalg::accumulate_gram).
+//     window (always after a replay) and the solve is unweighted, G = AᵀA
+//     is kept and only the right-hand-side products are recomputed
+//     (linalg::refresh_gram_rhs). Otherwise the whole Gram system is
+//     rebuilt (linalg::accumulate_gram). Either way it is bitwise what the
+//     batch solve builds: both routines sum every entry in ascending row
+//     order.
 //   - NNLS warm start: the solve is seeded from the previous window's
 //     converged active set via the UpdatableCholesky-backed engine, so the
 //     steady-state cost per window is a handful of O(k²) factor edits

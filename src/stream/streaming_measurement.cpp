@@ -15,30 +15,23 @@ StreamingMeasurement::StreamingMeasurement(std::size_t path_count)
 void StreamingMeasurement::append(const sim::MeasurementBlock& window) {
   TOMO_REQUIRE(window.path_count == path_count_,
                "appended window has a different path count");
-  block_.append(window);
-  view_ = std::make_unique<sim::EmpiricalMeasurement>(
-      sim::MeasurementBlock(block_));
+  if (measurement_.has_value()) {
+    measurement_->append(window);
+  } else {
+    measurement_.emplace(window);
+  }
   ++windows_;
 }
 
+const sim::MeasurementBlock& StreamingMeasurement::block() const {
+  static const sim::MeasurementBlock kEmpty;
+  return measurement_.has_value() ? measurement_->block() : kEmpty;
+}
+
 const sim::EmpiricalMeasurement& StreamingMeasurement::view() const {
-  TOMO_REQUIRE(view_ != nullptr,
+  TOMO_REQUIRE(measurement_.has_value(),
                "streaming measurement queried before any window arrived");
-  return *view_;
-}
-
-double StreamingMeasurement::all_good_prob(
-    std::span<const sim::PathId> paths) const {
-  return view().all_good_prob(paths);
-}
-
-double StreamingMeasurement::exact_pattern_prob(
-    const sim::PathIdSet& pattern) const {
-  return view().exact_pattern_prob(pattern);
-}
-
-std::size_t StreamingMeasurement::sample_count() const {
-  return view().sample_count();
+  return *measurement_;
 }
 
 double StreamingMeasurement::good_prob(sim::PathId p) const {
@@ -48,6 +41,15 @@ double StreamingMeasurement::good_prob(sim::PathId p) const {
 double StreamingMeasurement::pair_good_prob(sim::PathId a,
                                             sim::PathId b) const {
   return view().pair_good_prob(a, b);
+}
+
+double StreamingMeasurement::exact_pattern_prob(
+    const sim::PathIdSet& pattern) const {
+  return view().exact_pattern_prob(pattern);
+}
+
+std::size_t StreamingMeasurement::sample_count() const {
+  return view().sample_count();
 }
 
 std::vector<sim::MeasurementBlock> split_windows(

@@ -1,17 +1,19 @@
 // The measurement provider that grows as windows arrive.
 //
-// StreamingMeasurement splices each arriving snapshot window onto a
-// cumulative MeasurementBlock (bit-exact append, ragged offsets included)
-// and answers every MeasurementProvider query over *all* data seen so far
-// by delegating to a refreshed EmpiricalMeasurement — literally the batch
-// provider over the cumulative block. Because the cumulative block after k
-// appends is bit-identical to the batch block over the same snapshots, a
-// harvest run against this provider is byte-identical to the batch harvest
-// at every window boundary; that is the streamed-vs-batch equivalence
-// contract tests/test_streaming_fast.cpp pins.
+// StreamingMeasurement holds one sim::EmpiricalMeasurement over every
+// snapshot seen so far and splices each arriving window onto it in place
+// (MeasurementBlock::append: bit-exact, ragged offsets included), so the
+// cumulative block exists once and a window costs only its splice. Every
+// query is answered by that batch provider over the cumulative block.
+// Because the cumulative block after k appends is bit-identical to the
+// batch block over the same snapshots, a harvest run against this provider
+// is byte-identical to the batch harvest at every window boundary; that is
+// the streamed-vs-batch equivalence contract tests/test_streaming_fast.cpp
+// pins.
 #pragma once
 
-#include <memory>
+#include <optional>
+#include <vector>
 
 #include "sim/measurement.hpp"
 #include "sim/measurement_block.hpp"
@@ -29,29 +31,24 @@ class StreamingMeasurement final : public sim::MeasurementProvider {
   std::size_t window_count() const { return windows_; }
 
   /// The cumulative block (empty before the first append).
-  const sim::MeasurementBlock& block() const { return block_; }
-
-  using sim::MeasurementProvider::all_good_prob;
+  const sim::MeasurementBlock& block() const;
 
   // MeasurementProvider over the snapshots ingested so far. Queries
   // require at least one appended window.
   std::size_t path_count() const override { return path_count_; }
-  double all_good_prob(std::span<const sim::PathId> paths) const override;
-  double exact_pattern_prob(const sim::PathIdSet& pattern) const override;
-  std::size_t sample_count() const override;
   double good_prob(sim::PathId p) const override;
   double pair_good_prob(sim::PathId a, sim::PathId b) const override;
+  double exact_pattern_prob(const sim::PathIdSet& pattern) const override;
+  std::size_t sample_count() const override;
 
  private:
   const sim::EmpiricalMeasurement& view() const;
 
   std::size_t path_count_;
   std::size_t windows_ = 0;
-  sim::MeasurementBlock block_;
-  // Rebuilt on append from a copy of the cumulative block, so queries run
-  // the exact batch-provider code path (no second AND/popcount
-  // implementation to drift).
-  std::unique_ptr<sim::EmpiricalMeasurement> view_;
+  // The batch provider over the cumulative block, created by the first
+  // append (it needs observations) and grown in place by the rest.
+  std::optional<sim::EmpiricalMeasurement> measurement_;
 };
 
 /// Splits a complete block into consecutive windows of `window_snapshots`

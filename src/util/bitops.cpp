@@ -25,20 +25,6 @@ std::size_t scalar_and_popcount(const std::uint64_t* a,
   return count;
 }
 
-std::size_t scalar_and_popcount_multi(const std::uint64_t* const* rows,
-                                      std::size_t row_count,
-                                      std::size_t words) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t acc = rows[0][w];
-    for (std::size_t r = 1; r < row_count; ++r) {
-      acc &= rows[r][w];
-    }
-    count += static_cast<std::size_t>(std::popcount(acc));
-  }
-  return count;
-}
-
 void scalar_copy_words(std::uint64_t* dst, const std::uint64_t* src,
                        std::size_t words) {
   std::memcpy(dst, src, words * sizeof(std::uint64_t));
@@ -98,9 +84,14 @@ void scalar_transpose64x64(const std::uint64_t* in, std::size_t in_stride,
 }
 
 constexpr Kernels kScalar = {
-    "scalar",          scalar_popcount,  scalar_and_popcount,
-    scalar_and_popcount_multi, scalar_copy_words, scalar_gather_rows,
-    scalar_shift_or,   scalar_shift_extract, scalar_transpose64x64,
+    "scalar",
+    scalar_popcount,
+    scalar_and_popcount,
+    scalar_copy_words,
+    scalar_gather_rows,
+    scalar_shift_or,
+    scalar_shift_extract,
+    scalar_transpose64x64,
 };
 
 bool force_scalar_from_env() {

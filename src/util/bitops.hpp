@@ -41,11 +41,6 @@ struct Kernels {
   std::size_t (*and_popcount)(const std::uint64_t* a, const std::uint64_t* b,
                               std::size_t words);
 
-  /// popcount of the AND of `row_count` >= 1 rows — the all_good_prob
-  /// kernel for path sets beyond a pair.
-  std::size_t (*and_popcount_multi)(const std::uint64_t* const* rows,
-                                    std::size_t row_count, std::size_t words);
-
   /// Plain word copy (the block select/gather building block).
   void (*copy_words)(std::uint64_t* dst, const std::uint64_t* src,
                      std::size_t words);

@@ -71,33 +71,6 @@ std::size_t avx2_and_popcount(const std::uint64_t* a, const std::uint64_t* b,
   return count;
 }
 
-std::size_t avx2_and_popcount_multi(const std::uint64_t* const* rows,
-                                    std::size_t row_count,
-                                    std::size_t words) {
-  __m256i sums = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    __m256i acc = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(rows[0] + i));
-    for (std::size_t r = 1; r < row_count; ++r) {
-      acc = _mm256_and_si256(
-          acc,
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + i)));
-    }
-    sums = _mm256_add_epi64(
-        sums, _mm256_sad_epu8(popcount_bytes(acc), _mm256_setzero_si256()));
-  }
-  std::size_t count = fold_sums(sums);
-  for (; i < words; ++i) {
-    std::uint64_t acc = rows[0][i];
-    for (std::size_t r = 1; r < row_count; ++r) {
-      acc &= rows[r][i];
-    }
-    count += static_cast<std::size_t>(std::popcount(acc));
-  }
-  return count;
-}
-
 void avx2_copy_words(std::uint64_t* dst, const std::uint64_t* src,
                      std::size_t words) {
   std::size_t i = 0;
@@ -228,9 +201,8 @@ void avx2_transpose64x64(const std::uint64_t* in, std::size_t in_stride,
 }
 
 constexpr Kernels kAvx2 = {
-    "avx2",          avx2_popcount,  avx2_and_popcount,
-    avx2_and_popcount_multi, avx2_copy_words, avx2_gather_rows,
-    avx2_shift_or,   avx2_shift_extract, avx2_transpose64x64,
+    "avx2",           avx2_popcount, avx2_and_popcount,  avx2_copy_words,
+    avx2_gather_rows, avx2_shift_or, avx2_shift_extract, avx2_transpose64x64,
 };
 
 }  // namespace

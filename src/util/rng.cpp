@@ -75,13 +75,6 @@ std::uint64_t Rng::below(std::uint64_t n) {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  TOMO_ASSERT(lo <= hi);
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -47,9 +47,6 @@ class Rng {
   /// avoid modulo bias.
   std::uint64_t below(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
 

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
@@ -49,22 +48,6 @@ Interval percentile_pair(std::vector<double> values, double p_lo,
   TOMO_REQUIRE(!values.empty(), "percentile of an empty sample");
   std::sort(values.begin(), values.end());
   return {sorted_percentile(values, p_lo), sorted_percentile(values, p_hi)};
-}
-
-Interval wilson_interval(std::size_t k, std::size_t n, double z) {
-  if (n == 0) return {0.0, 1.0};
-  const double nn = static_cast<double>(n);
-  const double phat = static_cast<double>(k) / nn;
-  const double z2 = z * z;
-  const double denom = 1.0 + z2 / nn;
-  const double center = phat + z2 / (2.0 * nn);
-  const double margin =
-      z * std::sqrt(phat * (1.0 - phat) / nn + z2 / (4.0 * nn * nn));
-  double lo = (center - margin) / denom;
-  double hi = (center + margin) / denom;
-  lo = std::max(0.0, lo);
-  hi = std::min(1.0, hi);
-  return {lo, hi};
 }
 
 }  // namespace tomo

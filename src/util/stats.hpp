@@ -16,8 +16,7 @@ double variance(const std::vector<double>& values);
 /// statistics. Throws tomo::Error on empty input.
 double percentile(std::vector<double> values, double p);
 
-/// Wilson score interval for a binomial proportion: k successes out of n
-/// trials at ~95% confidence (z = 1.96). Returns {lo, hi}; {0, 1} for n=0.
+/// A {lo, hi} pair of sample statistics.
 struct Interval {
   double lo;
   double hi;
@@ -29,6 +28,5 @@ struct Interval {
 /// the copy+sort twice.
 Interval percentile_pair(std::vector<double> values, double p_lo,
                          double p_hi);
-Interval wilson_interval(std::size_t k, std::size_t n, double z = 1.96);
 
 }  // namespace tomo

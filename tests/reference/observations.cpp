@@ -117,8 +117,13 @@ PathObservations resample_snapshots(const PathObservations& obs, Rng& rng) {
 ScalarMeasurement::ScalarMeasurement(PathObservations obs)
     : obs_(std::move(obs)) {}
 
-double ScalarMeasurement::all_good_prob(std::span<const PathId> paths) const {
-  return static_cast<double>(obs_.all_good_count(paths)) /
+double ScalarMeasurement::good_prob(PathId p) const {
+  return static_cast<double>(obs_.good_count(p)) /
+         static_cast<double>(obs_.snapshot_count());
+}
+
+double ScalarMeasurement::pair_good_prob(PathId a, PathId b) const {
+  return static_cast<double>(obs_.both_good_count(a, b)) /
          static_cast<double>(obs_.snapshot_count());
 }
 

@@ -65,10 +65,9 @@ class ScalarMeasurement final : public sim::MeasurementProvider {
  public:
   explicit ScalarMeasurement(PathObservations obs);
 
-  using MeasurementProvider::all_good_prob;
-
   std::size_t path_count() const override { return obs_.path_count(); }
-  double all_good_prob(std::span<const PathId> paths) const override;
+  double good_prob(PathId p) const override;
+  double pair_good_prob(PathId a, PathId b) const override;
   double exact_pattern_prob(const PathIdSet& pattern) const override;
   std::size_t sample_count() const override { return obs_.snapshot_count(); }
 

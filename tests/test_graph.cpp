@@ -39,15 +39,6 @@ TEST(Graph, AdjacencyLists) {
   EXPECT_TRUE(g.out_links(b).empty());
 }
 
-TEST(Graph, FindLink) {
-  Graph g;
-  const NodeId a = g.add_node(), b = g.add_node();
-  EXPECT_FALSE(g.find_link(a, b).has_value());
-  const LinkId e = g.add_link(a, b);
-  EXPECT_EQ(g.find_link(a, b), e);
-  EXPECT_FALSE(g.find_link(b, a).has_value());
-}
-
 TEST(Graph, RejectsSelfLoopsAndBadIds) {
   Graph g;
   const NodeId a = g.add_node();
@@ -144,9 +135,9 @@ TEST(Routing, ShortestPathByHops) {
   g.add_link(n[0], n[1]);
   g.add_link(n[1], n[3]);
   const LinkId direct = g.add_link(n[0], n[3]);
-  const auto p = shortest_path(g, n[0], n[3]);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->links(), (std::vector<LinkId>{direct}));
+  const auto paths = mesh_paths(g, {n[0], n[3]});
+  ASSERT_EQ(paths.size(), 1u);  // n[3] has no way back
+  EXPECT_EQ(paths[0].links(), (std::vector<LinkId>{direct}));
 }
 
 TEST(Routing, WeightsChangeRoute) {
@@ -157,17 +148,17 @@ TEST(Routing, WeightsChangeRoute) {
   const LinkId bc = g.add_link(n[1], n[2]);
   const LinkId ac = g.add_link(n[0], n[2]);
   std::vector<double> w{1.0, 1.0, 10.0};  // direct link expensive
-  const auto p = shortest_path(g, n[0], n[2], w);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->links(), (std::vector<LinkId>{ab, bc}));
+  const auto paths = mesh_paths(g, {n[0], n[2]}, w);
+  ASSERT_EQ(paths.size(), 1u);
+  EXPECT_EQ(paths[0].links(), (std::vector<LinkId>{ab, bc}));
   (void)ac;
 }
 
 TEST(Routing, UnreachableReturnsNullopt) {
   Graph g;
   const NodeId a = g.add_node(), b = g.add_node();
-  EXPECT_FALSE(shortest_path(g, a, b).has_value());
-  EXPECT_FALSE(shortest_path(g, a, a).has_value());
+  EXPECT_TRUE(mesh_paths(g, {a, b}).empty());
+  EXPECT_TRUE(mesh_paths(g, {a, a}).empty());  // src == dst is no path
 }
 
 TEST(Routing, MeshPathsSkipsUnreachablePairs) {
@@ -183,8 +174,8 @@ TEST(Routing, RejectsNonPositiveWeights) {
   Graph g;
   const NodeId a = g.add_node(), b = g.add_node();
   g.add_link(a, b);
-  EXPECT_THROW(shortest_path(g, a, b, {0.0}), Error);
-  EXPECT_THROW(shortest_path(g, a, b, {1.0, 2.0}), Error);
+  EXPECT_THROW(mesh_paths(g, {a, b}, {0.0}), Error);
+  EXPECT_THROW(mesh_paths(g, {a, b}, {1.0, 2.0}), Error);
 }
 
 // ---------------------------------------------------------- serialize ----

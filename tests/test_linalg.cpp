@@ -150,14 +150,6 @@ TEST(RankTracker, DetectsRationalDependence) {
   EXPECT_TRUE(tracker.full_rank());
 }
 
-TEST(RankTracker, DenseRows) {
-  RankTracker tracker(3);
-  EXPECT_TRUE(tracker.try_add_dense({1.0, 2.0, 3.0}));
-  EXPECT_TRUE(tracker.try_add_dense({0.0, 1.0, 1.0}));
-  EXPECT_FALSE(tracker.try_add_dense({1.0, 3.0, 4.0}));  // row0 + row1
-  EXPECT_EQ(tracker.rank(), 2u);
-}
-
 TEST(RankTracker, RejectsDuplicateIndices) {
   RankTracker tracker(3);
   EXPECT_THROW(tracker.try_add_ones({1, 1}), Error);
@@ -651,7 +643,7 @@ TEST(Solvers, RefreshGramRhsRejectsOutOfRangeSupportIndex) {
                       "refresh_gram_rhs");
 }
 
-// -------------------------------------------- windowed Gram pipeline ----
+// ------------------------------------------------- Gram build pipeline ----
 
 /// A random 0/1-support sparse system with owned index storage (what the
 /// core equation harvest hands the solver, minus the harvest).
@@ -711,30 +703,22 @@ void expect_gram_bits_equal(const GramSystem& a, const GramSystem& b,
   ASSERT_EQ(a.btb, b.btb) << what;
 }
 
-/// The streaming contract: accumulating any consecutive row partition —
-/// window by window, into the same GramSystem — is *bitwise* equal to the
-/// once-per-solve build, because every per-entry reduction runs in
-/// ascending row order regardless of how the rows arrive.
-TEST(Solvers, WindowedGramAccumulationIsBitwiseBatchEqual) {
-  for (const std::uint64_t seed : {1ul, 2ul, 3ul}) {
-    const OwnedSparseSystem sys = random_sparse_system(60, 17, seed);
-    const GramSystem batch = gram_of(sys.view, 1);
-
-    for (const std::size_t window : {1ul, 7ul, 13ul, 60ul, 100ul}) {
-      GramSystem accumulated;
-      for (std::size_t first = 0; first < sys.view.rows.size();
-           first += window) {
-        SparseSystemView chunk;
-        chunk.cols = sys.view.cols;
-        const std::size_t last =
-            std::min(first + window, sys.view.rows.size());
-        chunk.rows.assign(sys.view.rows.begin() + first,
-                          sys.view.rows.begin() + last);
-        accumulate_gram(accumulated, chunk, 1);
-      }
-      expect_gram_bits_equal(accumulated, batch,
-                             "seed=" + std::to_string(seed) +
-                                 " window=" + std::to_string(window));
+/// accumulate_gram builds; it never adds to what `gs` held. A GramSystem
+/// already holding another system's Gram (StreamingInference's kept Gram
+/// when the equation support changes) must come out bitwise equal to a
+/// fresh build, whether the old system had the same column count or not.
+TEST(Solvers, AccumulateGramReplacesAPriorGramBitwise) {
+  const OwnedSparseSystem sys = random_sparse_system(60, 17, 1);
+  const GramSystem fresh = gram_of(sys.view, 1);
+  for (const std::size_t prior_cols : {17ul, 9ul, 30ul}) {
+    const OwnedSparseSystem prior =
+        random_sparse_system(40, prior_cols, 2 + prior_cols);
+    for (const std::size_t jobs : {1ul, 3ul}) {
+      GramSystem reused = gram_of(prior.view, jobs);
+      accumulate_gram(reused, sys.view, jobs);
+      expect_gram_bits_equal(reused, fresh,
+                             "prior cols=" + std::to_string(prior_cols) +
+                                 " jobs=" + std::to_string(jobs));
     }
   }
 }

@@ -214,14 +214,14 @@ TEST(LocalizationScoreTest, CountsCorrectly) {
   EXPECT_EQ(s.false_positives, 1u);
   EXPECT_EQ(s.false_negatives, 1u);
   EXPECT_DOUBLE_EQ(s.detection_rate(), 0.5);
-  EXPECT_DOUBLE_EQ(s.false_positive_rate(), 0.5);
+  EXPECT_DOUBLE_EQ(s.false_discovery_rate(), 0.5);
 }
 
 TEST(LocalizationScoreTest, DegenerateCases) {
   const LocalizationScore none =
       score_localization({0, 0}, std::vector<graph::LinkId>{});
   EXPECT_DOUBLE_EQ(none.detection_rate(), 1.0);
-  EXPECT_DOUBLE_EQ(none.false_positive_rate(), 0.0);
+  EXPECT_DOUBLE_EQ(none.false_discovery_rate(), 0.0);
 }
 
 TEST(LocalizationEndToEnd, MapBeatsSmallestSetOnCorrelatedSnapshots) {

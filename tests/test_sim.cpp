@@ -153,7 +153,6 @@ TEST(EmpiricalMeasurement, ProbabilitiesFromCounts) {
   EXPECT_DOUBLE_EQ(m.good_prob(0), 0.8);
   EXPECT_DOUBLE_EQ(m.good_prob(1), 0.9);
   EXPECT_DOUBLE_EQ(m.pair_good_prob(0, 1), 0.8);
-  EXPECT_DOUBLE_EQ(m.all_good_prob({}), 1.0);
   EXPECT_DOUBLE_EQ(m.exact_pattern_prob({0}), 0.1);
   EXPECT_EQ(m.sample_count(), 10u);
 }

@@ -5,8 +5,8 @@
 // windows covering the first N snapshots, StreamingInference's estimate
 // equals a one-shot batch infer_congestion over those same N snapshots —
 // the identical equation system and Gram bits (the cumulative block is a
-// bit-exact splice, and the Gram accumulation is row-ordered and
-// additive), the same NNLS optimum (bit-identical when the solve is cold;
+// bit-exact splice, and every Gram entry is summed in ascending row
+// order), the same NNLS optimum (bit-identical when the solve is cold;
 // when warm-started, the same fitted values to solver tolerance, and the
 // same active set and solution wherever the optimum is unique) — and the
 // streamed output is bit-identical for any jobs value.
@@ -173,7 +173,7 @@ TEST_P(RegistryStreamEquivalence, FinalWindowMatchesOneShotBatch) {
     EXPECT_EQ(last.inference.refined_links, batch.refined_links) << what;
 
     // Jobs-invariance: every window's solution is bit-identical under a
-    // parallel Gram build (in-order additive reduction).
+    // parallel Gram build (each entry still summed in row order).
     const std::vector<WindowEstimate> parallel =
         streamed_infer(p, window, 3);
     ASSERT_EQ(parallel.size(), serial.size()) << what;

@@ -173,26 +173,6 @@ TEST(Stats, PercentileRejectsEmptyAndBadP) {
   EXPECT_THROW(percentile({1.0}, 101), Error);
 }
 
-TEST(Stats, WilsonIntervalBracketsProportion) {
-  const auto iv = wilson_interval(30, 100);
-  EXPECT_LT(iv.lo, 0.3);
-  EXPECT_GT(iv.hi, 0.3);
-  EXPECT_GE(iv.lo, 0.0);
-  EXPECT_LE(iv.hi, 1.0);
-}
-
-TEST(Stats, WilsonIntervalEmptySample) {
-  const auto iv = wilson_interval(0, 0);
-  EXPECT_DOUBLE_EQ(iv.lo, 0.0);
-  EXPECT_DOUBLE_EQ(iv.hi, 1.0);
-}
-
-TEST(Stats, WilsonIntervalShrinksWithSamples) {
-  const auto narrow = wilson_interval(500, 1000);
-  const auto wide = wilson_interval(5, 10);
-  EXPECT_LT(narrow.hi - narrow.lo, wide.hi - wide.lo);
-}
-
 // -------------------------------------------------------------- flags ----
 
 TEST(Flags, ParsesAllValueForms) {

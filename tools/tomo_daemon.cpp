@@ -38,7 +38,6 @@
 #include "core/experiment.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/serialize.hpp"
-#include "metrics/error_metrics.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
 #include "stream/obs_stream.hpp"
@@ -114,19 +113,6 @@ core::InferenceOptions inference_from(const Flags& flags) {
   options.solver.jobs = jobs;
   options.equations.jobs = jobs;
   return options;
-}
-
-double mean_error(const std::vector<double>& truth,
-                  const std::vector<graph::Path>& paths,
-                  const sim::MeasurementProvider& measurement,
-                  const std::vector<double>& estimate) {
-  if (truth.empty()) return -1.0;
-  const std::vector<double> errors = metrics::absolute_errors(
-      truth, estimate, core::potentially_congested_links(paths, measurement));
-  if (errors.empty()) return -1.0;
-  double sum = 0.0;
-  for (double e : errors) sum += e;
-  return sum / static_cast<double>(errors.size());
 }
 
 int cmd_record(int argc, const char* const* argv) {
@@ -307,8 +293,9 @@ int cmd_batch(int argc, const char* const* argv) {
                              inference_from(flags));
   const double err =
       flags.get_bool("mean-err")
-          ? mean_error(system.truth, *system.paths, measurement,
-                       estimate.inference.congestion_prob)
+          ? core::mean_congested_error(system.truth,
+                                       estimate.inference.congestion_prob,
+                                       *system.paths, measurement)
           : -1.0;
   std::cout << stream::window_json(estimate, err) << '\n';
   return 0;
