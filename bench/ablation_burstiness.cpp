@@ -1,8 +1,9 @@
 // Ablation: bursty (Gilbert) congestion vs. memoryless congestion.
 //
 // The paper's Assumption 3 requires stationarity, not independence across
-// snapshots. This ablation drives the same marginal law through a Gilbert
-// chain with increasing burst length and shows that both algorithms remain
+// snapshots. This ablation drives the same marginal law through bursty
+// shocks (a Gilbert chain per correlation set, corr::Shock::burst_length)
+// with increasing burst length and shows that both algorithms remain
 // consistent — convergence just slows, because dependent snapshots carry
 // less information per sample.
 #include <iostream>
@@ -14,7 +15,9 @@
 #include "sim/measurement.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("ablation_burstiness",
               "Gilbert bursty congestion vs memoryless (Assumption 3)");
@@ -37,17 +40,18 @@ int main(int argc, char** argv) {
         spec.scenario.congested_fraction = 0.10;
         const auto inst = core::build_scenario(spec.scenario_for(ctx));
 
-        // Rebuild the scenario's shock model as a Gilbert model with the
-        // same marginals: bursty where the original was correlated.
+        // Rebuild the scenario's shock model with the same marginals and
+        // bursty shocks: every shock episode lasts `burst` snapshots on
+        // average.
         std::vector<double> congested_marginals;
         congested_marginals.reserve(inst.congested_links.size());
         for (graph::LinkId e : inst.congested_links) {
           congested_marginals.push_back(inst.true_marginals[e]);
         }
-        const auto truth_ptr = corr::make_clustered_gilbert_model(
+        const auto truth_ptr = corr::make_clustered_shock_model(
             inst.declared_sets, inst.congested_links, congested_marginals,
             spec.scenario.correlation_strength, burst);
-        const corr::GilbertShockModel& truth = *truth_ptr;
+        const corr::CommonShockModel& truth = *truth_ptr;
 
         const core::ExperimentConfig config = spec.experiment_for(ctx);
         const graph::CoverageIndex coverage(inst.graph, inst.paths);
@@ -78,4 +82,11 @@ int main(int argc, char** argv) {
   run.table("ablation_burstiness", table);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("ablation_burstiness", bench_main, argc,
+                                   argv);
 }

@@ -7,7 +7,9 @@
 #include "bench_common.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("ablation_equations",
               "equation-source ablation (singles vs singles+pairs)");
@@ -56,4 +58,11 @@ int main(int argc, char** argv) {
   run.table("ablation_equations", table);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("ablation_equations", bench_main, argc,
+                                   argv);
 }

@@ -10,7 +10,9 @@
 #include "bench_common.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("ablation_packets",
               "probe-packet budget sensitivity of both algorithms");
@@ -49,4 +51,10 @@ int main(int argc, char** argv) {
   run.table("ablation_packets", table);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("ablation_packets", bench_main, argc, argv);
 }

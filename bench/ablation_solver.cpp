@@ -9,7 +9,9 @@
 #include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("ablation_solver",
               "solver ablation on the Fig 3(c) scenario");
@@ -56,4 +58,10 @@ int main(int argc, char** argv) {
   run.table("ablation_solver", table);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("ablation_solver", bench_main, argc, argv);
 }

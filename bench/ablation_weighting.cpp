@@ -6,7 +6,9 @@
 #include "bench_common.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("ablation_weighting",
               "variance-weighted vs unweighted equation solving");
@@ -48,4 +50,11 @@ int main(int argc, char** argv) {
   run.table("ablation_weighting", table);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("ablation_weighting", bench_main, argc,
+                                   argv);
 }

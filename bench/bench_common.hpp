@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -183,6 +184,22 @@ inline core::TrialSpec resolve_trial_spec(const Settings& s,
   spec.scenario_tag = scenario_tag;
   apply_trial_settings(spec, s);
   return spec;
+}
+
+/// A binary's main: runs `body` and turns an error into the exit status
+/// tomo_cli and tomo_daemon use — "<name>: <message>" on stderr and exit
+/// 1 — instead of letting the exception abort the process.
+inline int guarded_main(const char* name, int (*body)(int, char**), int argc,
+                        char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s: %s\n", name, e.message().c_str());
+    return 1;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", name, e.what());
+    return 1;
+  }
 }
 
 inline void emit(const Table& table, const Settings& s) {

@@ -194,7 +194,9 @@ void scenario_bootstrap(bench::Run& run, const bench::Settings& s,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   Flags flags("fig1_tables",
               "Fig 1 / §3.1-3.2: coverage tables and congestion factors");
   bench::add_common_flags(flags);
@@ -355,4 +357,10 @@ int main(int argc, char** argv) {
   }
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("fig1_tables", bench_main, argc, argv);
 }

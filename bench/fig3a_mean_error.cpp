@@ -7,7 +7,9 @@
 #include "bench_common.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("fig3a_mean_error",
               "Fig 3(a): mean abs. error vs %congested, high correlation");
@@ -44,4 +46,10 @@ int main(int argc, char** argv) {
   run.table("fig3a_mean_error", table);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("fig3a_mean_error", bench_main, argc, argv);
 }

@@ -5,7 +5,9 @@
 #include "bench_common.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("fig3b_p90_error",
               "Fig 3(b): 90th-pct abs. error vs %congested, high corr.");
@@ -43,4 +45,10 @@ int main(int argc, char** argv) {
   run.table("fig3b_p90_error", table);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("fig3b_p90_error", bench_main, argc, argv);
 }

@@ -5,7 +5,9 @@
 #include "bench_common.hpp"
 #include "metrics/cdf.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("fig3c_cdf_high_corr",
               "Fig 3(c): error CDF at 10% congested, high correlation");
@@ -42,4 +44,11 @@ int main(int argc, char** argv) {
   run.table("fig3c_cdf_high_corr", table);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("fig3c_cdf_high_corr", bench_main, argc,
+                                   argv);
 }

@@ -5,7 +5,9 @@
 #include "bench_common.hpp"
 #include "metrics/cdf.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("fig3d_cdf_loose_corr",
               "Fig 3(d): error CDF at 10% congested, loose correlation");
@@ -43,4 +45,11 @@ int main(int argc, char** argv) {
   run.table("fig3d_cdf_loose_corr", table);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("fig3d_cdf_loose_corr", bench_main, argc,
+                                   argv);
 }

@@ -43,7 +43,9 @@ void run_panel(tomo::bench::Run& run, tomo::core::TopologyKind topo,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("fig4_unidentifiable",
               "Fig 4(a-d): error CDFs with unidentifiable links");
@@ -62,4 +64,11 @@ int main(int argc, char** argv) {
             "(d) 50% of congested links unidentifiable, PlanetLab", 0x4d00);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("fig4_unidentifiable", bench_main, argc,
+                                   argv);
 }

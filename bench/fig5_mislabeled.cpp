@@ -47,7 +47,9 @@ void run_panel(tomo::bench::Run& run, tomo::core::TopologyKind topo,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("fig5_mislabeled",
               "Fig 5(a-d): error CDFs with unknown correlation patterns");
@@ -66,4 +68,10 @@ int main(int argc, char** argv) {
             "(d) 50% of congested links mislabeled, PlanetLab", 0x5d00);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("fig5_mislabeled", bench_main, argc, argv);
 }

@@ -9,7 +9,9 @@
 //
 // Reported: detection rate (fraction of truly congested links flagged) and
 // false-discovery rate (fraction of flagged links that were good).
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/independence_algorithm.hpp"
@@ -31,7 +33,9 @@ struct TrialScores {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace tomo;
   Flags flags("localization_accuracy",
               "per-snapshot localization: smallest-set vs MAP variants");
@@ -52,13 +56,17 @@ int main(int argc, char** argv) {
     const graph::CoverageIndex coverage(inst.graph, inst.paths);
 
     // Estimate probabilities from a training run, then localize snapshots
-    // of an independent evaluation run.
+    // of an independent evaluation run, drawn as one timeline.
     const auto training = core::run_experiment(inst, spec.experiment_for(ctx));
 
     TrialScores scores;
     Rng rng(ctx.seed(0x20c0));
+    const std::size_t links = inst.graph.link_count();
+    std::vector<std::uint8_t> states(eval_snapshots * links);
+    inst.truth->sample_block(rng, eval_snapshots, states.data());
     for (std::size_t n = 0; n < eval_snapshots; ++n) {
-      const auto state = inst.truth->sample(rng);
+      const std::vector<std::uint8_t> state(states.data() + n * links,
+                                            states.data() + (n + 1) * links);
       graph::PathIdSet congested;
       for (graph::PathId p = 0; p < inst.paths.size(); ++p) {
         for (graph::LinkId e : inst.paths[p].links()) {
@@ -103,4 +111,11 @@ int main(int argc, char** argv) {
   run.table("localization_accuracy", table);
   run.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tomo::bench::guarded_main("localization_accuracy", bench_main, argc,
+                                   argv);
 }

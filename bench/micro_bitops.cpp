@@ -207,10 +207,6 @@ int run_main(int argc, char** argv) {
 }  // namespace tomo
 
 int main(int argc, char** argv) {
-  try {
-    return tomo::run_main(argc, argv);
-  } catch (const tomo::Error& e) {
-    std::cerr << "micro_bitops: " << e.what() << "\n";
-    return 1;
-  }
+  return tomo::bench::guarded_main("micro_bitops", tomo::run_main, argc,
+                                   argv);
 }

@@ -265,16 +265,12 @@ ScenarioInstance build_scenario(const ScenarioConfig& config) {
     marginals[i] = std::clamp(base * rng.uniform(0.95, 1.05),
                               config.marginal_lo * 0.5, 0.95);
   }
-  std::unique_ptr<corr::CongestionModel> truth;
-  if (config.burst_length > 1.0) {
-    truth = corr::make_clustered_gilbert_model(
-        inst.declared_sets, inst.congested_links, marginals,
-        config.correlation_strength, config.burst_length);
-  } else {
-    truth = corr::make_clustered_shock_model(inst.declared_sets,
-                                             inst.congested_links, marginals,
-                                             config.correlation_strength);
-  }
+  // A burst length of 1 keeps the memoryless shock (Shock::burst_length 0).
+  std::unique_ptr<corr::CongestionModel> truth =
+      corr::make_clustered_shock_model(
+          inst.declared_sets, inst.congested_links, marginals,
+          config.correlation_strength,
+          config.burst_length > 1.0 ? config.burst_length : 0.0);
 
   // Fig. 5: hidden worm correlation across sets.
   if (config.mislabeled_fraction > 0.0) {

@@ -39,7 +39,7 @@ struct ScenarioConfig {
   std::size_t vantage_points = 14;  // flat topologies
   std::size_t cluster_size = 6;  // max correlation-set size (all topologies)
   /// Probability that a link's bottleneck sits on a shared fabric segment
-  /// (higher = more links correlated).
+  /// (higher = more links correlated); must lie in [0,1].
   double fabric_prob = 0.65;
 
   // Flat-mesh shape knobs: Waxman geometric density (kWaxman) and BA
@@ -54,9 +54,10 @@ struct ScenarioConfig {
   double marginal_lo = 0.10;  // congested links draw their true congestion
   double marginal_hi = 0.60;  // probability around a per-set base in range
 
-  /// Mean congestion-episode length in snapshots. > 1 drives every set's
-  /// shock through a Gilbert chain (same per-snapshot marginal law, so
-  /// Assumption 3 still holds); 1 keeps the memoryless common shock.
+  /// Mean congestion-episode length in snapshots. > 1 makes every set's
+  /// shock bursty (corr::Shock::burst_length: a Gilbert chain with the same
+  /// per-snapshot marginal law, so Assumption 3 still holds); 1 keeps the
+  /// memoryless common shock.
   double burst_length = 1.0;
 
   /// Target fraction of congested links made unidentifiable by mutating

@@ -10,6 +10,18 @@
 // Closed form:  P(all of L ⊆ C_p good)
 //             = Π_{k∈L}(1-base[k]) · (1 - rho_p·[L ∩ M_p ≠ ∅]).
 //
+// A shock is memoryless (W_p drawn afresh every snapshot) or bursty. Real
+// congestion is bursty: a shared resource congested in one snapshot tends
+// to stay congested for a while. A bursty shock's W_p follows a two-state
+// (Gilbert) Markov chain with mean episode length `burst_length` snapshots,
+// started from its stationary distribution P(W_p = 1) = rho_p at every
+// sample_block call. Each snapshot's W_p is then Bernoulli(rho_p) and
+// independent of the private V_k, so the closed form above holds for both
+// kinds; only the dependence across snapshots differs. That is the paper's
+// Assumption 3, which asks for stationarity, not independence across
+// snapshots: estimators stay consistent and only converge more slowly,
+// which bench/ablation_burstiness quantifies.
+//
 // The scenario builder uses this model to realize "more than 2 / up to 2
 // congested links per correlation set" with controllable correlation
 // strength while hitting exact per-link marginals.
@@ -24,8 +36,15 @@ namespace tomo::corr {
 
 /// Per-set shock specification.
 struct Shock {
-  double rho = 0.0;                // P(shock fires)
+  double rho = 0.0;                // P(shock fires) in any one snapshot
   std::vector<LinkId> members;     // M_p, subset of the correlation set
+  /// Mean shock episode length in snapshots. 0 = memoryless: a fresh
+  /// Bernoulli(rho) every snapshot, drawn even when `members` is empty.
+  /// >= 1 = bursty: an episode ends with probability 1/burst_length per
+  /// snapshot (1 means every episode lasts exactly one snapshot; a
+  /// memoryless shock has mean episode length 1/(1-rho)). A bursty shock
+  /// with no members draws nothing.
+  double burst_length = 0.0;
 };
 
 class CommonShockModel final : public CongestionModel {
@@ -35,7 +54,6 @@ class CommonShockModel final : public CongestionModel {
                    std::vector<Shock> shocks);
 
   const CorrelationSets& sets() const override { return sets_; }
-  std::vector<std::uint8_t> sample(Rng& rng) const override;
   void sample_block(Rng& rng, std::size_t count,
                     std::uint8_t* out) const override;
   double within_set_all_good(

@@ -43,10 +43,6 @@ std::size_t CorrelationSets::set_of(LinkId link) const {
   return set_of_[link];
 }
 
-bool CorrelationSets::may_be_correlated(LinkId a, LinkId b) const {
-  return set_of(a) == set_of(b);
-}
-
 bool CorrelationSets::correlation_free(
     const std::vector<LinkId>& links) const {
   // Typical inputs are short (a path or a pair of paths), so a small
@@ -121,15 +117,6 @@ double CongestionModel::prob_all_good(
   return prob;
 }
 
-void CongestionModel::sample_block(Rng& rng, std::size_t count,
-                                   std::uint8_t* out) const {
-  const std::size_t links = link_count();
-  for (std::size_t n = 0; n < count; ++n) {
-    const std::vector<std::uint8_t> state = sample(rng);
-    std::copy(state.begin(), state.end(), out + n * links);
-  }
-}
-
 double CongestionModel::marginal(LinkId link) const {
   return 1.0 - prob_all_good({link});
 }
@@ -182,14 +169,6 @@ IndependentModel::IndependentModel(CorrelationSets sets,
     TOMO_REQUIRE(v >= 0.0 && v <= 1.0,
                  "congestion probabilities must lie in [0,1]");
   }
-}
-
-std::vector<std::uint8_t> IndependentModel::sample(Rng& rng) const {
-  std::vector<std::uint8_t> state(p_.size());
-  for (std::size_t k = 0; k < p_.size(); ++k) {
-    state[k] = rng.bernoulli(p_[k]) ? 1 : 0;
-  }
-  return state;
 }
 
 void IndependentModel::sample_block(Rng& rng, std::size_t count,

@@ -2,8 +2,8 @@
 //
 // Links are partitioned into correlation sets: links within a set may be
 // arbitrarily correlated, links in different sets are independent. A
-// CongestionModel is the ground truth of an experiment: it samples the
-// congested-link indicator per snapshot and can answer exact probability
+// CongestionModel is the ground truth of an experiment: it samples blocks
+// of snapshots of the congested-link indicator and answers exact probability
 // queries (used by the oracle estimator and the theorem algorithm's
 // reference values).
 #pragma once
@@ -40,10 +40,6 @@ class CorrelationSets {
   const std::vector<LinkId>& set(std::size_t index) const;
   std::size_t set_of(LinkId link) const;
 
-  /// True iff the two links may be correlated (same set; a link is
-  /// trivially correlated with itself).
-  bool may_be_correlated(LinkId a, LinkId b) const;
-
   /// True iff no two distinct links in `links` share a correlation set —
   /// the precondition for a §4 equation to introduce no joint unknowns.
   bool correlation_free(const std::vector<LinkId>& links) const;
@@ -79,20 +75,17 @@ class CongestionModel {
 
   std::size_t link_count() const { return sets().link_count(); }
 
-  /// Samples the congestion indicator of every link for one snapshot.
-  virtual std::vector<std::uint8_t> sample(Rng& rng) const = 0;
-
-  /// Samples `count` consecutive snapshots into `out`, snapshot-major
-  /// (snapshot n occupies out[n*link_count() .. (n+1)*link_count())). The
-  /// batched simulator's unit of work: calls must be self-contained — no
-  /// mutable member state read or advanced — so concurrent calls with
-  /// distinct `rng`/`out` are safe. Models with cross-snapshot state
-  /// (Gilbert chains) restart it from the stationary distribution at every
-  /// block boundary: the per-snapshot marginal law is unchanged, temporal
-  /// correlation truncates at block edges. The default loops sample();
-  /// stateful models MUST override (the default would advance their state).
+  /// Samples the congestion indicator of every link for `count`
+  /// consecutive snapshots into `out`, snapshot-major (snapshot n occupies
+  /// out[n*link_count() .. (n+1)*link_count())) — the only way a model
+  /// draws; one snapshot is count = 1. Each call is its own timeline: it
+  /// reads and advances no member state, so concurrent calls with distinct
+  /// `rng`/`out` are safe. A model with memory across snapshots (a bursty
+  /// shock) starts it from the stationary distribution at every call, so
+  /// the per-snapshot marginal law is the same for any `count` while
+  /// temporal correlation truncates at call edges.
   virtual void sample_block(Rng& rng, std::size_t count,
-                            std::uint8_t* out) const;
+                            std::uint8_t* out) const = 0;
 
   /// Exact P(all links in `links` good). Links may span correlation sets.
   /// The default factorizes across correlation sets via
@@ -129,7 +122,6 @@ class IndependentModel final : public CongestionModel {
   IndependentModel(CorrelationSets sets, std::vector<double> congestion_prob);
 
   const CorrelationSets& sets() const override { return sets_; }
-  std::vector<std::uint8_t> sample(Rng& rng) const override;
   void sample_block(Rng& rng, std::size_t count,
                     std::uint8_t* out) const override;
   double within_set_all_good(

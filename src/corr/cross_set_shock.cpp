@@ -28,16 +28,6 @@ bool CrossSetShockModel::touches_target(
                      [&](LinkId k) { return is_target_[k] != 0; });
 }
 
-std::vector<std::uint8_t> CrossSetShockModel::sample(Rng& rng) const {
-  std::vector<std::uint8_t> state = inner_->sample(rng);
-  if (rho_ > 0.0 && rng.bernoulli(rho_)) {
-    for (LinkId link : targets_) {
-      state[link] = 1;
-    }
-  }
-  return state;
-}
-
 void CrossSetShockModel::sample_block(Rng& rng, std::size_t count,
                                       std::uint8_t* out) const {
   inner_->sample_block(rng, count, out);

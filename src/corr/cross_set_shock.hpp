@@ -27,7 +27,6 @@ class CrossSetShockModel final : public CongestionModel {
                      std::vector<LinkId> targets, double rho);
 
   const CorrelationSets& sets() const override { return inner_->sets(); }
-  std::vector<std::uint8_t> sample(Rng& rng) const override;
 
   /// Delegates to the inner model's block sampler, then ORs the worm shock
   /// into each snapshot (inner block first, then one bernoulli per
@@ -43,9 +42,6 @@ class CrossSetShockModel final : public CongestionModel {
   double within_set_all_good(
       std::size_t set_index,
       const std::vector<LinkId>& links_in_set) const override;
-
-  const std::vector<LinkId>& targets() const { return targets_; }
-  double rho() const { return rho_; }
 
  private:
   bool touches_target(const std::vector<LinkId>& links) const;

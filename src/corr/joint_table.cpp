@@ -35,21 +35,27 @@ JointTableModel::JointTableModel(CorrelationSets sets,
   }
 }
 
-std::vector<std::uint8_t> JointTableModel::sample(Rng& rng) const {
-  std::vector<std::uint8_t> state(sets_.link_count(), 0);
-  for (std::size_t s = 0; s < dist_.size(); ++s) {
-    const double u = rng.uniform();
-    const auto& cdf = cdf_[s];
-    const std::size_t mask = static_cast<std::size_t>(
-        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-    const auto& members = sets_.set(s);
-    for (std::size_t bit = 0; bit < members.size(); ++bit) {
-      if (mask & (std::size_t{1} << bit)) {
-        state[members[bit]] = 1;
+void JointTableModel::sample_block(Rng& rng, std::size_t count,
+                                   std::uint8_t* out) const {
+  const std::size_t links = sets_.link_count();
+  for (std::size_t n = 0; n < count; ++n) {
+    std::uint8_t* state = out + n * links;
+    std::fill(state, state + links, 0);
+    // One uniform per set, in set order: the set's state is the first
+    // mask whose cumulative probability reaches it.
+    for (std::size_t s = 0; s < dist_.size(); ++s) {
+      const double u = rng.uniform();
+      const auto& cdf = cdf_[s];
+      const std::size_t mask = static_cast<std::size_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      const auto& members = sets_.set(s);
+      for (std::size_t bit = 0; bit < members.size(); ++bit) {
+        if (mask & (std::size_t{1} << bit)) {
+          state[members[bit]] = 1;
+        }
       }
     }
   }
-  return state;
 }
 
 std::uint32_t JointTableModel::mask_of(

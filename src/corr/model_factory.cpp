@@ -13,31 +13,17 @@ std::unique_ptr<IndependentModel> make_independent(
                                             std::move(congestion_prob));
 }
 
-namespace {
-
-/// Shared derivation of the clustered-shock parameterization: per-set
-/// shock strength rho_p = strength * min marginal of the set's congested
-/// links (0 when fewer than two are congested), and per-link private
-/// probabilities chosen so every congested link hits its target marginal.
-struct ClusteredShockPlan {
-  std::vector<double> base;                     // per link
-  std::vector<double> rho;                      // per set
-  std::vector<std::vector<LinkId>> members;     // congested links per set
-};
-
-ClusteredShockPlan plan_clustered_shocks(
+std::unique_ptr<CommonShockModel> make_clustered_shock_model(
     const CorrelationSets& sets, const std::vector<LinkId>& congested_links,
-    const std::vector<double>& target_marginal, double correlation_strength) {
+    const std::vector<double>& target_marginal, double correlation_strength,
+    double burst_length) {
   TOMO_REQUIRE(congested_links.size() == target_marginal.size(),
                "one target marginal per congested link required");
   TOMO_REQUIRE(correlation_strength >= 0.0 && correlation_strength < 1.0,
                "correlation strength must be in [0,1)");
 
   std::vector<double> marginal_of(sets.link_count(), 0.0);
-  ClusteredShockPlan plan;
-  plan.base.assign(sets.link_count(), 0.0);
-  plan.rho.assign(sets.set_count(), 0.0);
-  plan.members.resize(sets.set_count());
+  std::vector<std::vector<LinkId>> members(sets.set_count());
   for (std::size_t i = 0; i < congested_links.size(); ++i) {
     const LinkId link = congested_links[i];
     TOMO_REQUIRE(link < sets.link_count(), "congested link out of range");
@@ -46,61 +32,31 @@ ClusteredShockPlan plan_clustered_shocks(
     TOMO_REQUIRE(target_marginal[i] > 0.0 && target_marginal[i] < 1.0,
                  "target marginals must be in (0,1)");
     marginal_of[link] = target_marginal[i];
-    plan.members[sets.set_of(link)].push_back(link);
+    members[sets.set_of(link)].push_back(link);
   }
 
-  for (std::size_t s = 0; s < sets.set_count(); ++s) {
-    const auto& members = plan.members[s];
-    if (members.size() >= 2 && correlation_strength > 0.0) {
-      double min_marginal = 1.0;
-      for (LinkId link : members) {
-        min_marginal = std::min(min_marginal, marginal_of[link]);
-      }
-      plan.rho[s] = correlation_strength * min_marginal;
-    }
-    for (LinkId link : members) {
-      plan.base[link] = CommonShockModel::base_for_marginal(
-          marginal_of[link], plan.rho[s], /*exposed=*/plan.rho[s] > 0.0);
-    }
-  }
-  return plan;
-}
-
-}  // namespace
-
-std::unique_ptr<CommonShockModel> make_clustered_shock_model(
-    const CorrelationSets& sets, const std::vector<LinkId>& congested_links,
-    const std::vector<double>& target_marginal, double correlation_strength) {
-  ClusteredShockPlan plan = plan_clustered_shocks(
-      sets, congested_links, target_marginal, correlation_strength);
+  std::vector<double> base(sets.link_count(), 0.0);
   std::vector<Shock> shocks(sets.set_count());
   for (std::size_t s = 0; s < sets.set_count(); ++s) {
-    if (plan.rho[s] > 0.0) {
-      shocks[s].rho = plan.rho[s];
-      shocks[s].members = std::move(plan.members[s]);
+    Shock& shock = shocks[s];
+    shock.burst_length = burst_length;
+    if (members[s].size() >= 2 && correlation_strength > 0.0) {
+      double min_marginal = 1.0;
+      for (LinkId link : members[s]) {
+        min_marginal = std::min(min_marginal, marginal_of[link]);
+      }
+      shock.rho = correlation_strength * min_marginal;
+    }
+    for (LinkId link : members[s]) {
+      base[link] = CommonShockModel::base_for_marginal(
+          marginal_of[link], shock.rho, /*exposed=*/shock.rho > 0.0);
+    }
+    if (shock.rho > 0.0) {
+      shock.members = std::move(members[s]);
     }
   }
-  return std::make_unique<CommonShockModel>(sets, std::move(plan.base),
+  return std::make_unique<CommonShockModel>(sets, std::move(base),
                                             std::move(shocks));
-}
-
-std::unique_ptr<GilbertShockModel> make_clustered_gilbert_model(
-    const CorrelationSets& sets, const std::vector<LinkId>& congested_links,
-    const std::vector<double>& target_marginal, double correlation_strength,
-    double burst_length) {
-  TOMO_REQUIRE(burst_length >= 1.0, "mean burst length must be >= 1");
-  ClusteredShockPlan plan = plan_clustered_shocks(
-      sets, congested_links, target_marginal, correlation_strength);
-  std::vector<BurstyShock> shocks(sets.set_count());
-  for (std::size_t s = 0; s < sets.set_count(); ++s) {
-    if (plan.rho[s] > 0.0) {
-      shocks[s].rho = plan.rho[s];
-      shocks[s].burst_length = burst_length;
-      shocks[s].members = std::move(plan.members[s]);
-    }
-  }
-  return std::make_unique<GilbertShockModel>(sets, std::move(plan.base),
-                                             std::move(shocks));
 }
 
 std::unique_ptr<CrossSetShockModel> make_worm_model(

@@ -8,7 +8,6 @@
 #include "corr/common_shock.hpp"
 #include "corr/correlation.hpp"
 #include "corr/cross_set_shock.hpp"
-#include "corr/gilbert.hpp"
 
 namespace tomo::corr {
 
@@ -24,20 +23,14 @@ std::unique_ptr<IndependentModel> make_independent(
 /// `correlation_strength` in [0,1) scales the shock: rho_p =
 /// strength * min marginal of the set's congested links (0 when the set has
 /// fewer than two congested links, since there is nothing to correlate).
+/// `burst_length` is every shock's Shock::burst_length: 0 draws memoryless
+/// shocks, a value >= 1 bursty ones with that mean episode length (same
+/// per-snapshot law, so Assumption 3's stationarity still holds while
+/// snapshots become temporally dependent).
 std::unique_ptr<CommonShockModel> make_clustered_shock_model(
     const CorrelationSets& sets, const std::vector<LinkId>& congested_links,
-    const std::vector<double>& target_marginal, double correlation_strength);
-
-/// The bursty (Gilbert) variant of make_clustered_shock_model: identical
-/// per-snapshot marginal law and per-set shock strength, but each set's
-/// shock is driven by a two-state Markov chain with mean episode length
-/// `burst_length` snapshots (>= 1; 1/(1-rho) reproduces the memoryless
-/// shock). Snapshots become temporally dependent while Assumption 3
-/// (stationarity) still holds.
-std::unique_ptr<GilbertShockModel> make_clustered_gilbert_model(
-    const CorrelationSets& sets, const std::vector<LinkId>& congested_links,
     const std::vector<double>& target_marginal, double correlation_strength,
-    double burst_length);
+    double burst_length = 0.0);
 
 /// Wraps `inner` with the worm shock of the Fig. 5 scenario.
 std::unique_ptr<CrossSetShockModel> make_worm_model(

@@ -40,21 +40,24 @@ RouterDerivedModel::RouterDerivedModel(
   }
 }
 
-std::vector<std::uint8_t> RouterDerivedModel::sample(Rng& rng) const {
+void RouterDerivedModel::sample_block(Rng& rng, std::size_t count,
+                                      std::uint8_t* out) const {
+  // Per snapshot: every router-level link in id order, then each logical
+  // link is the OR of its underlying links.
+  const std::size_t links = underlying_.size();
   std::vector<std::uint8_t> router_state(router_prob_.size());
-  for (std::size_t r = 0; r < router_prob_.size(); ++r) {
-    router_state[r] = rng.bernoulli(router_prob_[r]) ? 1 : 0;
-  }
-  std::vector<std::uint8_t> state(underlying_.size(), 0);
-  for (LinkId k = 0; k < underlying_.size(); ++k) {
-    for (std::size_t r : underlying_[k]) {
-      if (router_state[r]) {
-        state[k] = 1;
-        break;
+  for (std::size_t n = 0; n < count; ++n) {
+    for (std::size_t r = 0; r < router_prob_.size(); ++r) {
+      router_state[r] = rng.bernoulli(router_prob_[r]) ? 1 : 0;
+    }
+    std::uint8_t* state = out + n * links;
+    for (LinkId k = 0; k < links; ++k) {
+      state[k] = 0;
+      for (std::size_t r : underlying_[k]) {
+        state[k] |= router_state[r];
       }
     }
   }
-  return state;
 }
 
 double RouterDerivedModel::within_set_all_good(

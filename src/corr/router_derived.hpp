@@ -28,7 +28,8 @@ class RouterDerivedModel final : public CongestionModel {
                      std::vector<double> router_prob);
 
   const CorrelationSets& sets() const override { return sets_; }
-  std::vector<std::uint8_t> sample(Rng& rng) const override;
+  void sample_block(Rng& rng, std::size_t count,
+                    std::uint8_t* out) const override;
   double within_set_all_good(
       std::size_t set_index,
       const std::vector<LinkId>& links_in_set) const override;

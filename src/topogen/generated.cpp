@@ -7,6 +7,8 @@ namespace tomo::topogen {
 graph::LinkPartition fabric_site_clusters(const graph::Graph& g,
                                           std::size_t target,
                                           double fabric_prob, Rng& rng) {
+  TOMO_REQUIRE(fabric_prob >= 0.0 && fabric_prob <= 1.0,
+               "fabric probability must be in [0,1]");
   std::vector<std::vector<graph::LinkId>> owned(g.node_count());
   graph::LinkPartition partition;
   for (graph::LinkId e = 0; e < g.link_count(); ++e) {

@@ -35,7 +35,8 @@ struct GeneratedTopology {
 /// into clusters of the target size. A cluster therefore mixes links
 /// entering and leaving one site: correlated links can be parallel
 /// (fan-in/fan-out) or consecutive along a path crossing the site. Links
-/// that miss the fabric_prob draw get dedicated (singleton) sets.
+/// that miss the fabric_prob draw get dedicated (singleton) sets. Throws
+/// tomo::Error unless fabric_prob lies in [0,1] (NaN included).
 graph::LinkPartition fabric_site_clusters(const graph::Graph& g,
                                           std::size_t target,
                                           double fabric_prob, Rng& rng);

@@ -15,6 +15,8 @@ GeneratedTopology generate_hierarchical(const HierarchicalParams& params) {
   TOMO_REQUIRE(params.endpoints <= params.as_nodes,
                "more vantage ASes than ASes");
   TOMO_REQUIRE(params.borders_per_as >= 1, "need at least one border per AS");
+  TOMO_REQUIRE(params.fabric_prob >= 0.0 && params.fabric_prob <= 1.0,
+               "fabric probability must be in [0,1]");
   TOMO_REQUIRE(params.max_corrset_size >= 2,
                "correlation sets of size < 2 carry no correlation");
   Rng rng(mix_seed(params.seed, /*tag=*/0x42726974ULL));  // "Brit"

@@ -32,6 +32,7 @@ struct HierarchicalParams {
   /// Probability that a measured link's bottleneck segment lies on a
   /// *shared* fabric of one of its endpoint ASes (otherwise it is a
   /// dedicated segment and the link is uncorrelated with everything).
+  /// Must lie in [0,1].
   double fabric_prob = 0.5;
   std::uint64_t seed = 1;
 };

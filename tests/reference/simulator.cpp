@@ -13,8 +13,9 @@ namespace tomo::reference {
 namespace {
 
 /// The historical single-stream loop behind the per-packet and exact
-/// engines: one RNG advanced across all snapshots, one model.sample per
-/// snapshot.
+/// engines: one RNG advanced across all snapshots, one single-snapshot
+/// model.sample_block per snapshot (so a bursty shock restarts its chain
+/// every snapshot here; only its per-snapshot law carries over).
 sim::SimulationResult simulate_single_stream(
     const graph::Graph& g, const std::vector<graph::Path>& paths,
     const corr::CongestionModel& model, const sim::SimulatorConfig& config,
@@ -31,8 +32,9 @@ sim::SimulationResult simulate_single_stream(
   PathObservations obs(paths.size(), config.snapshots);
 
   std::vector<double> loss(g.link_count(), 0.0);
+  std::vector<std::uint8_t> state(g.link_count());
   for (std::size_t n = 0; n < config.snapshots; ++n) {
-    const std::vector<std::uint8_t> state = model.sample(rng);
+    model.sample_block(rng, 1, state.data());
     for (graph::LinkId k = 0; k < g.link_count(); ++k) {
       result.link_congested_count[k] += state[k];
     }

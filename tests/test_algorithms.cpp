@@ -123,15 +123,15 @@ TEST(DemoteToSingletons, MovesLinksOut) {
   corr::CorrelationSets sets(4, {{0, 1, 2}, {3}});
   const auto demoted = demote_to_singletons(sets, {1});
   EXPECT_EQ(demoted.set_count(), 3u);
-  EXPECT_FALSE(demoted.may_be_correlated(0, 1));
-  EXPECT_TRUE(demoted.may_be_correlated(0, 2));
+  EXPECT_NE(demoted.set_of(0), demoted.set_of(1));
+  EXPECT_EQ(demoted.set_of(0), demoted.set_of(2));
 }
 
 TEST(DemoteToSingletons, WholeSetDemotion) {
   corr::CorrelationSets sets(3, {{0, 1}, {2}});
   const auto demoted = demote_to_singletons(sets, {0, 1});
   EXPECT_EQ(demoted.set_count(), 3u);
-  EXPECT_FALSE(demoted.may_be_correlated(0, 1));
+  EXPECT_NE(demoted.set_of(0), demoted.set_of(1));
 }
 
 TEST(CorrelationAlgorithm, RefinementRecoversFigure1b) {

@@ -175,6 +175,50 @@ TEST(CliErrors, HelpExitsZero) {
   EXPECT_NE(r.output.find("--kind"), std::string::npos);
 }
 
+// A congested fraction outside [0,1] used to reach the congested-link draw
+// (an assertion abort, exit 134, for 2; a double-to-size_t conversion out
+// of range for -1 and nan). It is rejected up front, naming the flag.
+TEST(CliErrors, SimulateRejectsCongestedFractionOutsideUnitInterval) {
+  const std::string topo = temp_path("cli_fraction_topo.txt");
+  const std::string obs = temp_path("cli_fraction_obs.txt");
+  const CommandResult gen = run_cli(
+      "gen --kind planetlab --size 60 --endpoints 6 --seed 3 --out " + topo);
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  const std::string simulate =
+      "simulate --snapshots 10 --topology " + topo + " --out " + obs;
+  for (const std::string value : {"2", "-1", "nan"}) {
+    const CommandResult r =
+        run_cli(simulate + " --congested-fraction " + value);
+    EXPECT_EQ(r.exit_code, 1) << value << ": " << r.output;
+    EXPECT_NE(r.output.find("tomo_cli: --congested-fraction must be in [0,1]"),
+              std::string::npos)
+        << r.output;
+  }
+  // 0 keeps the one-congested-link minimum.
+  const CommandResult zero = run_cli(simulate + " --congested-fraction 0");
+  EXPECT_EQ(zero.exit_code, 0) << zero.output;
+  std::remove(topo.c_str());
+  std::remove(obs.c_str());
+}
+
+// A fabric probability outside [0,1] used to be clamped by the Bernoulli
+// draw and exit 0; both generators reject it.
+TEST(CliErrors, GenRejectsFabricProbOutsideUnitInterval) {
+  const std::string topo = temp_path("cli_fabric_topo.txt");
+  for (const std::string kind : {"planetlab", "brite"}) {
+    for (const std::string value : {"2", "-1", "nan"}) {
+      const CommandResult r =
+          run_cli("gen --kind " + kind + " --size 60 --endpoints 6 " +
+                  "--fabric-prob " + value + " --out " + topo);
+      EXPECT_EQ(r.exit_code, 1) << kind << " " << value << ": " << r.output;
+      EXPECT_NE(r.output.find("tomo_cli: fabric probability must be in [0,1]"),
+                std::string::npos)
+          << r.output;
+    }
+  }
+  std::remove(topo.c_str());
+}
+
 // A zero window used to divide by zero (SIGFPE) when batch labelled its
 // output line; it must be rejected like serve rejects it.
 TEST(DaemonErrors, BatchRejectsZeroWindow) {

@@ -238,8 +238,9 @@ TEST(LocalizationEndToEnd, MapBeatsSmallestSetOnCorrelatedSnapshots) {
 
   Rng rng(99);
   std::size_t map_correct = 0, smallest_correct = 0, snapshots = 0;
+  std::vector<std::uint8_t> state(model->link_count());
   for (int n = 0; n < 400; ++n) {
-    const auto state = model->sample(rng);
+    model->sample_block(rng, 1, state.data());
     graph::PathIdSet congested;
     for (graph::PathId p = 0; p < sys.paths.size(); ++p) {
       for (graph::LinkId e : sys.paths[p].links()) {

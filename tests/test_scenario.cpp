@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <unordered_set>
 
 #include "core/scenario.hpp"
@@ -165,6 +166,20 @@ TEST(Scenario, RejectsBadConfig) {
   config = small_brite();
   config.marginal_lo = 0.0;
   EXPECT_THROW(build_scenario(config), Error);
+  // Every topology kind hands fabric_prob to a generator that rejects a
+  // value outside [0,1] (the Bernoulli draw used to clamp it silently).
+  for (TopologyKind kind :
+       {TopologyKind::kBrite, TopologyKind::kPlanetLab, TopologyKind::kWaxman,
+        TopologyKind::kBarabasiAlbert}) {
+    for (double fabric_prob :
+         {2.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+      config = small_planetlab();
+      config.topology = kind;
+      config.fabric_prob = fabric_prob;
+      EXPECT_THROW(build_scenario(config), Error)
+          << to_string(kind) << " " << fabric_prob;
+    }
+  }
 }
 
 }  // namespace

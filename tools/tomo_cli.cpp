@@ -157,17 +157,22 @@ int cmd_simulate(int argc, const char* const* argv) {
                 "simulation worker threads (0 = all cores); output is "
                 "identical for any value");
   if (!flags.parse(argc, argv)) return 0;
+  // NaN fails both comparisons, so it is rejected too.
+  const double congested_fraction = flags.get_double("congested-fraction");
+  TOMO_REQUIRE(congested_fraction >= 0.0 && congested_fraction <= 1.0,
+               "--congested-fraction must be in [0,1]");
 
   const graph::MeasuredSystem system =
       graph::load_system(flags.get_string("topology"));
   const corr::CorrelationSets sets = sets_of(system);
 
-  // Ground truth: clustered congestion over the declared sets.
+  // Ground truth: clustered congestion over the declared sets (at least
+  // one congested link, also for a fraction of 0).
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
   const std::size_t target = std::max<std::size_t>(
-      1, static_cast<std::size_t>(flags.get_double("congested-fraction") *
-                                  static_cast<double>(
-                                      system.graph.link_count())));
+      1, static_cast<std::size_t>(
+             congested_fraction *
+             static_cast<double>(system.graph.link_count())));
   std::vector<graph::LinkId> congested;
   for (std::size_t idx : rng.sample_without_replacement(
            system.graph.link_count(), target)) {

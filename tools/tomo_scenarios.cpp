@@ -3,8 +3,6 @@
 // algorithms → error summary), on the same shared flags as the bench
 // binaries. `--list` is the default; `--scenario <name>` runs one entry,
 // `--all` runs the whole catalog. Stdout is byte-identical for any --jobs.
-#include <cstdio>
-#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -309,13 +307,6 @@ int run_scenarios(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run_scenarios(argc, argv);
-  } catch (const tomo::Error& e) {
-    std::fprintf(stderr, "tomo_scenarios: %s\n", e.message().c_str());
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "tomo_scenarios: %s\n", e.what());
-    return 1;
-  }
+  return tomo::bench::guarded_main("tomo_scenarios", run_scenarios, argc,
+                                   argv);
 }
