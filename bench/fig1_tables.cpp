@@ -206,6 +206,11 @@ int bench_main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 0;
   const bench::Settings s = bench::settings_from_flags(flags);
   const std::size_t replicates = flags.get_count("replicates");
+  // A percentile interval needs two resamples; reject before any output.
+  if (replicates < 2) {
+    throw Error("flag --replicates expects at least 2 resamples, got " +
+                std::to_string(replicates));
+  }
   bench::Run run("fig1_tables", s);
 
   if (!s.scenario.empty()) {

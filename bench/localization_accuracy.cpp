@@ -103,8 +103,12 @@ int bench_main(int argc, char** argv) {
         Table::fmt(score.false_discovery_rate(), 3)};
   };
   Table table({"localizer", "detection_rate", "false_discovery_rate"});
-  std::cout << "# Localization — per-snapshot congested-link inference "
-               "(PlanetLab-like, 10% congested, high correlation)\n";
+  std::cout << "# Localization — per-snapshot congested-link inference ";
+  if (s.scenario.empty()) {
+    std::cout << "(PlanetLab-like, 10% congested, high correlation)\n";
+  } else {
+    std::cout << "(scenario '" << s.scenario << "', 10% congested)\n";
+  }
   table.add_row(row("smallest-set", smallest));
   table.add_row(row("greedy-map-independent", map_ind));
   table.add_row(row("greedy-map-correlation", map_corr));

@@ -2,6 +2,7 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "core/equations.hpp"
 #include "core/scenario_catalog.hpp"
@@ -10,6 +11,7 @@
 #include "linalg/rank_tracker.hpp"
 #include "linalg/simplex.hpp"
 #include "linalg/solvers.hpp"
+#include "linalg/updatable_cholesky.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -63,6 +65,96 @@ void BM_RankTrackerSparseRows(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RankTrackerSparseRows)->Arg(64)->Arg(128)->Arg(256);
+
+// ---- The NNLS passive-set factor, one edit at a time -------------------
+//
+// k is the passive-set size: ~160 is batch-registry's mean solve, ~420 a
+// bootstrap-waxfull replicate's, ~1400 a monolithic hier-10k's. The factor
+// holds the first k columns of G = A^T A + I for a sparse random A seeded
+// from the benchmark argument, so nothing about the matrix is known at
+// compile time.
+
+/// G as a dense column-major array plus its factor over columns [0, k).
+struct FactorFixture {
+  std::size_t k = 0;
+  std::vector<double> g;  // (k + 1) x (k + 1): one column spare to append
+  UpdatableCholesky chol;
+
+  Vector cross(std::size_t j, std::size_t size) const {
+    const double* col = g.data() + j * (k + 1);
+    return Vector(col, col + size);
+  }
+  double diag(std::size_t j) const { return g[j * (k + 1) + j]; }
+};
+
+const FactorFixture& factor_fixture(std::size_t k) {
+  static std::map<std::size_t, FactorFixture> cache;
+  const auto it = cache.find(k);
+  if (it != cache.end()) return it->second;
+  FactorFixture f;
+  f.k = k;
+  const std::size_t n = k + 1;
+  f.g.assign(n * n, 0.0);
+  Rng rng(0x5eedULL * k);
+  for (std::size_t r = 0; r < 2 * n; ++r) {
+    const std::vector<std::size_t> ones = rng.sample_without_replacement(n, 8);
+    const double weight = rng.uniform(0.5, 2.0);
+    for (const std::size_t i : ones) {
+      for (const std::size_t j : ones) f.g[j * n + i] += weight * weight;
+    }
+  }
+  for (std::size_t j = 0; j < n; ++j) f.g[j * n + j] += 1.0;
+  for (std::size_t j = 0; j < k; ++j) {
+    if (!f.chol.append(f.cross(j, j), f.diag(j))) {
+      throw std::runtime_error("factor fixture: dependent column");
+    }
+  }
+  return cache.emplace(k, std::move(f)).first->second;
+}
+
+void BM_UpdatableCholeskySolve(benchmark::State& state) {
+  const FactorFixture& f =
+      factor_fixture(static_cast<std::size_t>(state.range(0)));
+  Rng rng(f.k);
+  Vector rhs(f.k);
+  for (double& v : rhs) v = rng.uniform(-1.0, 1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.chol.solve(rhs));
+  }
+}
+BENCHMARK(BM_UpdatableCholeskySolve)->Arg(160)->Arg(420)->Arg(1400);
+
+/// One append of column k, then the O(k) remove of that last column that
+/// restores the factor for the next iteration.
+void BM_UpdatableCholeskyAppend(benchmark::State& state) {
+  const FactorFixture& f =
+      factor_fixture(static_cast<std::size_t>(state.range(0)));
+  UpdatableCholesky chol = f.chol;
+  const Vector cross = f.cross(f.k, f.k);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(chol.append(cross, f.diag(f.k)));
+    benchmark::ClobberMemory();
+    chol.remove(f.k);
+  }
+}
+BENCHMARK(BM_UpdatableCholeskyAppend)->Arg(160)->Arg(420)->Arg(1400);
+
+/// One remove of the middle column; the factor is restored by a copy
+/// outside the timed region.
+void BM_UpdatableCholeskyRemove(benchmark::State& state) {
+  const FactorFixture& f =
+      factor_fixture(static_cast<std::size_t>(state.range(0)));
+  UpdatableCholesky chol;
+  for (auto _ : state) {
+    state.PauseTiming();
+    chol = f.chol;
+    state.ResumeTiming();
+    chol.remove(f.k / 2);
+    benchmark::DoNotOptimize(chol);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_UpdatableCholeskyRemove)->Arg(160)->Arg(420)->Arg(1400);
 
 // ---- NNLS on real registry equation systems -----------------------------
 //

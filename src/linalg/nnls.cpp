@@ -67,8 +67,7 @@ class IncrementalNnls {
         warm_(warm),
         cached_(cached),
         pos_(n_, kNotPassive),
-        blocked_(n_, 0),
-        chol_(n_) {}
+        blocked_(n_, 0) {}
 
   NnlsResult run() {
     result_.x.assign(n_, 0.0);
@@ -356,7 +355,6 @@ NnlsWarmFactor seed_warm_factor(const GramSystem& gs,
                                 const std::vector<std::size_t>& warm) {
   const std::size_t n = gs.gram.cols();
   NnlsWarmFactor out;
-  out.chol = UpdatableCholesky(n);
   std::vector<std::uint32_t> pos(n, kNotPassive);
   Vector cross;
   for (std::size_t j : warm) {
