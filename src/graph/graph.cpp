@@ -6,7 +6,10 @@ namespace tomo::graph {
 
 NodeId Graph::add_node(std::string name) {
   if (name.empty()) {
-    name = "v" + std::to_string(node_names_.size());
+    // Not "v" + to_string(...): GCC 12 -O3 warns (-Wrestrict) inside that
+    // inlined concatenation, which -Werror builds reject.
+    name = std::to_string(node_names_.size());
+    name.insert(name.begin(), 'v');
   }
   node_names_.push_back(std::move(name));
   out_.emplace_back();

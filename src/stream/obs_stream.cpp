@@ -4,7 +4,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <vector>
 
 #include "util/error.hpp"
 
@@ -113,14 +112,15 @@ void ObsStreamReader::require_complete() const {
 }
 
 /// Rejects dimensions whose bit block (paths x ceil(snapshots / 64) words)
-/// no vector could hold, before anything is allocated.
+/// is above kMaxBlockBits, before anything is allocated.
 void ObsStreamReader::check_block_size(std::size_t paths,
                                        std::size_t snapshots) const {
-  const std::size_t max_words = std::vector<std::uint64_t>().max_size();
+  const std::size_t max_words = kMaxBlockBits / 64;
   const std::size_t words = snapshots / 64 + (snapshots % 64 != 0 ? 1 : 0);
   if (paths > max_words / words) {
     fail("observation block of " + std::to_string(paths) + " paths x " +
-         std::to_string(snapshots) + " snapshots overflows memory");
+         std::to_string(snapshots) + " snapshots is over the " +
+         std::to_string(kMaxBlockBits >> 23) + " MiB block cap");
   }
 }
 

@@ -27,9 +27,13 @@
 // window schedule. EOF without `close` is not an error, merely "nothing
 // more yet": the reader keeps partial lines buffered, so a caller tailing
 // a growing file can clear() the stream and call next() again after more
-// bytes arrive. Dimension lines are checked before anything is allocated.
+// bytes arrive. Dimension lines are checked before anything is allocated:
+// a block (paths x snapshots, rounded up to whole 64-bit words per path)
+// above kMaxBlockBits is rejected at its line, so a hostile header cannot
+// make the reader allocate a block no observation will ever fill.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -38,6 +42,11 @@
 #include "sim/measurement_block.hpp"
 
 namespace tomo::stream {
+
+/// Largest observation block, in bits, a dimension line may declare:
+/// 2^31 (256 MiB), ~200,000 snapshots at hier-10k's ~10.7k paths, far above
+/// any window or classic file the tools write.
+inline constexpr std::size_t kMaxBlockBits = std::size_t{1} << 31;
 
 /// Writes `block` as a classic `tomo-observations v1` file (the congested
 /// bits are the exact complement of its good rows, ragged tails included).

@@ -39,6 +39,9 @@ class PackedCholesky {
   /// Resets to the empty factor (keeps storage).
   void clear();
 
+  /// L(r, c) for c <= r < size().
+  double entry(std::size_t r, std::size_t c) const { return at(r, c); }
+
  private:
   double& at(std::size_t r, std::size_t c) { return l_[r * (r + 1) / 2 + c]; }
   double at(std::size_t r, std::size_t c) const {

@@ -254,6 +254,39 @@ TEST(DaemonErrors, BatchRejectsTraceOfAnotherTopology) {
       << r.output;
 }
 
+// A stream header declaring a window far above the block cap fails at its
+// line before the window is allocated (it used to reach ~834 MB of RSS,
+// then exit 1 having served nothing).
+TEST(DaemonErrors, ServeRejectsWindowOverTheBlockCap) {
+  const std::string trace = temp_path("daemon_cap_trace.obs");
+  const std::string header = temp_path("daemon_cap_header.obs");
+  const std::string system = "--scenario waxman-full --shrink --seed 7";
+  const CommandResult record = run_daemon(
+      "record " + system + " --snapshots 64 --packets 200 --out " + trace);
+  ASSERT_EQ(record.exit_code, 0) << record.output;
+  std::string paths_line;
+  {
+    std::ifstream is(trace);
+    std::getline(is, paths_line);  // the format line
+    std::getline(is, paths_line);  // "paths <P>", the topology's count
+  }
+  {
+    std::ofstream os(header);
+    os << "tomo-obs-stream v1\n" << paths_line << "\nwindow 8000000000\n";
+  }
+  const CommandResult r =
+      run_daemon("serve " + system + " --input " + header);
+  std::remove(trace.c_str());
+  std::remove(header.c_str());
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("obs-stream line 3: observation block of"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("snapshots is over the 256 MiB block cap"),
+            std::string::npos)
+      << r.output;
+}
+
 // A negative count is an error naming the flag, not a cast to 2^64 - 5.
 TEST(DaemonErrors, ServeRejectsNegativeWindow) {
   const CommandResult r = run_daemon(

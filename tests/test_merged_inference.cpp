@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/merged_inference.hpp"
@@ -30,8 +32,9 @@ tomo::testing::ToySystem chain_system(std::size_t links,
   graph::NodeId prev = sys.graph.add_node("n0");
   std::vector<graph::LinkId> chain;
   for (std::size_t i = 0; i < links; ++i) {
-    const graph::NodeId next =
-        sys.graph.add_node("n" + std::to_string(i + 1));
+    std::string name = std::to_string(i + 1);
+    name.insert(name.begin(), 'n');  // see Graph::add_node on -Wrestrict
+    const graph::NodeId next = sys.graph.add_node(std::move(name));
     chain.push_back(sys.graph.add_link(prev, next));
     prev = next;
   }

@@ -171,6 +171,40 @@ TEST(ObsIo, HeaderForAnotherTopologyIsRejectedAtItsLine) {
   EXPECT_EQ(read_trace(matching, 3).snapshot_count, 4u);
 }
 
+// A dimension line is capped before its block is allocated: a 44-byte
+// stream header once asked for an 870-path x 8,000,000-snapshot block
+// (834 MB). Just over kMaxBlockBits fails at its line in either format;
+// exactly at the cap would be accepted, and an ordinary header still reads.
+TEST(ObsIo, BlockOverTheCapIsRejectedAtItsLine) {
+  const auto message = [](const std::string& text) {
+    std::stringstream s(text);
+    try {
+      read_trace(s);
+    } catch (const Error& e) {
+      return e.message();
+    }
+    return std::string("no error");
+  };
+  const std::size_t paths = 1024;
+  const std::size_t at_cap = kMaxBlockBits / paths;  // whole words per path
+  const std::string over = std::to_string(at_cap + 1);
+  const std::string rejected = "observation block of 1024 paths x " + over +
+                               " snapshots is over the 256 MiB block cap";
+  EXPECT_EQ(message("tomo-obs-stream v1\npaths 1024\nwindow " + over + "\n"),
+            "obs-stream line 3: " + rejected);
+  EXPECT_EQ(message("tomo-observations v1\n# recorded elsewhere\npaths 1024 "
+                    "snapshots " + over + "\n"),
+            "obs-stream line 3: " + rejected);
+  EXPECT_EQ(message("tomo-obs-stream v1\npaths 870\nwindow 8000000\n"),
+            "obs-stream line 3: observation block of 870 paths x 8000000 "
+            "snapshots is over the 256 MiB block cap");
+  std::stringstream ordinary(
+      "tomo-observations v1\npaths 1024 snapshots 5000\ncongested 7 4999\n");
+  const sim::MeasurementBlock block = read_trace(ordinary);
+  EXPECT_EQ(block.snapshot_count, 5000u);
+  EXPECT_EQ(block.good_counts[7], 4999u);
+}
+
 TEST(ObsIo, IgnoresCommentsAndBlankLines) {
   std::stringstream s(
       "# recorded by prober\n\ntomo-observations v1\n"
