@@ -14,13 +14,15 @@
 // harvest runs once on the point estimate, and each replicate that
 // core::replay_harvest certifies (the same check the streaming driver
 // runs per window) re-estimates only the right-hand sides and solves on
-// the shared Gram skeleton (linalg::refresh_gram_rhs + NNLS warm start),
-// falling back to a full re-harvest only when support actually changes.
-// Replicates fan across the thread pool on per-replicate seed streams, so
-// intervals are bit-identical for any `jobs`. The historical serial path —
-// per-bit resample, full re-inference per replicate — is kept in
-// tests/reference: at matched seeds this engine with warm_start off is
-// bitwise equal to it; with warm_start on both reach the same optimum.
+// a copy of the point solve's Gram system, which keeps G and the NNLS
+// warm seed's factor whenever the rows are unchanged (unweighted); only a
+// replicate whose support actually changes falls back to a full
+// re-harvest. Every solver kind takes the same path. Replicates fan
+// across the thread pool on per-replicate seed streams, so intervals are
+// bit-identical for any `jobs`. The historical serial path — per-bit
+// resample, full re-inference per replicate — is kept in tests/reference:
+// at matched seeds this engine with warm_start off is bitwise equal to
+// it; with warm_start on both reach the same optimum.
 #pragma once
 
 #include <cstdint>
@@ -65,9 +67,8 @@ struct BootstrapResult {
   /// Always surfaced (and warned about past 10%) — a silently shrunken
   /// sample used to masquerade as the requested replicate count.
   std::size_t skipped = 0;
-  /// Replicates replay_harvest did not certify (every replicate, for a
-  /// solver other than NNLS), forcing a full re-harvest instead of the
-  /// Gram-skeleton fast path. Includes the skipped ones.
+  /// Replicates replay_harvest did not certify, forcing a full re-harvest
+  /// instead of the replayed one. Includes the skipped ones.
   std::size_t reharvested = 0;
   /// Wall-clock seconds spent materializing replicate measurements
   /// (MeasurementBlock::resample), summed across workers — on a

@@ -108,12 +108,6 @@ class EquationList {
   /// rewrites only these.
   std::span<double> ys() { return ys_; }
 
-  /// True iff both lists have the same supports in the same order: the
-  /// rows G = AᵀA is accumulated from.
-  bool same_supports(const EquationList& other) const {
-    return ends_ == other.ends_ && links_ == other.links_;
-  }
-
  private:
   // Row i's support is links_[ends_[i - 1], ends_[i]) (from 0 for row 0),
   // its paths are paths_[i] ({p, p} for a single) and its y is ys_[i].

@@ -463,7 +463,6 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
       }
       linalg::SolverOptions so = options.inference.solver;
       so.warm_start.clear();
-      so.nnls_warm_factor = nullptr;
       so.jobs = 1;  // tiny system; keep it inline and deterministic
       const Stopwatch joint_timer;
       const linalg::LogSystemSolution solution =

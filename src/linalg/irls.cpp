@@ -17,8 +17,8 @@ IrlsResult irls_l1(const Matrix& a, const Vector& b,
   result.x = least_squares(a, b);
   result.objective = norm1(residual(a, result.x, b));
 
-  for (result.iterations = 1; result.iterations <= max_iterations;
-       ++result.iterations) {
+  while (result.iterations < max_iterations) {
+    ++result.iterations;
     const Vector r = residual(a, result.x, b);
     // Weighted least squares with w_i = 1/max(|r_i|, eps): scale each row
     // and the rhs by sqrt(w_i).

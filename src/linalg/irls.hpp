@@ -10,7 +10,7 @@ namespace tomo::linalg {
 struct IrlsResult {
   Vector x;
   double objective = 0.0;  // ||A x - b||_1
-  std::size_t iterations = 0;
+  std::size_t iterations = 0;  // reweighted solves run, at most the cap
   bool converged = false;
 };
 

@@ -22,8 +22,8 @@ double SparseGram::operator()(std::size_t i, std::size_t j) const {
 namespace {
 
 /// Dependence threshold of every factor append on this path; shared by
-/// seed_warm_factor and the solver so a cached seed admits exactly the
-/// columns an inline warm-up would.
+/// the warm-start admission and the solver so a seeded factor admits
+/// exactly the columns an inline warm-up would.
 constexpr double kSeedRelTol = 1e-12;
 
 /// Gradient / positivity tolerance of the active-set logic.
@@ -51,6 +51,25 @@ double gather_column(const SparseGram& g,
   return diag;
 }
 
+/// The warm-start admission: appends every valid, independent column of
+/// `warm` to the empty factor `chol`, in list order, and lists the
+/// admitted columns in `passive`.
+void admit(const SparseGram& g, const std::vector<std::size_t>& warm,
+           UpdatableCholesky& chol, std::vector<std::size_t>& passive) {
+  std::vector<std::uint32_t> pos(g.cols(), kNotPassive);
+  Vector cross;
+  for (std::size_t j : warm) {
+    if (j >= g.cols() || pos[j] != kNotPassive) continue;
+    const double diag = gather_column(g, pos, passive.size(), j, cross);
+    if (diag <= 0.0) continue;  // empty column
+    if (!chol.append(cross, diag, kSeedRelTol)) {
+      continue;  // dependent on the columns admitted so far; skip
+    }
+    pos[j] = static_cast<std::uint32_t>(passive.size());
+    passive.push_back(j);
+  }
+}
+
 /// Incremental Lawson-Hanson on a cached Gram system: the passive-set
 /// normal-equations factor is edited in place (O(k^2) per change) instead
 /// of being recomputed, so one inner iteration costs O(k^2) regardless of
@@ -59,19 +78,17 @@ double gather_column(const SparseGram& g,
 class IncrementalNnls {
  public:
   IncrementalNnls(const GramSystem& gs, std::size_t max_iterations,
-                  const std::vector<std::size_t>& warm,
-                  const NnlsWarmFactor* cached)
+                  const std::vector<std::size_t>& warm)
       : gs_(gs),
         n_(gs.gram.cols()),
         max_iterations_(max_iterations),
         warm_(warm),
-        cached_(cached),
         pos_(n_, kNotPassive),
         blocked_(n_, 0) {}
 
   NnlsResult run() {
     result_.x.assign(n_, 0.0);
-    if (cached_ != nullptr || !warm_.empty()) warm_up();
+    if (!warm_.empty()) warm_up();
     Vector w = gradient();
 
     while (result_.iterations < max_iterations_) {
@@ -112,15 +129,13 @@ class IncrementalNnls {
   /// The restoration solves are not counted as iterations: the passive set
   /// strictly shrinks each round, so the phase is bounded by the seed size.
   void warm_up() {
-    if (cached_ != nullptr) {
-      // Adopt the pre-factored seed: bit-identical to running the
-      // admission loop below, minus the O(k^3) appends.
-      chol_ = cached_->chol;
-      passive_ = cached_->passive;
+    if (gs_.warm.list == warm_) {
+      // Adopt the seeded factor: bit-identical to admitting the list,
+      // minus the O(k^3) appends.
+      chol_ = gs_.warm.chol;
+      passive_ = gs_.warm.passive;
     } else {
-      NnlsWarmFactor seeded = seed_warm_factor(gs_, warm_);
-      chol_ = std::move(seeded.chol);
-      passive_ = std::move(seeded.passive);
+      admit(gs_.gram, warm_, chol_, passive_);
     }
     for (std::size_t q = 0; q < passive_.size(); ++q) {
       pos_[passive_[q]] = static_cast<std::uint32_t>(q);
@@ -337,7 +352,6 @@ class IncrementalNnls {
   const std::size_t n_;
   const std::size_t max_iterations_;
   const std::vector<std::size_t>& warm_;
-  const NnlsWarmFactor* cached_;
   NnlsResult result_;
   std::vector<std::size_t> passive_;
   std::vector<std::uint32_t> pos_;  // column -> passive position
@@ -351,24 +365,9 @@ std::size_t resolve_iteration_cap(std::size_t requested, std::size_t cols) {
 
 }  // namespace
 
-NnlsWarmFactor seed_warm_factor(const GramSystem& gs,
-                                const std::vector<std::size_t>& warm) {
-  const std::size_t n = gs.gram.cols();
-  NnlsWarmFactor out;
-  std::vector<std::uint32_t> pos(n, kNotPassive);
-  Vector cross;
-  for (std::size_t j : warm) {
-    if (j >= n || pos[j] != kNotPassive) continue;
-    const double diag = gather_column(gs.gram, pos, out.passive.size(), j,
-                                      cross);
-    if (diag <= 0.0) continue;  // empty column
-    if (!out.chol.append(cross, diag, kSeedRelTol)) {
-      continue;  // dependent on the columns seeded so far; skip
-    }
-    pos[j] = static_cast<std::uint32_t>(out.passive.size());
-    out.passive.push_back(j);
-  }
-  return out;
+void seed_warm_factor(GramSystem& gs, const std::vector<std::size_t>& warm) {
+  gs.warm = {warm, {}, {}};
+  admit(gs.gram, gs.warm.list, gs.warm.chol, gs.warm.passive);
 }
 
 NnlsResult nnls_gram(const GramSystem& system, const NnlsOptions& options) {
@@ -379,19 +378,9 @@ NnlsResult nnls_gram(const GramSystem& system, const NnlsOptions& options) {
   TOMO_REQUIRE(g.cols() < kNotPassive, "nnls_gram: too many columns");
   TOMO_REQUIRE(system.atb.size() == g.cols(),
                "nnls_gram: atb length mismatch");
-  if (options.warm_factor != nullptr) {
-    TOMO_REQUIRE(
-        options.warm_factor->chol.size() ==
-            options.warm_factor->passive.size(),
-        "nnls_gram: malformed warm factor");
-    for (std::size_t j : options.warm_factor->passive) {
-      TOMO_REQUIRE(j < g.cols(), "nnls_gram: warm factor column out of range");
-    }
-  }
   const std::size_t cap =
       resolve_iteration_cap(options.max_iterations, g.cols());
-  return IncrementalNnls(system, cap, options.warm_start, options.warm_factor)
-      .run();
+  return IncrementalNnls(system, cap, options.warm_start).run();
 }
 
 }  // namespace tomo::linalg

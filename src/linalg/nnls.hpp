@@ -6,17 +6,19 @@
 // constraint and yields sparse minimum-ish solutions, which is the effect
 // the paper's "minimize the L1 norm error" fallback is after.
 //
-// The engine works on the normal equations of a once-per-solve Gram system
-// (G = A^T A, c = A^T b, G stored by its nonzeros): every inner iteration
-// edits an UpdatableCholesky factor of the passive block G[P, P] in O(k^2)
-// and triangular-solves, instead of re-running an m x k QR from scratch,
-// and every read of G walks only a column's stored entries. Numerically
-// dependent passive candidates are rejected at insert time (with a
-// condition-triggered refactorize fallback), and columns dropped by a
-// degenerate zero-length step are blocked from immediate re-entry until
-// the iterate moves — the anti-cycling safeguard. The historical engine
-// (a fresh QR on the passive columns every iteration) is kept in
-// tests/reference as the differential baseline.
+// The engine works on the normal equations of a Gram system (G = A^T A,
+// c = A^T b, G stored by its nonzeros; a caller that re-solves keeps one
+// GramSystem, which also holds the warm start's seeded factor, across
+// solves): every inner iteration edits an UpdatableCholesky factor of the
+// passive block G[P, P] in O(k^2) and triangular-solves, instead of
+// re-running an m x k QR from scratch, and every read of G walks only a
+// column's stored entries. Numerically dependent passive candidates are
+// rejected at insert time (with a condition-triggered refactorize
+// fallback), and columns dropped by a degenerate zero-length step are
+// blocked from immediate re-entry until the iterate moves — the
+// anti-cycling safeguard. The historical engine (a fresh QR on the passive
+// columns every iteration) is kept in tests/reference as the differential
+// baseline.
 #pragma once
 
 #include <cstddef>
@@ -28,27 +30,6 @@
 
 namespace tomo::linalg {
 
-/// The measurement-independent half of a warm start, precomputed: the
-/// Cholesky factor of G[P, P] with the admissible seed columns already
-/// appended (in seed order, dependent/empty columns dropped). Admission
-/// depends only on the Gram matrix and the seed — not the right-hand
-/// side — so callers solving many systems that share G (the batched
-/// bootstrap's replicates) build this once and let every solve copy the
-/// factor in O(k^2) instead of re-appending k columns in O(k^3). The copy
-/// is bit-identical to the rebuild, so results don't change.
-struct NnlsWarmFactor {
-  UpdatableCholesky chol;
-  std::vector<std::size_t> passive;  // admitted seed columns, factor order
-};
-
-struct GramSystem;
-
-/// Runs the warm-up admission loop once. `warm` is interpreted exactly as
-/// NnlsOptions::warm_start (out-of-range, duplicate, empty-column, or
-/// dependent entries are dropped).
-NnlsWarmFactor seed_warm_factor(const GramSystem& gs,
-                                const std::vector<std::size_t>& warm);
-
 struct NnlsOptions {
   /// 0 means the 3 * cols + 10 default, which is ample in practice.
   std::size_t max_iterations = 0;
@@ -58,14 +39,10 @@ struct NnlsOptions {
   /// numerically dependent entries are dropped, and seeded columns whose
   /// restricted solution is infeasible are removed before iteration, so a
   /// stale or perturbed set is always safe: the result is the same optimum
-  /// a cold solve reaches, just via fewer iterations.
+  /// a cold solve reaches, just via fewer iterations. When it equals the
+  /// list seed_warm_factor seeded the solved GramSystem with, the solve
+  /// copies that factor instead of admitting the columns again.
   std::vector<std::size_t> warm_start;
-  /// Optional pre-factored seed. Must have been
-  /// built by seed_warm_factor against a GramSystem with the *same* gram
-  /// matrix as the one being solved (the rhs may differ). When set it
-  /// replaces the warm_start admission loop — warm_start itself is then
-  /// ignored. Not owned; the caller keeps it alive for the solve.
-  const NnlsWarmFactor* warm_factor = nullptr;
 };
 
 struct NnlsResult {
@@ -108,7 +85,36 @@ struct GramSystem {
   SparseGram gram;   // A^T A, cols x cols, symmetric
   Vector atb;        // A^T b
   double btb = 0.0;  // b^T b, for residual recovery
+
+  /// The rows G was built from, as linalg::accumulate_gram records them:
+  /// row r has value values[r] on the columns support[offsets[r],
+  /// offsets[r + 1]). Empty (no offsets at all) when G came from anywhere
+  /// else, so accumulate_gram keeps G only over rows it built it from.
+  struct Rows {
+    std::vector<std::size_t> offsets;
+    std::vector<std::uint32_t> support;
+    std::vector<double> values;
+  } rows;
+
+  /// The measurement-independent half of a warm start: the Cholesky
+  /// factor of G[P, P] with the admissible columns of `list` appended (in
+  /// list order, dependent and empty columns dropped). Admission reads
+  /// only G, so solves that share G and warm-start from `list` (the
+  /// bootstrap's replicates) copy the factor in O(k^2) instead of
+  /// re-appending k columns in O(k^3), bit-identically. Filled by
+  /// seed_warm_factor; rebuilding G drops it.
+  struct WarmSeed {
+    std::vector<std::size_t> list;
+    std::vector<std::size_t> passive;  // admitted columns, factor order
+    UpdatableCholesky chol;
+  } warm;
 };
+
+/// Runs the warm-start admission of `warm` once and keeps its factor in
+/// gs.warm. `warm` is read exactly as NnlsOptions::warm_start
+/// (out-of-range, duplicate, empty-column and dependent entries are
+/// dropped).
+void seed_warm_factor(GramSystem& gs, const std::vector<std::size_t>& warm);
 
 /// Solves min ||A x - b||_2 subject to x >= 0 from the Gram system of A
 /// and b (the sparse solver front end builds it without ever materializing

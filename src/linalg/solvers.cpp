@@ -138,15 +138,12 @@ LogSystemSolution solve_nnls(const SparseSystemView& system,
                              const SolverOptions& options) {
   NnlsOptions nnls_options;
   nnls_options.warm_start = options.warm_start;
-  nnls_options.warm_factor = options.nnls_warm_factor;
   NnlsResult r = nnls_gram(gs, nnls_options);
   std::ostringstream detail;
   detail << "nnls[inc] iters=" << r.iterations
          << " refactor=" << r.refactorizations;
   if (!r.converged) detail << " (iteration cap)";
-  if (options.nnls_warm_factor != nullptr) {
-    detail << " warm=" << options.nnls_warm_factor->passive.size();
-  } else if (!options.warm_start.empty()) {
+  if (!options.warm_start.empty()) {
     detail << " warm=" << options.warm_start.size();
   }
   LogSystemSolution out = finish(std::move(r.x), detail);
@@ -267,7 +264,9 @@ void build_rhs(GramSystem& gs, const SparseSystemView& system,
   }
 }
 
-/// accumulate_gram minus the view check (its callers made it).
+/// A fresh build of G, c and b^T b over `system` into `gs` (its recorded
+/// rows and warm seed untouched), minus the view check (its callers made
+/// it).
 void build_gram(GramSystem& gs, const SparseSystemView& system,
                 std::size_t jobs) {
   const std::size_t n = system.cols;
@@ -305,20 +304,64 @@ void build_gram(GramSystem& gs, const SparseSystemView& system,
   build_rhs(gs, system, adj, jobs);
 }
 
-}  // namespace
-
-void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
-                     std::size_t jobs) {
-  check_view(system, "accumulate_gram");
-  build_gram(gs, system, jobs);
+/// True iff `gs` records bitwise `system`'s rows, so its G is theirs.
+bool built_from(const GramSystem& gs, const SparseSystemView& system) {
+  const GramSystem::Rows& rows = gs.rows;
+  if (gs.gram.cols() != system.cols ||
+      rows.offsets.size() != system.rows.size() + 1) {
+    return false;
+  }
+  for (std::size_t r = 0; r < system.rows.size(); ++r) {
+    const SparseRow& row = system.rows[r];
+    const auto first =
+        rows.support.begin() + static_cast<std::ptrdiff_t>(rows.offsets[r]);
+    if (rows.offsets[r + 1] - rows.offsets[r] != row.support_size ||
+        std::bit_cast<std::uint64_t>(rows.values[r]) !=
+            std::bit_cast<std::uint64_t>(row.value) ||
+        !std::equal(row.support, row.support + row.support_size, first)) {
+      return false;
+    }
+  }
+  return true;
 }
 
-void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system,
-                      std::size_t jobs) {
-  check_view(system, "refresh_gram_rhs");
-  TOMO_REQUIRE(gs.gram.cols() == system.cols,
-               "refresh_gram_rhs: gram shape does not match the system");
-  build_rhs(gs, system, column_adjacency(system), jobs);
+/// `system`'s rows as GramSystem::Rows, every array allocated exactly.
+GramSystem::Rows record_rows(const SparseSystemView& system) {
+  GramSystem::Rows rows;
+  rows.offsets.reserve(system.rows.size() + 1);
+  rows.values.reserve(system.rows.size());
+  rows.offsets.push_back(0);
+  for (const SparseRow& row : system.rows) {
+    rows.offsets.push_back(rows.offsets.back() + row.support_size);
+    rows.values.push_back(row.value);
+  }
+  rows.support.reserve(rows.offsets.back());
+  for (const SparseRow& row : system.rows) {
+    rows.support.insert(rows.support.end(), row.support,
+                        row.support + row.support_size);
+  }
+  return rows;
+}
+
+/// accumulate_gram minus the view check (its callers made it).
+bool update_gram(GramSystem& gs, const SparseSystemView& system,
+                 std::size_t jobs) {
+  if (built_from(gs, system)) {
+    build_rhs(gs, system, column_adjacency(system), jobs);
+    return true;
+  }
+  build_gram(gs, system, jobs);
+  gs.rows = record_rows(system);
+  gs.warm = {};
+  return false;
+}
+
+}  // namespace
+
+bool accumulate_gram(GramSystem& gs, const SparseSystemView& system,
+                     std::size_t jobs) {
+  check_view(system, "accumulate_gram");
+  return update_gram(gs, system, jobs);
 }
 
 LogSystemSolution solve_log_system(const SparseSystemView& system,
@@ -326,22 +369,22 @@ LogSystemSolution solve_log_system(const SparseSystemView& system,
   check_view(system, "solve_log_system");
   if (options.kind != SolverKind::kNnls) return solve_dense(system, options);
   // The headline path: Gram products straight from the sparse support;
-  // neither the dense incidence matrix nor a dense Gram ever exists.
+  // neither the dense incidence matrix nor a dense Gram ever exists. The
+  // local Gram system records no rows: nothing solves on it again.
   GramSystem gs;
   build_gram(gs, system, options.jobs);
   return solve_nnls(system, gs, options);
 }
 
 LogSystemSolution solve_log_system(const SparseSystemView& system,
-                                   const GramSystem& gs,
+                                   GramSystem& gs,
                                    const SolverOptions& options) {
-  TOMO_REQUIRE(options.kind == SolverKind::kNnls,
-               "solve_log_system(gram): only NNLS consumes a caller-held "
-               "Gram system");
-  TOMO_REQUIRE(gs.gram.cols() == system.cols,
-               "solve_log_system(gram): gram shape does not match the view");
   check_view(system, "solve_log_system");
-  return solve_nnls(system, gs, options);
+  if (options.kind != SolverKind::kNnls) return solve_dense(system, options);
+  const bool reused = update_gram(gs, system, options.jobs);
+  LogSystemSolution out = solve_nnls(system, gs, options);
+  out.gram_reused = reused;
+  return out;
 }
 
 }  // namespace tomo::linalg

@@ -16,6 +16,12 @@
 // solution is bit-identical for any jobs value. The row-oriented kinds
 // (ls, l1lp, irls) solve a dense copy of the view.
 //
+// A caller that solves a sequence of systems (the streaming driver's
+// windows, the bootstrap's replicates) holds one GramSystem and passes it
+// to every solve. The Gram system decides its own reuse: it records the
+// rows G was built from and keeps G whenever the next view has bitwise
+// the same rows, recomputing only the right-hand-side products.
+//
 // Every entry point checks the view first: a non-finite row value or
 // right-hand side, or a support index outside the view's columns, throws a
 // tomo::Error naming the row.
@@ -52,10 +58,6 @@ struct SolverOptions {
   /// the previous window's active_set in a streaming solve). Ignored by
   /// every other kind; safe to leave stale — see NnlsOptions::warm_start.
   std::vector<std::size_t> warm_start;
-  /// Pre-factored warm seed for solves sharing one Gram matrix (the
-  /// batched bootstrap); replaces the per-solve warm_start admission loop
-  /// bit-identically. Not owned — see NnlsOptions::warm_factor.
-  const NnlsWarmFactor* nnls_warm_factor = nullptr;
 };
 
 /// One equation row viewed sparsely: `value` on every column in
@@ -82,6 +84,10 @@ struct LogSystemSolution {
   /// Converged NNLS support, sorted ascending — the warm-start seed for
   /// the next window of a streaming solve. Empty for the other kinds.
   std::vector<std::size_t> active_set;
+  /// The caller-held Gram system kept its G (only the right-hand-side
+  /// products were recomputed). False for a one-shot solve and for the
+  /// kinds that solve a dense copy.
+  bool gram_reused = false;
 };
 
 /// Solves A x = y with x <= 0 using the requested solver. Row values and
@@ -92,30 +98,27 @@ struct LogSystemSolution {
 LogSystemSolution solve_log_system(const SparseSystemView& system,
                                    const SolverOptions& options = {});
 
-/// Builds the Gram system (G = A^T A, c = A^T b, b^T b) of the *negated*
-/// system A u = -y over `system`'s rows into `gs`, replacing whatever `gs`
-/// held, and fans columns across up to `jobs` workers. Every entry sums
-/// its column's incident rows in ascending row order, so the values and
-/// index arrays are *bitwise* those solve_log_system builds internally,
-/// for any jobs value.
-void accumulate_gram(GramSystem& gs, const SparseSystemView& system,
+/// Brings `gs` up to date with the Gram system (G = A^T A, c = A^T b,
+/// b^T b) of the *negated* system A u = -y over `system`'s rows, fanning
+/// columns across up to `jobs` workers. When `gs` records bitwise the same
+/// rows (supports and values) as `system`, G is kept and only c and b^T b
+/// are recomputed, and the call returns true. Otherwise everything `gs`
+/// held, warm seed included, is replaced by a fresh build over `system`,
+/// whose rows it records, and the call returns false. Every entry sums its
+/// column's incident rows in ascending row order, so either way the values
+/// and index arrays are *bitwise* those solve_log_system builds
+/// internally, for any jobs value.
+bool accumulate_gram(GramSystem& gs, const SparseSystemView& system,
                      std::size_t jobs);
 
-/// Recomputes only the right-hand-side products (c = A^T b, b^T b) of `gs`
-/// for `system`'s rows, leaving G untouched: the streaming and bootstrap
-/// fast paths, where the equation support (hence G) is unchanged but every
-/// y is new. The same routine, hence the same bits, as accumulate_gram's
-/// right-hand side.
-void refresh_gram_rhs(GramSystem& gs, const SparseSystemView& system,
-                      std::size_t jobs);
-
-/// Solves with a caller-held Gram system of `system` (NNLS only). The
-/// sparse view is still needed for the residual; `gs` must match its rows
-/// — built by accumulate_gram over the same equations, or a shared
-/// skeleton whose rhs products refresh_gram_rhs rewrote for them. Bitwise
-/// equal to solve_log_system(system, options) in both cases.
+/// Solves with a caller-held Gram system. For NNLS, `gs` is first brought
+/// up to date with accumulate_gram, so whatever it held before (another
+/// system's Gram, or nothing) the result is bitwise
+/// solve_log_system(system, options); an NNLS whose warm_start is the list
+/// `gs` was seeded with (seed_warm_factor) copies the seeded factor. The
+/// other kinds leave `gs` alone.
 LogSystemSolution solve_log_system(const SparseSystemView& system,
-                                   const GramSystem& gs,
+                                   GramSystem& gs,
                                    const SolverOptions& options);
 
 }  // namespace tomo::linalg

@@ -19,10 +19,6 @@ StreamingInference::StreamingInference(const graph::Graph& g,
       coverage_(g, paths),
       measurement_(paths.size()) {}
 
-bool StreamingInference::incremental_solver() const {
-  return options_.inference.solver.kind == linalg::SolverKind::kNnls;
-}
-
 WindowEstimate StreamingInference::push_window(
     const sim::MeasurementBlock& window) {
   const Stopwatch timer;
@@ -36,26 +32,18 @@ WindowEstimate StreamingInference::push_window(
   // the re-harvest would rebuild the kept system with new y values.
   out.harvest_replayed =
       kept_.has_value() && core::replay_harvest(*kept_, measurement_, ys_);
-  bool support_unchanged = out.harvest_replayed;
   if (out.harvest_replayed) {
     core::EquationSystem& system = kept_->system;
     std::copy(ys_.begin(), ys_.end(), system.equations.ys().begin());
     system.build_seconds = 0.0;  // nothing was built
   } else {
-    core::RefinedHarvest harvest = core::harvest_refined_system(
-        graph_, paths_, coverage_, declared_, measurement_,
-        options_.inference);
-    if (kept_.has_value()) {
-      const core::EquationList& fresh = harvest.system.equations;
-      support_unchanged = kept_->system.equations.same_supports(fresh);
-    }
-    kept_ = std::move(harvest);
+    kept_ = core::harvest_refined_system(graph_, paths_, coverage_, declared_,
+                                         measurement_, options_.inference);
   }
   const core::EquationSystem& system = kept_->system;
   if (system.equations.empty()) {
-    // Nothing solvable yet; drop the solver caches so the next window
-    // starts clean, and report the window as not yet usable.
-    gram_valid_ = false;
+    // Nothing solvable yet; the next window starts cold, and this one is
+    // reported as not yet usable.
     prev_active_.clear();
     out.seconds = timer.seconds();
     return out;
@@ -68,31 +56,14 @@ WindowEstimate StreamingInference::push_window(
       core::sparse_view(system, weight_samples);
 
   linalg::SolverOptions solver = options_.inference.solver;
-  if (options_.warm_start && incremental_solver()) {
-    solver.warm_start = prev_active_;
-  }
+  if (options_.warm_start) solver.warm_start = prev_active_;
 
   const Stopwatch solve_timer;
-  linalg::LogSystemSolution solution;
-  if (incremental_solver()) {
-    // Variance weights change every row value, so only unweighted solves
-    // can reuse G.
-    const bool reuse =
-        weight_samples == 0 && gram_valid_ && support_unchanged;
-    if (reuse) {
-      // Same equations, new measurements: G = AᵀA is exactly the batch
-      // matrix already; only the rhs products depend on the y values.
-      linalg::refresh_gram_rhs(gram_, view, solver.jobs);
-      out.gram_reused = true;
-    } else {
-      linalg::accumulate_gram(gram_, view, solver.jobs);
-      gram_valid_ = weight_samples == 0;
-    }
-    solution = linalg::solve_log_system(view, gram_, solver);
-  } else {
-    // Non-incremental solvers have no caches to exploit; plain re-solve.
-    solution = linalg::solve_log_system(view, solver);
-  }
+  // The kept Gram system keeps G when this window has its rows (always
+  // after a replay, unless variance weights changed the row values).
+  linalg::LogSystemSolution solution =
+      linalg::solve_log_system(view, gram_, solver);
+  out.gram_reused = solution.gram_reused;
   out.warm_started = !solver.warm_start.empty();
   out.inference.solve_seconds = solve_timer.seconds();
   out.inference.system = system;

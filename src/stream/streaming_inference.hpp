@@ -10,8 +10,8 @@
 //     sets) reads the measurements only through which candidates each
 //     round finds usable and through the final equations' y values. The
 //     driver keeps the last harvest and checks it against the grown
-//     measurement with core::replay_harvest (the bootstrap's fast path
-//     runs the same check): when every candidate it recorded as unusable
+//     measurement with core::replay_harvest (the bootstrap runs the same
+//     check per replicate): when every candidate it recorded as unusable
 //     is still unusable, the window keeps its equations, order, counters
 //     and refined links and re-estimates only the y values. Otherwise, and
 //     always for the first window, it runs the full harvest and keeps
@@ -20,17 +20,18 @@
 //     candidate the chain tried, and a replayed window is bitwise the
 //     re-harvest — window k's system equals a batch harvest over the
 //     first k windows either way.
-//   - Gram reuse: when the equation support is unchanged from the previous
-//     window (always after a replay) and the solve is unweighted, G = AᵀA
-//     is kept and only the right-hand-side products are recomputed
-//     (linalg::refresh_gram_rhs). Otherwise the whole Gram system is
-//     rebuilt (linalg::accumulate_gram). Either way it is bitwise what the
-//     batch solve builds: both routines sum every entry in ascending row
-//     order.
+//   - Gram reuse: every window solves on one kept linalg::GramSystem,
+//     which keeps G = AᵀA and recomputes only the right-hand-side products
+//     when the window's rows are bitwise those G was built from (always
+//     after an unweighted replay; variance weights change the row values)
+//     and rebuilds it otherwise (linalg::accumulate_gram). Either way it
+//     is bitwise what the batch solve builds: every entry is summed in
+//     ascending row order. The row-oriented solver kinds leave it alone.
 //   - NNLS warm start: the solve is seeded from the previous window's
 //     converged active set via the UpdatableCholesky-backed engine, so the
 //     steady-state cost per window is a handful of O(k²) factor edits
-//     instead of a cold active-set climb.
+//     instead of a cold active-set climb. The other kinds report no active
+//     set, so their windows are never warm-started.
 //
 // Convergence contract: the estimate after window k equals a one-shot
 // batch infer_congestion over the same snapshots — identical equation
@@ -73,7 +74,9 @@ struct WindowEstimate {
   /// The window replayed the previous window's harvest (only the y values
   /// re-estimated) instead of re-harvesting; see core::replay_harvest.
   bool harvest_replayed = false;
+  /// The solve kept the previous window's G (LogSystemSolution::gram_reused).
   bool gram_reused = false;
+  /// The NNLS started from the previous window's active set.
   bool warm_started = false;
   double seconds = 0.0;  // wall time of append + harvest/replay + solve
 };
@@ -93,8 +96,6 @@ class StreamingInference {
   std::size_t window_count() const { return measurement_.window_count(); }
 
  private:
-  bool incremental_solver() const;
-
   const graph::Graph& graph_;
   const std::vector<graph::Path>& paths_;
   const corr::CorrelationSets declared_;
@@ -107,9 +108,9 @@ class StreamingInference {
   std::optional<core::RefinedHarvest> kept_;
   std::vector<double> ys_;
 
-  // Inter-window solver caches (incremental NNLS only).
+  // The Gram system every window solves on (it keeps G while the rows
+  // stay the same) and the last solve's active set (the warm start).
   linalg::GramSystem gram_;
-  bool gram_valid_ = false;
   std::vector<std::size_t> prev_active_;
 };
 

@@ -19,6 +19,7 @@
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/coverage.hpp"
+#include "linalg/solvers.hpp"
 #include "reference/bootstrap.hpp"
 #include "reference/observations.hpp"
 #include "sim/measurement.hpp"
@@ -120,6 +121,41 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ------------------------------------------- solver kinds & weighting ----
+
+// Every solver kind and weighting takes the one replay path. A
+// least-squares bootstrap replays the point harvest instead of
+// re-harvesting every replicate, and both it and a variance-weighted one
+// (whose Gram is rebuilt per replicate) equal the reference bit for bit.
+TEST(BootstrapFast, EverySolverKindAndWeightingMatchesReference) {
+  for (const std::string name :
+       {"brite-high", "waxman-bursty", "planetlab-loose"}) {
+    const Workload w = registry_workload(name);
+    const graph::CoverageIndex cov(w.inst.graph, w.inst.paths);
+    BootstrapOptions least_squares;
+    least_squares.replicates = 12;
+    least_squares.seed = 0x15;
+    least_squares.inference.solver.kind = linalg::SolverKind::kLeastSquares;
+    BootstrapOptions weighted;
+    weighted.replicates = 12;
+    weighted.seed = 0x3e;
+    weighted.warm_start = false;
+    weighted.inference.weight_by_variance = true;
+    for (const BootstrapOptions& options : {least_squares, weighted}) {
+      const std::string what =
+          name + (options.inference.weight_by_variance ? " weighted" : " ls");
+      const BootstrapResult serial = reference::bootstrap_congestion(
+          w.inst.graph, w.inst.paths, cov, w.inst.declared_sets,
+          w.simr.measurement, options);
+      const BootstrapResult batched = bootstrap_congestion(
+          w.inst.graph, w.inst.paths, cov, w.inst.declared_sets,
+          w.simr.measurement, options);
+      expect_identical(batched, serial, what);
+      EXPECT_LT(batched.reharvested, options.replicates) << what;
+    }
+  }
+}
 
 // ------------------------------------------------- fallback & skipping ----
 

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/irls.hpp"
@@ -504,6 +506,18 @@ TEST(Irls, ApproximatesL1OnOutlierProblem) {
   EXPECT_NEAR(r.x[0], 2.0, 0.1);
 }
 
+/// Stopped by its cap, IRLS reports the reweighted solves that ran, not
+/// one more.
+TEST(Irls, IterationCountStopsAtTheCap) {
+  Matrix a{{1}, {1}, {1}, {1}, {1}, {1}};
+  const Vector b{2, 2, 2, 2, 2, 100};
+  for (const std::size_t cap : {1u, 2u, 3u}) {
+    const IrlsResult r = irls_l1(a, b, cap);
+    EXPECT_FALSE(r.converged) << "cap " << cap;
+    EXPECT_EQ(r.iterations, cap);
+  }
+}
+
 TEST(Irls, ConsistentSystemExact) {
   Matrix a{{2, 0}, {0, 4}};
   const IrlsResult r = irls_l1(a, {2, 8});
@@ -635,12 +649,40 @@ TEST(Solvers, AccumulateGramRejectsOutOfRangeSupportIndex) {
   EXPECT_EQ(gs.gram.cols(), 0u) << "a rejected view must leave gs as it was";
 }
 
-TEST(Solvers, RefreshGramRhsRejectsOutOfRangeSupportIndex) {
+TEST(Solvers, AccumulateGramOverABuiltGramRejectsOutOfRangeSupportIndex) {
   GramSystem gs;
   accumulate_gram(gs, in_range_system().view, 1);
+  const GramSystem before = gs;
   const OwnedSystem bad = out_of_range_system();
-  expect_row_rejected([&] { refresh_gram_rhs(gs, bad.view, 1); },
-                      "refresh_gram_rhs");
+  expect_row_rejected([&] { accumulate_gram(gs, bad.view, 1); },
+                      "accumulate_gram");
+  EXPECT_EQ(gs.gram.values, before.gram.values);
+  EXPECT_EQ(gs.rows.support, before.rows.support);
+}
+
+/// A Gram system built from other rows of the same width must not leak
+/// into the solve: the result is bitwise a fresh solve of the view, and
+/// the kinds that solve a dense copy leave the Gram system alone.
+TEST(Solvers, SolveWithAGramOfOtherRowsEqualsAFreshSolve) {
+  const OwnedSystem other = zero_one_system(2, {{0}, {1}}, {-0.1, -0.2});
+  const OwnedSystem system = zero_one_system(2, {{0, 1}, {0}}, {-0.5, -0.45});
+  for (const auto kind : {SolverKind::kNnls, SolverKind::kLeastSquares}) {
+    SolverOptions options;
+    options.kind = kind;
+    GramSystem gs;
+    accumulate_gram(gs, other.view, 1);
+    const GramSystem before = gs;
+    const LogSystemSolution fresh = solve_log_system(system.view, options);
+    const LogSystemSolution held = solve_log_system(system.view, gs, options);
+    EXPECT_EQ(held.x, fresh.x) << to_string(kind);
+    EXPECT_EQ(held.residual_norm2, fresh.residual_norm2) << to_string(kind);
+    EXPECT_FALSE(held.gram_reused) << to_string(kind);
+    if (kind != SolverKind::kNnls) {
+      EXPECT_EQ(gs.gram.values, before.gram.values) << to_string(kind);
+      EXPECT_EQ(gs.atb, before.atb) << to_string(kind);
+    }
+  }
+  EXPECT_NEAR(solve_with(system, SolverKind::kNnls).x[0], -0.45, 1e-12);
 }
 
 // ------------------------------------------------- Gram build pipeline ----
@@ -730,10 +772,104 @@ TEST(Solvers, GramAccumulationIsJobsInvariant) {
   expect_gram_bits_equal(serial, parallel, "jobs 1 vs 3");
 }
 
-/// refresh_gram_rhs rebuilds only atb/btb (the per-window right-hand
-/// side) and must restore the exact accumulate_gram bits while leaving
-/// the reused G = A^T A untouched.
-TEST(Solvers, RefreshGramRhsRestoresExactBits) {
+void expect_rows_equal(const GramSystem::Rows& a, const GramSystem::Rows& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.offsets, b.offsets) << what;
+  EXPECT_EQ(a.support, b.support) << what;
+  ASSERT_EQ(a.values.size(), b.values.size()) << what;
+  for (std::size_t r = 0; r < a.values.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.values[r]),
+              std::bit_cast<std::uint64_t>(b.values[r]))
+        << what << " value of row " << r;
+  }
+}
+
+/// `sys` with its own copy of every support, so a view equal to it shares
+/// no storage with it.
+OwnedSparseSystem copy_of(const OwnedSparseSystem& sys) {
+  OwnedSparseSystem out{sys.supports, sys.view};
+  for (std::size_t r = 0; r < out.view.rows.size(); ++r) {
+    out.view.rows[r].support = out.supports[r].data();
+  }
+  return out;
+}
+
+/// Over bitwise the rows G was built from (in other storage), with new
+/// right-hand sides, accumulate_gram keeps G, the recorded rows and the
+/// warm seed, and recomputes c and b^T b exactly as a fresh build.
+TEST(Solvers, AccumulateGramKeepsGOverTheSameRows) {
+  const OwnedSparseSystem sys = random_sparse_system(50, 13, 0x51);
+  for (const std::size_t jobs : {1ul, 3ul}) {
+    GramSystem gs;
+    EXPECT_FALSE(accumulate_gram(gs, sys.view, jobs));
+    seed_warm_factor(gs, {0, 4, 7});
+    const GramSystem built = gs;
+
+    OwnedSparseSystem next = copy_of(sys);
+    for (SparseRow& row : next.view.rows) row.y *= 0.5;
+    EXPECT_TRUE(accumulate_gram(gs, next.view, jobs));
+    const std::string what = "jobs=" + std::to_string(jobs);
+    EXPECT_EQ(gs.gram.offsets, built.gram.offsets) << what;
+    EXPECT_EQ(gs.gram.index, built.gram.index) << what;
+    EXPECT_EQ(gs.gram.values, built.gram.values) << what;
+    expect_rows_equal(gs.rows, built.rows, what);
+    EXPECT_EQ(gs.warm.list, built.warm.list) << what;
+    EXPECT_EQ(gs.warm.passive, built.warm.passive) << what;
+    expect_gram_bits_equal(gs, gram_of(next.view, jobs), what);
+  }
+}
+
+/// A changed support entry, row value, row count or width makes
+/// accumulate_gram rebuild: the result is bitwise a fresh build, rows
+/// included, and the warm seed of the old G is dropped.
+TEST(Solvers, AccumulateGramRebuildsOnAChangedRow) {
+  const OwnedSparseSystem sys = random_sparse_system(50, 13, 0x52);
+  std::vector<std::pair<std::string, OwnedSparseSystem>> changes;
+  {
+    // The same support size, one index replaced by a column it missed.
+    OwnedSparseSystem c = copy_of(sys);
+    std::vector<std::size_t>& support = c.supports[7];
+    std::size_t absent = 0;
+    while (std::ranges::binary_search(support, absent)) ++absent;
+    ASSERT_LT(absent, c.view.cols);
+    support.back() = absent;
+    std::ranges::sort(support);
+    changes.emplace_back("support", std::move(c));
+  }
+  {
+    OwnedSparseSystem c = copy_of(sys);
+    c.view.rows[11].value = std::nextafter(c.view.rows[11].value, 2.0);
+    changes.emplace_back("value", std::move(c));
+  }
+  {
+    OwnedSparseSystem c = copy_of(sys);
+    c.view.rows.pop_back();
+    changes.emplace_back("rows", std::move(c));
+  }
+  {
+    OwnedSparseSystem c = copy_of(sys);
+    c.view.cols = 14;
+    changes.emplace_back("cols", std::move(c));
+  }
+  for (const auto& [what, changed] : changes) {
+    GramSystem gs;
+    accumulate_gram(gs, sys.view, 1);
+    seed_warm_factor(gs, {0, 4, 7});
+    ASSERT_FALSE(gs.warm.passive.empty()) << what;
+    EXPECT_FALSE(accumulate_gram(gs, changed.view, 1)) << what;
+    const GramSystem fresh = gram_of(changed.view, 1);
+    expect_gram_bits_equal(gs, fresh, what);
+    expect_rows_equal(gs.rows, fresh.rows, what);
+    EXPECT_TRUE(gs.warm.list.empty()) << what;
+    EXPECT_TRUE(gs.warm.passive.empty()) << what;
+    EXPECT_EQ(gs.warm.chol.size(), 0u) << what;
+  }
+}
+
+/// Over the rows G was built from, accumulate_gram rebuilds only atb/btb
+/// (the per-window right-hand side) and must restore the exact fresh-build
+/// bits while leaving the kept G = A^T A untouched.
+TEST(Solvers, AccumulateGramRestoresExactRhsBitsOverAKeptG) {
   const OwnedSparseSystem sys = random_sparse_system(40, 11, 0x42);
   const GramSystem batch = gram_of(sys.view, 1);
 
@@ -742,7 +878,7 @@ TEST(Solvers, RefreshGramRhsRestoresExactBits) {
     scribbled.atb[j] = 1e9 + static_cast<double>(j);
   }
   scribbled.btb = -1.0;
-  refresh_gram_rhs(scribbled, sys.view, 1);
+  EXPECT_TRUE(accumulate_gram(scribbled, sys.view, 1));
   expect_gram_bits_equal(scribbled, batch, "refreshed rhs");
 }
 

@@ -258,11 +258,17 @@ TEST(NnlsFast, UntouchedColumnStaysOutOfAWarmSolve) {
   }
   EXPECT_NEAR(warm.residual_norm, cold.residual_norm, 1e-12);
 
-  const linalg::NnlsWarmFactor seeded =
-      linalg::seed_warm_factor(gs, options.warm_start);
-  EXPECT_EQ(std::count(seeded.passive.begin(), seeded.passive.end(),
+  // The seeded factor admits what the inline warm-up admits, so a solve
+  // that copies it is bitwise the warm solve.
+  linalg::GramSystem seeded = gs;
+  linalg::seed_warm_factor(seeded, options.warm_start);
+  EXPECT_EQ(std::count(seeded.warm.passive.begin(), seeded.warm.passive.end(),
                        kUntouched),
             0);
+  const linalg::NnlsResult copied = linalg::nnls_gram(seeded, options);
+  EXPECT_EQ(copied.x, warm.x);
+  EXPECT_EQ(copied.active_set, warm.active_set);
+  EXPECT_EQ(copied.iterations, warm.iterations);
 }
 
 // ------------------------------------------------- NNLS warm start ----

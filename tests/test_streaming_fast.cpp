@@ -68,12 +68,7 @@ core::InferenceResult batch_infer(const Prepared& p, std::size_t jobs = 1) {
 
 std::vector<WindowEstimate> streamed_infer(const Prepared& p,
                                            std::size_t window,
-                                           std::size_t jobs,
-                                           bool warm_start = true) {
-  StreamingOptions options;
-  options.inference.solver.jobs = jobs;
-  options.inference.equations.jobs = jobs;
-  options.warm_start = warm_start;
+                                           const StreamingOptions& options) {
   StreamingInference inference(p.inst.graph, p.inst.paths,
                                p.inst.declared_sets, options);
   std::vector<WindowEstimate> out;
@@ -82,6 +77,17 @@ std::vector<WindowEstimate> streamed_infer(const Prepared& p,
     out.push_back(inference.push_window(w));
   }
   return out;
+}
+
+std::vector<WindowEstimate> streamed_infer(const Prepared& p,
+                                           std::size_t window,
+                                           std::size_t jobs,
+                                           bool warm_start = true) {
+  StreamingOptions options;
+  options.inference.solver.jobs = jobs;
+  options.inference.equations.jobs = jobs;
+  options.warm_start = warm_start;
+  return streamed_infer(p, window, options);
 }
 
 class RegistryStreamEquivalence
@@ -298,6 +304,34 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+/// Streams `p` in 97-snapshot windows under `options` and expects every
+/// usable window bitwise equal to a batch infer_congestion (with the same
+/// inference options) over the same snapshot prefix.
+std::vector<WindowEstimate> expect_windows_equal_prefix_batch(
+    const Prepared& p, const StreamingOptions& options,
+    const std::string& what) {
+  const std::vector<WindowEstimate> streamed = streamed_infer(p, 97, options);
+  const graph::CoverageIndex coverage(p.inst.graph, p.inst.paths);
+  std::size_t ingested = 0;
+  for (const WindowEstimate& estimate : streamed) {
+    ingested = estimate.snapshots;
+    if (!estimate.usable) continue;
+    const sim::EmpiricalMeasurement prefix(
+        p.simr.measurement.slice(0, ingested));
+    const core::InferenceResult batch = core::infer_congestion(
+        p.inst.graph, p.inst.paths, coverage, p.inst.declared_sets, prefix,
+        options.inference);
+    const std::string where =
+        what + " window " + std::to_string(estimate.window);
+    EXPECT_EQ(estimate.inference.log_good, batch.log_good) << where;
+    EXPECT_EQ(estimate.inference.congestion_prob, batch.congestion_prob)
+        << where;
+    EXPECT_EQ(estimate.inference.active_set, batch.active_set) << where;
+  }
+  EXPECT_EQ(ingested, 300u) << what;
+  return streamed;
+}
+
 /// With the warm start disabled, *every* window's solve is cold over the
 /// cumulative block — so each window must be bit-identical to a batch run
 /// truncated to the same snapshot prefix. This pins the whole incremental
@@ -306,31 +340,37 @@ INSTANTIATE_TEST_SUITE_P(
 /// At least one steady-state window must take the Gram-reuse branch (only
 /// the right-hand-side products refreshed), so reuse is pinned bitwise too.
 TEST(StreamingFast, ColdWindowsEqualPrefixBatchBitwise) {
-  const Prepared p = prepare("waxman-bursty");
+  StreamingOptions options;
+  options.warm_start = false;
   const std::vector<WindowEstimate> streamed =
-      streamed_infer(p, 97, 1, /*warm_start=*/false);
-  const graph::CoverageIndex coverage(p.inst.graph, p.inst.paths);
-  std::size_t ingested = 0;
+      expect_windows_equal_prefix_batch(prepare("waxman-bursty"), options,
+                                        "cold");
   bool any_reused = false;
-  for (const WindowEstimate& estimate : streamed) {
-    ingested = estimate.snapshots;
-    if (!estimate.usable) continue;
-    any_reused = any_reused || estimate.gram_reused;
-    const sim::EmpiricalMeasurement prefix(
-        p.simr.measurement.slice(0, ingested));
-    const core::InferenceResult batch = core::infer_congestion(
-        p.inst.graph, p.inst.paths, coverage, p.inst.declared_sets, prefix,
-        core::InferenceOptions{});
-    EXPECT_EQ(estimate.inference.log_good, batch.log_good)
-        << "window " << estimate.window;
-    EXPECT_EQ(estimate.inference.congestion_prob, batch.congestion_prob)
-        << "window " << estimate.window;
-    EXPECT_EQ(estimate.inference.active_set, batch.active_set)
-        << "window " << estimate.window;
-  }
-  EXPECT_EQ(ingested, 300u);
+  for (const WindowEstimate& e : streamed) any_reused |= e.gram_reused;
   EXPECT_TRUE(any_reused)
       << "expected at least one steady-state window to reuse the Gram";
+}
+
+/// Variance weights and the row-oriented kinds take the same single solve
+/// path, and it stays exact: a weighted window never keeps G (the weights
+/// change every row value), and a least-squares window has no active set
+/// to warm-start from.
+TEST(StreamingFast, WeightedAndDenseKindWindowsEqualPrefixBatchBitwise) {
+  const Prepared p = prepare("waxman-bursty");
+  StreamingOptions weighted;
+  weighted.warm_start = false;
+  weighted.inference.weight_by_variance = true;
+  for (const WindowEstimate& e :
+       expect_windows_equal_prefix_batch(p, weighted, "weighted")) {
+    EXPECT_FALSE(e.gram_reused) << "weighted window " << e.window;
+  }
+  StreamingOptions dense;
+  dense.inference.solver.kind = linalg::SolverKind::kLeastSquares;
+  for (const WindowEstimate& e :
+       expect_windows_equal_prefix_batch(p, dense, "ls")) {
+    EXPECT_FALSE(e.warm_started) << "ls window " << e.window;
+    EXPECT_FALSE(e.gram_reused) << "ls window " << e.window;
+  }
 }
 
 /// Gram reuse must never change bits: each warm-started steady-state window
