@@ -1,7 +1,9 @@
 // Microbenchmark: equation building (the rank-guided candidate stream) and
 // full inference on a mid-size scenario, plus the harvest on the
-// registry's heaviest entry (waxman-dense-vps, 1560 paths; ~20 ms where
-// the pre-PR-4 implementation took ~300 ms on the same instance).
+// registry's heaviest mesh entry (waxman-dense-vps, 1560 paths; ~20 ms
+// where the pre-PR-4 implementation took ~300 ms on the same instance)
+// and on hier-2k (~2.2k paths), where most pairs repeat the shared links
+// of an earlier pair and skip the rank sweep.
 #include <benchmark/benchmark.h>
 
 #include "core/correlation_algorithm.hpp"
@@ -89,6 +91,26 @@ void BM_HarvestDenseVps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HarvestDenseVps)->Unit(benchmark::kMillisecond);
+
+Prepared& prepared_hier2k() {
+  static Prepared p = [] {
+    core::ScenarioConfig config =
+        core::ScenarioCatalog::instance().at("hier-2k").config;
+    config.seed = 42;
+    return Prepared(core::build_scenario(config));
+  }();
+  return p;
+}
+
+void BM_HarvestHier2k(benchmark::State& state) {
+  Prepared& p = prepared_hier2k();
+  const sim::EmpiricalMeasurement meas(p.sim_result.measurement);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::build_equations(p.coverage, p.inst.declared_sets, meas));
+  }
+}
+BENCHMARK(BM_HarvestHier2k)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

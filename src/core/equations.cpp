@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <unordered_set>
 
 #include "linalg/rank_tracker.hpp"
 #include "sim/estimator.hpp"
@@ -21,14 +22,19 @@ namespace {
 /// pairs across the topology instead of clustering near low link ids.
 constexpr std::uint64_t kPairShuffleSeed = 7;
 
-/// sorted_union into a reused buffer (keeps its capacity across candidates;
-/// a manual merge into pre-sized storage skips back_inserter's per-element
-/// capacity checks on the hot path).
+/// sorted_union into a reused buffer, with the links both lists hold
+/// (their sorted intersection) into `shared` from the same merge. Both
+/// buffers keep their capacity across candidates; a manual merge into
+/// pre-sized storage skips back_inserter's per-element capacity checks on
+/// the hot path.
 void sorted_union_into(const std::vector<graph::LinkId>& a,
                        const std::vector<graph::LinkId>& b,
-                       std::vector<graph::LinkId>& out) {
+                       std::vector<graph::LinkId>& out,
+                       std::vector<graph::LinkId>& shared) {
   out.resize(a.size() + b.size());
+  shared.resize(std::min(a.size(), b.size()));
   graph::LinkId* dst = out.data();
+  graph::LinkId* common = shared.data();
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {
@@ -36,6 +42,7 @@ void sorted_union_into(const std::vector<graph::LinkId>& a,
     } else if (b[j] < a[i]) {
       *dst++ = b[j++];
     } else {
+      *common++ = a[i];
       *dst++ = a[i++];
       ++j;
     }
@@ -43,7 +50,20 @@ void sorted_union_into(const std::vector<graph::LinkId>& a,
   while (i < a.size()) *dst++ = a[i++];
   while (j < b.size()) *dst++ = b[j++];
   out.resize(static_cast<std::size_t>(dst - out.data()));
+  shared.resize(static_cast<std::size_t>(common - shared.data()));
 }
+
+/// Hash of a sorted link set (keys stay exact: the set compares links).
+struct LinkSetHash {
+  std::size_t operator()(const std::vector<graph::LinkId>& links) const {
+    std::uint64_t h = links.size();
+    for (graph::LinkId e : links) {
+      h = (h ^ e) * 0x9e3779b97f4a7c15ULL;
+      h ^= h >> 29;
+    }
+    return h;
+  }
+};
 
 /// True iff `link` is the lowest link shared by the two sorted link lists —
 /// the "lowest-touch-link" ownership rule that deduplicates pair candidates
@@ -87,8 +107,9 @@ std::size_t count_common(const std::vector<graph::LinkId>& a,
 /// merge needs, produced by (possibly parallel) pure evaluation.
 struct CandidateEval {
   bool corr_free = false;
-  sim::LogProbEstimate est;          // valid only when corr_free
-  std::vector<graph::LinkId> links;  // sorted union, only when corr_free
+  sim::LogProbEstimate est;           // valid only when corr_free
+  std::vector<graph::LinkId> links;   // sorted union, only when corr_free
+  std::vector<graph::LinkId> shared;  // sorted shared links, likewise
 };
 
 }  // namespace
@@ -214,7 +235,7 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
       const auto& [p, q] = candidates[idx];
       ev.corr_free = all_singletons || precheck->correlation_free(p, q);
       if (ev.corr_free) {
-        sorted_union_into(plinks(p), plinks(q), ev.links);
+        sorted_union_into(plinks(p), plinks(q), ev.links, ev.shared);
         ev.est = candidate_estimate(measurement, candidates[idx]);
       }
     };
@@ -231,6 +252,10 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
     if (jobs > 1) pool = std::make_unique<util::ThreadPool>(jobs);
 
     std::vector<CandidateEval> evals(std::min(kBatch, candidates.size()));
+    // The shared-link sets already swept. A lookup is keyed by the
+    // candidate's own buffer and allocates nothing; only a new set is
+    // copied in.
+    std::unordered_set<std::vector<graph::LinkId>, LinkSetHash> swept;
     bool stop = false;
     for (std::size_t start = 0; start < candidates.size() && !stop;
          start += kBatch) {
@@ -271,10 +296,16 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
           if (unusable != nullptr) unusable->push_back(candidates[start + k]);
           continue;
         }
-        // Once full rank is reached, acceptance no longer needs the
-        // (expensive) elimination sweep.
-        const bool independent =
-            tracker.full_rank() ? false : tracker.try_add_ones(ev.links);
+        // Every eligible path's row was offered in phase 1, so the union
+        // row (both path rows minus the shared links' indicator) is in the
+        // span iff that indicator is. The span only grows: once a pair
+        // with these shared links has been swept, whatever its verdict,
+        // every later one is dependent, and its sweep would return false
+        // and leave the tracker untouched. Once full rank is reached, no
+        // pair needs the (expensive) elimination sweep.
+        const bool independent = !tracker.full_rank() &&
+                                 swept.insert(ev.shared).second &&
+                                 tracker.try_add_ones(ev.links);
         if (!independent && budget_reached) {
           // Past the budget, only rank-increasing pairs are still worth
           // taking (the hunt for missing columns continues).

@@ -19,11 +19,18 @@
 // streaming generator: per-link candidate emission deduplicated by
 // lowest-touch-link ownership (no global seen-set), an exact
 // correlation-set-signature precheck (PairPrecheck) that decides
-// correlation_free(union) without materializing the union, and batched
+// correlation_free(union) without materializing the union, batched
 // candidate evaluation fanned across a worker pool with a deterministic
-// candidate-order merge — the accepted system is byte-identical to a
-// sequential build for any jobs value, which the differential suite
-// (test_equations_fast) enforces against the scalar reference measurement.
+// candidate-order merge, and one rank sweep per shared-link set. Every
+// eligible path's row is offered to the tracker first, so a pair's union
+// row is in the span iff the indicator of its shared links is; once one
+// pair with those shared links has been swept, every later one is
+// dependent and skips its sweep. The accepted system is byte-identical
+// to a sequential build that sweeps every pair, for any jobs value, which
+// the differential suite (test_equations_fast) enforces against
+// reference::build_equations over the scalar reference measurement;
+// test_rank_exact checks the tracker's verdicts on those streams against
+// exact arithmetic.
 #pragma once
 
 #include <array>

@@ -278,17 +278,25 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
         run.telemetry.paths = shard.paths.size();
         run.telemetry.links = shard.links.size();
 
-        // Local re-indexing: same node ids, shard links renumbered in
-        // ascending global order (so local sort order equals global sort
-        // order everywhere downstream). Re-indexing is what keeps each
-        // shard's system |E_s| columns wide instead of |E| — the whole
-        // point of sharding.
+        // Local re-indexing: shard links renumbered in ascending global
+        // order (so local sort order equals global sort order everywhere
+        // downstream), and only the nodes they touch, in first-touch
+        // order. Re-indexing is what keeps each shard's system |E_s|
+        // columns wide instead of |E| — the whole point of sharding. A
+        // shard reads node ids only through graph::Path's contiguity and
+        // repeat checks, which a renumbering keeps (refinement runs on
+        // the full graph above).
         graph::Graph lg;
-        for (graph::NodeId n = 0; n < g.node_count(); ++n) lg.add_node();
+        std::vector<graph::NodeId> local_node(g.node_count(), kNone);
+        const auto node_of = [&](graph::NodeId n) {
+          if (local_node[n] == kNone) local_node[n] = lg.add_node();
+          return local_node[n];
+        };
         std::vector<std::size_t> local_of(link_count, kNone);
         for (std::size_t i = 0; i < shard.links.size(); ++i) {
           const graph::Link& lk = g.link(shard.links[i]);
-          lg.add_link(lk.src, lk.dst);
+          const graph::NodeId src = node_of(lk.src);
+          lg.add_link(src, node_of(lk.dst));
           local_of[shard.links[i]] = i;
         }
         std::vector<graph::Path> lpaths;

@@ -1,15 +1,18 @@
 // Differential suite for the fast equation-harvest paths.
 //
-// The harvest has three "fast" layers — EmpiricalMeasurement's bitmask
+// The harvest has four "fast" layers — EmpiricalMeasurement's bitmask
 // kernels, the correlation-set signature precheck (core::PairPrecheck),
-// and the batched parallel candidate evaluation. These tests pin them
-// against references: a sequential build over the scalar
-// reference::ScalarMeasurement must accept identical equations (links,
-// paths, bitwise-equal right-hand sides) with identical drop counters
-// across every registry scenario, random seeds, option variations, and
-// --jobs values; and the precheck's verdict must equal a scan of the
-// materialized union for every eligible path pair. Any divergence is an
-// exactness bug, not a tolerance question, so comparisons are exact.
+// the batched parallel candidate evaluation, and the rank sweep skipped
+// for a pair whose shared links an earlier pair's sweep already covered.
+// These tests pin them against references: reference::build_equations (a
+// sequential build that sweeps every usable correlation-free pair, over
+// the scalar reference::ScalarMeasurement) must accept identical equations
+// (links, paths, bitwise-equal right-hand sides) with identical drop
+// counters across every registry scenario, random seeds, option
+// variations, and --jobs values; and the precheck's verdict must equal a
+// scan of the materialized union for every eligible path pair. Any
+// divergence is an exactness bug, not a tolerance question, so
+// comparisons are exact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +24,7 @@
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
 #include "graph/coverage.hpp"
+#include "reference/equations.hpp"
 #include "reference/observations.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
@@ -37,11 +41,12 @@ struct PreparedScenario {
   reference::PathObservations observations;
 };
 
-PreparedScenario prepare(ScenarioConfig config, std::uint64_t sim_seed) {
+PreparedScenario prepare(ScenarioConfig config, std::uint64_t sim_seed,
+                         std::size_t snapshots = 300) {
   ScenarioInstance inst = build_scenario(config);
   graph::CoverageIndex coverage(inst.graph, inst.paths);
   sim::SimulatorConfig sc;
-  sc.snapshots = 300;
+  sc.snapshots = snapshots;
   sc.packets_per_path = 500;
   sc.seed = sim_seed;
   sim::SimulationResult sim_result =
@@ -74,13 +79,13 @@ void expect_identical(const EquationSystem& a, const EquationSystem& b,
   EXPECT_EQ(a.pair_candidates_tried, b.pair_candidates_tried) << what;
 }
 
-/// Reference build: scalar measurement, inline evaluation.
+/// Reference build: the sequential sweep-every-pair harvest over the
+/// scalar measurement.
 EquationSystem reference_build(const PreparedScenario& p,
                                const corr::CorrelationSets& sets,
-                               EquationBuildOptions options) {
+                               const EquationBuildOptions& options) {
   const reference::ScalarMeasurement scalar(p.observations);
-  options.jobs = 1;
-  return build_equations(p.coverage, sets, scalar, options);
+  return reference::build_equations(p.coverage, sets, scalar, options);
 }
 
 class RegistryDifferential : public ::testing::TestWithParam<std::string> {};
@@ -196,14 +201,55 @@ TEST(EquationsFast, RandomTopologiesSeedsAndOptionVariations) {
       EquationBuildOptions options = variations[v];
       const EquationSystem ref =
           reference_build(p, p.inst.declared_sets, options);
-      options.jobs = 3;
-      const EquationSystem sys =
-          build_equations(p.coverage, p.inst.declared_sets, fast, options);
-      expect_identical(sys, ref,
-                       "round " + std::to_string(round) + " variation " +
-                           std::to_string(v));
+      for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+        options.jobs = jobs;
+        const EquationSystem sys =
+            build_equations(p.coverage, p.inst.declared_sets, fast, options);
+        expect_identical(sys, ref,
+                         "round " + std::to_string(round) + " variation " +
+                             std::to_string(v) + " jobs=" +
+                             std::to_string(jobs));
+      }
     }
   }
+}
+
+/// Few snapshots of heavy congestion leave many pairs with no snapshot in
+/// which both paths are good. An unusable pair is never swept, so its
+/// shared links must not count as swept: a later usable pair with the same
+/// shared links can still raise the rank.
+TEST(EquationsFast, UnusablePairsMatchReference) {
+  Rng rng(0x0bad);
+  std::size_t unusable_pairs = 0;
+  for (int round = 0; round < 6; ++round) {
+    ScenarioConfig config;
+    config.topology =
+        round % 2 == 0 ? TopologyKind::kWaxman : TopologyKind::kPlanetLab;
+    config.vantage_points = 10 + round;
+    config.congested_fraction = 0.5;
+    config.seed = rng.below(1u << 30);
+    const PreparedScenario p = prepare(config, rng.below(1u << 30), 12);
+    const sim::EmpiricalMeasurement fast(p.sim_result.measurement);
+    for (const corr::CorrelationSets& sets :
+         {p.inst.declared_sets,
+          corr::CorrelationSets::singletons(p.coverage.link_count())}) {
+      const EquationSystem ref = reference_build(p, sets, {});
+      for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+        EquationBuildOptions options;
+        options.jobs = jobs;
+        std::vector<CandidatePaths> unusable;
+        const EquationSystem sys =
+            build_equations(p.coverage, sets, fast, options, &unusable);
+        unusable_pairs += std::ranges::count_if(
+            unusable, [](CandidatePaths c) { return c.first != c.second; });
+        expect_identical(sys, ref,
+                         "round " + std::to_string(round) + " sets=" +
+                             std::to_string(sets.set_count()) + " jobs=" +
+                             std::to_string(jobs));
+      }
+    }
+  }
+  EXPECT_GT(unusable_pairs, 0u);
 }
 
 TEST(EquationsFast, SingletonStructureShortCircuitMatchesReference) {
@@ -216,9 +262,15 @@ TEST(EquationsFast, SingletonStructureShortCircuitMatchesReference) {
       corr::CorrelationSets::singletons(p.coverage.link_count());
   const EquationSystem ref = reference_build(p, singles, {});
   const sim::EmpiricalMeasurement fast(p.sim_result.measurement);
-  const EquationSystem sys = build_equations(p.coverage, singles, fast);
-  expect_identical(sys, ref, "singleton structure");
-  EXPECT_EQ(sys.dropped_correlated, 0u);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+    EquationBuildOptions options;
+    options.jobs = jobs;
+    const EquationSystem sys =
+        build_equations(p.coverage, singles, fast, options);
+    expect_identical(sys, ref,
+                     "singleton structure jobs=" + std::to_string(jobs));
+    EXPECT_EQ(sys.dropped_correlated, 0u);
+  }
 }
 
 }  // namespace
