@@ -22,19 +22,15 @@ namespace {
 /// pairs across the topology instead of clustering near low link ids.
 constexpr std::uint64_t kPairShuffleSeed = 7;
 
-/// sorted_union into a reused buffer, with the links both lists hold
-/// (their sorted intersection) into `shared` from the same merge. Both
-/// buffers keep their capacity across candidates; a manual merge into
-/// pre-sized storage skips back_inserter's per-element capacity checks on
-/// the hot path.
+/// The sorted union of two sorted link lists into a reused buffer, which
+/// keeps its capacity across candidates; a manual merge into pre-sized
+/// storage skips back_inserter's per-element capacity checks on the hot
+/// path.
 void sorted_union_into(const std::vector<graph::LinkId>& a,
                        const std::vector<graph::LinkId>& b,
-                       std::vector<graph::LinkId>& out,
-                       std::vector<graph::LinkId>& shared) {
+                       std::vector<graph::LinkId>& out) {
   out.resize(a.size() + b.size());
-  shared.resize(std::min(a.size(), b.size()));
   graph::LinkId* dst = out.data();
-  graph::LinkId* common = shared.data();
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {
@@ -42,7 +38,6 @@ void sorted_union_into(const std::vector<graph::LinkId>& a,
     } else if (b[j] < a[i]) {
       *dst++ = b[j++];
     } else {
-      *common++ = a[i];
       *dst++ = a[i++];
       ++j;
     }
@@ -50,6 +45,25 @@ void sorted_union_into(const std::vector<graph::LinkId>& a,
   while (i < a.size()) *dst++ = a[i++];
   while (j < b.size()) *dst++ = b[j++];
   out.resize(static_cast<std::size_t>(dst - out.data()));
+}
+
+/// The links two sorted link lists share, sorted, into a reused buffer.
+void sorted_shared_into(const std::vector<graph::LinkId>& a,
+                        const std::vector<graph::LinkId>& b,
+                        std::vector<graph::LinkId>& shared) {
+  shared.resize(std::min(a.size(), b.size()));
+  graph::LinkId* common = shared.data();
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      *common++ = a[i++];
+      ++j;
+    }
+  }
   shared.resize(static_cast<std::size_t>(common - shared.data()));
 }
 
@@ -85,31 +99,12 @@ bool owns_pair(graph::LinkId link, const std::vector<graph::LinkId>& a,
   return true;
 }
 
-/// Number of links shared by two sorted link lists.
-std::size_t count_common(const std::vector<graph::LinkId>& a,
-                         const std::vector<graph::LinkId>& b) {
-  std::size_t i = 0, j = 0, common = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++common;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return common;
-}
-
 /// Precomputed verdict for one pair candidate: everything the sequential
 /// merge needs, produced by (possibly parallel) pure evaluation.
 struct CandidateEval {
   bool corr_free = false;
   sim::LogProbEstimate est;           // valid only when corr_free
-  std::vector<graph::LinkId> links;   // sorted union, only when corr_free
-  std::vector<graph::LinkId> shared;  // sorted shared links, likewise
+  std::vector<graph::LinkId> shared;  // sorted shared links
 };
 
 }  // namespace
@@ -117,8 +112,7 @@ struct CandidateEval {
 PairPrecheck::PairPrecheck(const corr::CorrelationSets& sets,
                            const graph::CoverageIndex& coverage,
                            const std::vector<std::uint8_t>& eligible)
-    : coverage_(coverage),
-      words_((sets.set_count() + 63) / 64),
+    : words_((sets.set_count() + 63) / 64),
       bits_(coverage.path_count() * words_, 0) {
   for (graph::PathId p = 0; p < coverage.path_count(); ++p) {
     if (!eligible[p]) continue;
@@ -130,11 +124,11 @@ PairPrecheck::PairPrecheck(const corr::CorrelationSets& sets,
   }
 }
 
-bool PairPrecheck::correlation_free(graph::PathId p, graph::PathId q) const {
-  const std::size_t shared_sets = util::bitops::active().and_popcount(
-      bits_.data() + p * words_, bits_.data() + q * words_, words_);
-  return shared_sets == count_common(coverage_.sorted_links_of(p),
-                                     coverage_.sorted_links_of(q));
+bool PairPrecheck::correlation_free(graph::PathId p, graph::PathId q,
+                                    std::size_t shared_links) const {
+  return util::bitops::active().and_popcount(bits_.data() + p * words_,
+                                             bits_.data() + q * words_,
+                                             words_) == shared_links;
 }
 
 sim::LogProbEstimate candidate_estimate(
@@ -227,15 +221,18 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
     std::optional<PairPrecheck> precheck;
     if (!all_singletons) precheck.emplace(sets, coverage, eligible);
 
-    // Pure per-candidate evaluation; safe to run on any worker. Slots are
-    // reused across batches (links keeps its capacity; an accepted pair's
-    // support is copied into the system), so candidates allocate nothing
-    // after warm-up.
+    // Pure per-candidate evaluation; safe to run on any worker. One walk
+    // of the two link lists writes the shared links, which decide both
+    // correlation-freedom and the rank sweep; the union is merged only in
+    // the sequential merge, for a pair it sweeps or keeps. Slots are
+    // reused across batches (shared keeps its capacity), so candidates
+    // allocate nothing after warm-up.
     const auto evaluate = [&](std::size_t idx, CandidateEval& ev) {
       const auto& [p, q] = candidates[idx];
-      ev.corr_free = all_singletons || precheck->correlation_free(p, q);
+      sorted_shared_into(plinks(p), plinks(q), ev.shared);
+      ev.corr_free = all_singletons ||
+                     precheck->correlation_free(p, q, ev.shared.size());
       if (ev.corr_free) {
-        sorted_union_into(plinks(p), plinks(q), ev.links, ev.shared);
         ev.est = candidate_estimate(measurement, candidates[idx]);
       }
     };
@@ -252,6 +249,7 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
     if (jobs > 1) pool = std::make_unique<util::ThreadPool>(jobs);
 
     std::vector<CandidateEval> evals(std::min(kBatch, candidates.size()));
+    std::vector<graph::LinkId> links;  // the merged pair's sorted union
     // The shared-link sets already swept. A lookup is keyed by the
     // candidate's own buffer and allocates nothing; only a new set is
     // copied in.
@@ -302,18 +300,23 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
         // with these shared links has been swept, whatever its verdict,
         // every later one is dependent, and its sweep would return false
         // and leave the tracker untouched. Once full rank is reached, no
-        // pair needs the (expensive) elimination sweep.
-        const bool independent = !tracker.full_rank() &&
-                                 swept.insert(ev.shared).second &&
-                                 tracker.try_add_ones(ev.links);
+        // pair needs the (expensive) elimination sweep. The union is read
+        // only by a sweep or a kept equation: past the budget, an unswept
+        // pair is dropped without it.
+        const auto& [p, q] = candidates[start + k];
+        const bool sweep =
+            !tracker.full_rank() && swept.insert(ev.shared).second;
+        if (sweep || !budget_reached) {
+          sorted_union_into(plinks(p), plinks(q), links);
+        }
+        const bool independent = sweep && tracker.try_add_ones(links);
         if (!independent && budget_reached) {
           // Past the budget, only rank-increasing pairs are still worth
           // taking (the hunt for missing columns continues).
           ++sys.dropped_dependent;
           continue;
         }
-        const auto& [p, q] = candidates[start + k];
-        sys.equations.push_back(ev.links, {p, q}, ev.est.log_prob);
+        sys.equations.push_back(links, {p, q}, ev.est.log_prob);
         ++sys.n2;
       }
     }

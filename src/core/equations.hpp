@@ -19,13 +19,16 @@
 // streaming generator: per-link candidate emission deduplicated by
 // lowest-touch-link ownership (no global seen-set), an exact
 // correlation-set-signature precheck (PairPrecheck) that decides
-// correlation_free(union) without materializing the union, batched
-// candidate evaluation fanned across a worker pool with a deterministic
-// candidate-order merge, and one rank sweep per shared-link set. Every
-// eligible path's row is offered to the tracker first, so a pair's union
-// row is in the span iff the indicator of its shared links is; once one
-// pair with those shared links has been swept, every later one is
-// dependent and skips its sweep. The accepted system is byte-identical
+// correlation_free(union) from the pair's shared-link count without
+// materializing the union, batched candidate evaluation fanned across a
+// worker pool with a deterministic candidate-order merge, and one rank
+// sweep per shared-link set. A candidate's evaluation walks the two link
+// lists once, for their shared links; the merge builds the union only for
+// a pair it sweeps or keeps. Every eligible path's row is offered to the
+// tracker first, so a pair's union row is in the span iff the indicator
+// of its shared links is; once one pair with those shared links has been
+// swept, every later one is dependent and skips its sweep (and, past the
+// pair budget, its union). The accepted system is byte-identical
 // to a sequential build that sweeps every pair, for any jobs value, which
 // the differential suite (test_equations_fast) enforces against
 // reference::build_equations over the scalar reference measurement;
@@ -167,12 +170,13 @@ class PairPrecheck {
                const graph::CoverageIndex& coverage,
                const std::vector<std::uint8_t>& eligible);
 
-  /// sets.correlation_free(sorted union of both paths' links); exact when
+  /// sets.correlation_free(sorted union of both paths' links), given
+  /// `shared_links`, the number of links the two paths share; exact when
   /// both paths are eligible.
-  bool correlation_free(graph::PathId p, graph::PathId q) const;
+  bool correlation_free(graph::PathId p, graph::PathId q,
+                        std::size_t shared_links) const;
 
  private:
-  const graph::CoverageIndex& coverage_;
   std::size_t words_;
   std::vector<std::uint64_t> bits_;
 };

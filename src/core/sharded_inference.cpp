@@ -112,21 +112,7 @@ ShardPlan plan_shards(const std::vector<graph::Path>& paths,
   // growing shard (the greedy min-cut: affine clusters share links, so
   // packing them together keeps those links off the cut).
   ShardPlan plan;
-  std::vector<graph::LinkId> cluster_link_scratch;
   std::vector<std::uint8_t> in_shard(link_count, 0);
-  const auto cluster_links = [&](std::size_t c) {
-    cluster_link_scratch.clear();
-    for (graph::PathId p : clusters[c]) {
-      const auto& pl = coverage.links_of(p);
-      cluster_link_scratch.insert(cluster_link_scratch.end(), pl.begin(),
-                                  pl.end());
-    }
-    std::sort(cluster_link_scratch.begin(), cluster_link_scratch.end());
-    cluster_link_scratch.erase(std::unique(cluster_link_scratch.begin(),
-                                           cluster_link_scratch.end()),
-                               cluster_link_scratch.end());
-    return std::cref(cluster_link_scratch);
-  };
   const auto emit_shard = [&](const std::vector<std::size_t>& members) {
     Shard shard;
     for (std::size_t c : members) {
@@ -151,6 +137,19 @@ ShardPlan plan_shards(const std::vector<graph::Path>& paths,
       emit_shard(comp);
       continue;
     }
+    // Each cluster's sorted, de-duplicated links, built once: the grow
+    // loop below scores every unused cluster against the shard at every
+    // step.
+    std::vector<std::vector<graph::LinkId>> cluster_links(comp.size());
+    for (std::size_t i = 0; i < comp.size(); ++i) {
+      std::vector<graph::LinkId>& cl = cluster_links[i];
+      for (graph::PathId p : clusters[comp[i]]) {
+        const auto& pl = coverage.links_of(p);
+        cl.insert(cl.end(), pl.begin(), pl.end());
+      }
+      std::sort(cl.begin(), cl.end());
+      cl.erase(std::unique(cl.begin(), cl.end()), cl.end());
+    }
     std::vector<std::uint8_t> used(comp.size(), 0);
     std::size_t remaining = comp.size();
     while (remaining > 0) {
@@ -164,7 +163,7 @@ ShardPlan plan_shards(const std::vector<graph::Path>& paths,
         shard_paths = clusters[comp[i]].size();
         used[i] = 1;
         --remaining;
-        for (graph::LinkId e : cluster_links(comp[i]).get()) in_shard[e] = 1;
+        for (graph::LinkId e : cluster_links[i]) in_shard[e] = 1;
         break;
       }
       // Grow: among clusters that still fit, take the one overlapping the
@@ -177,9 +176,7 @@ ShardPlan plan_shards(const std::vector<graph::Path>& paths,
           if (shard_paths + clusters[comp[i]].size() > max_shard_paths)
             continue;
           std::size_t overlap = 0;
-          for (graph::LinkId e : cluster_links(comp[i]).get()) {
-            overlap += in_shard[e];
-          }
+          for (graph::LinkId e : cluster_links[i]) overlap += in_shard[e];
           if (best == kNone || overlap > best_overlap) {
             best = i;
             best_overlap = overlap;
@@ -190,9 +187,7 @@ ShardPlan plan_shards(const std::vector<graph::Path>& paths,
         shard_paths += clusters[comp[best]].size();
         used[best] = 1;
         --remaining;
-        for (graph::LinkId e : cluster_links(comp[best]).get()) {
-          in_shard[e] = 1;
-        }
+        for (graph::LinkId e : cluster_links[best]) in_shard[e] = 1;
       }
       for (std::size_t c : members) {
         for (graph::PathId p : clusters[c]) {

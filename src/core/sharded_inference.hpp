@@ -15,7 +15,8 @@
 //      partition of the path-link incidence), and — when a component
 //      exceeds the configured shard size — splits it back into clusters
 //      packed greedily by link overlap, a greedy min-cut that keeps the
-//      number of cross-shard (shared) links small.
+//      number of cross-shard (shared) links small. Each cluster's sorted
+//      link list is built once per plan; every overlap score reads it.
 //   2. infer_sharded hoists the Assumption-4 structural refinement to the
 //      full system (the node-local criterion consults a node's complete
 //      ingress/egress lists, so running it on a link-restricted shard

@@ -111,7 +111,7 @@ class IncrementalNnls {
       w = gradient();
     }
 
-    finish_residual();
+    finish_residual(w);
     result_.active_set.assign(passive_.begin(), passive_.end());
     std::sort(result_.active_set.begin(), result_.active_set.end());
     return std::move(result_);
@@ -327,20 +327,15 @@ class IncrementalNnls {
     return true;
   }
 
-  /// ||A x - b||^2 = b^T b - 2 x^T c + x^T G x, over the passive support.
-  /// Each row sum runs over the passive set in passive order, absent
-  /// entries included as the zeros they are.
-  void finish_residual() {
-    double quad = 0.0, lin = 0.0;
-    Vector column;
+  /// ||A x - b||^2 = b^T b - 2 x^T c + x^T G x, with G x = c - w read off
+  /// the gradient `w` at the final x: x is zero off the passive set, so
+  /// x^T G x = sum over passive j of x_j (c_j - w_j), an O(k) sum.
+  void finish_residual(const Vector& w) {
+    double lin = 0.0, quad = 0.0;
     for (std::size_t j : passive_) {
-      lin += result_.x[j] * gs_.atb[j];
-      gather_column(gs_.gram, pos_, passive_.size(), j, column);
-      double row = 0.0;
-      for (std::size_t q = 0; q < passive_.size(); ++q) {
-        row += column[q] * result_.x[passive_[q]];
-      }
-      quad += result_.x[j] * row;
+      const double xj = result_.x[j];
+      lin += xj * gs_.atb[j];
+      quad += xj * (gs_.atb[j] - w[j]);
     }
     result_.residual_norm =
         std::sqrt(std::max(0.0, gs_.btb - 2.0 * lin + quad));

@@ -112,8 +112,9 @@ TEST_P(RegistryDifferential, FastPathsMatchReferenceExactly) {
 }
 
 /// The precheck against its definition: for every pair of eligible paths
-/// (each individually correlation-free), the signature verdict equals
-/// CorrelationSets::correlation_free on the materialized sorted union.
+/// (each individually correlation-free), the signature verdict given the
+/// pair's shared-link count |a ∩ b| equals CorrelationSets::correlation_free
+/// on the materialized sorted union.
 TEST_P(RegistryDifferential, SignaturePrecheckIsExact) {
   ScenarioConfig config =
       shrink_for_tests(ScenarioCatalog::instance().at(GetParam()).config);
@@ -132,7 +133,7 @@ TEST_P(RegistryDifferential, SignaturePrecheckIsExact) {
   }
   const PairPrecheck precheck(sets, coverage, eligible);
 
-  std::vector<graph::LinkId> links;
+  std::vector<graph::LinkId> links, shared;
   for (std::size_t i = 0; i < eligible_paths.size(); ++i) {
     for (std::size_t j = i + 1; j < eligible_paths.size(); ++j) {
       const graph::PathId p = eligible_paths[i], q = eligible_paths[j];
@@ -141,7 +142,10 @@ TEST_P(RegistryDifferential, SignaturePrecheckIsExact) {
       links.clear();
       std::set_union(a.begin(), a.end(), b.begin(), b.end(),
                      std::back_inserter(links));
-      ASSERT_EQ(precheck.correlation_free(p, q),
+      shared.clear();
+      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                            std::back_inserter(shared));
+      ASSERT_EQ(precheck.correlation_free(p, q, shared.size()),
                 sets.correlation_free(links))
           << GetParam() << ": paths " << p << ", " << q;
     }

@@ -6,19 +6,23 @@
 // reconciliation — against a committed wall-clock budget. The acceptance
 // bar for the sharded subsystem is a ≥10k-router scenario through
 // `tomo_scenarios --sharded` in under 60 s single-socket; Release wall
-// time is ~6 s, so the budget here is a gross-regression tripwire (a
-// superlinear relapse in the hierarchical generator's fabric bookkeeping,
-// an accidental monolithic Gram build, a serial shard loop) rather than a
-// tight benchmark. Exactness of the sharded path is pinned by
+// time is ~1 s on 4 cores, so the budget here is a gross-regression
+// tripwire (a superlinear relapse in the hierarchical generator's fabric
+// bookkeeping, an accidental monolithic Gram build, a serial shard loop)
+// rather than a tight benchmark. The shard planner also has a relative
+// check against its reference. Exactness of the sharded path is pinned by
 // test_sharded_fast.cpp; this suite only watches the clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iostream>
+#include <limits>
 
 #include "core/scenario.hpp"
 #include "core/scenario_catalog.hpp"
 #include "core/sharded_inference.hpp"
 #include "graph/coverage.hpp"
+#include "reference/shard_plan.hpp"
 #include "sim/simulator.hpp"
 #include "util/stopwatch.hpp"
 
@@ -84,6 +88,48 @@ TEST(PerfSharded, Hier10kEndToEndStaysWithinBudget) {
             << result.plan.shared_links << " shared, "
             << result.averaged_links << " averaged, "
             << result.resolved_links << " re-solved)\n";
+}
+
+// The shard plan builds each vantage cluster's link list once; the
+// reference rebuilds it (gather, sort, de-duplicate) every time the grow
+// loop scores the cluster. The check is relative, both planners timed in
+// one process (best of kPlanRounds, interleaved), so it holds in every
+// build flavor: Release reads ~10x, Debug ~11x and ASan ~9x.
+TEST(PerfSharded, Hier10kPlanIsFourTimesFasterThanReference) {
+  constexpr std::size_t kCap = 400;
+  constexpr int kPlanRounds = 3;
+  constexpr double kMinSpeedup = 4.0;
+
+  ScenarioConfig config =
+      ScenarioCatalog::instance().at("hier-10k").config;
+  config.seed = 42;
+  const ScenarioInstance inst = build_scenario(config);
+  const graph::CoverageIndex coverage(inst.graph, inst.paths);
+
+  double fast = std::numeric_limits<double>::infinity();
+  double slow = fast;
+  std::size_t shards = 0;
+  for (int round = 0; round < kPlanRounds; ++round) {
+    const Stopwatch fast_timer;
+    const ShardPlan plan =
+        plan_shards(inst.paths, coverage, inst.declared_sets, kCap);
+    fast = std::min(fast, fast_timer.seconds());
+    const Stopwatch slow_timer;
+    const ShardPlan ref = reference::plan_shards(inst.paths, coverage,
+                                                 inst.declared_sets, kCap);
+    slow = std::min(slow, slow_timer.seconds());
+    ASSERT_EQ(plan.shards.size(), ref.shards.size());
+    ASSERT_EQ(plan.shared_links, ref.shared_links);
+    shards = plan.shards.size();
+  }
+  EXPECT_GT(shards, 4u) << "the cap stopped splitting the hub component";
+  EXPECT_GE(slow, kMinSpeedup * fast)
+      << "hier-10k shard plan: " << fast << " s against the reference's "
+      << slow << " s (" << slow / fast << "x; at least " << kMinSpeedup
+      << "x expected)";
+  std::cout << "[perf] hier-10k plan_shards (cap " << kCap << "): " << fast
+            << " s, reference " << slow << " s (" << slow / fast << "x, "
+            << shards << " shards)\n";
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 // one-shard plans, which run the same plan → shard → reconcile pipeline),
 // pin bit-identity across --jobs, and check the structural/reconciliation
 // invariants of capped plans, including a synthetic traceroute dump driven
-// end to end through the sharded path.
+// end to end through the sharded path. The planner itself is pinned
+// bitwise against reference::plan_shards (shards, shards_of_link,
+// shared_links) on every registry entry and on random flat topologies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +29,7 @@
 #include "corr/identifiability.hpp"
 #include "corr/model_factory.hpp"
 #include "graph/coverage.hpp"
+#include "reference/shard_plan.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
 #include "topogen/traceroute.hpp"
@@ -247,6 +250,89 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+/// The planner against its reference: the same shards (paths and links, in
+/// order), shards_of_link and shared_links, bit for bit.
+void expect_same_plan(const ShardPlan& got, const ShardPlan& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shards.size(), want.shards.size()) << what;
+  for (std::size_t s = 0; s < got.shards.size(); ++s) {
+    EXPECT_EQ(got.shards[s].paths, want.shards[s].paths)
+        << what << ": shard " << s;
+    EXPECT_EQ(got.shards[s].links, want.shards[s].links)
+        << what << ": shard " << s;
+  }
+  EXPECT_EQ(got.shards_of_link, want.shards_of_link) << what;
+  EXPECT_EQ(got.shared_links, want.shared_links) << what;
+}
+
+/// Plans `inst` under its declared and its singleton correlation sets at
+/// every cap with both planners; returns how many plans split into more
+/// than one shard.
+std::size_t check_plans_match_reference(const ScenarioInstance& inst,
+                                        const std::string& what) {
+  const graph::CoverageIndex coverage(inst.graph, inst.paths);
+  const corr::CorrelationSets singles =
+      corr::CorrelationSets::singletons(coverage.link_count());
+  std::size_t split = 0;
+  for (const corr::CorrelationSets* sets : {&inst.declared_sets, &singles}) {
+    for (const std::size_t cap : {0, 12, 40, 400}) {
+      const std::string label =
+          what + (sets == &singles ? " singletons" : " declared") +
+          " cap=" + std::to_string(cap);
+      const ShardPlan plan = plan_shards(inst.paths, coverage, *sets, cap);
+      expect_same_plan(
+          plan, reference::plan_shards(inst.paths, coverage, *sets, cap),
+          label);
+      if (plan.shards.size() > 1) ++split;
+    }
+  }
+  return split;
+}
+
+class RegistryShardPlanDifferential
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RegistryShardPlanDifferential, MatchesReferencePlanner) {
+  ScenarioConfig config =
+      shrink_for_tests(ScenarioCatalog::instance().at(GetParam()).config);
+  config.seed = 0x91a7;
+  check_plans_match_reference(build_scenario(config), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllScenarios, RegistryShardPlanDifferential,
+    ::testing::ValuesIn(ScenarioCatalog::instance().names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+TEST(ShardPlanDifferential, RandomTopologiesMatchReferencePlanner) {
+  // Clusters of 7, 15 and 23 paths: the caps seat anywhere from one
+  // cluster per shard to most of the mesh, so the grow loop's overlap
+  // scores (and their ties) decide many placements.
+  std::size_t split = 0;
+  for (const TopologyKind kind :
+       {TopologyKind::kWaxman, TopologyKind::kBarabasiAlbert}) {
+    for (const std::size_t vantage : {8, 16, 24}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        ScenarioConfig config;
+        config.topology = kind;
+        config.vantage_points = vantage;
+        config.seed = 0x5eed00 + seed;
+        split += check_plans_match_reference(
+            build_scenario(config),
+            std::string(to_string(kind)) + " vp=" + std::to_string(vantage) +
+                " seed=" + std::to_string(seed));
+      }
+    }
+  }
+  EXPECT_GT(split, 0u) << "no capped plan split a component";
+}
 
 TEST(ShardedFast, PlanRespectsPathCapOnOversplitScenario) {
   ScenarioConfig config;
