@@ -23,48 +23,26 @@ namespace {
 constexpr std::uint64_t kPairShuffleSeed = 7;
 
 /// The sorted union of two sorted link lists into a reused buffer, which
-/// keeps its capacity across candidates; a manual merge into pre-sized
-/// storage skips back_inserter's per-element capacity checks on the hot
-/// path.
+/// keeps its capacity across candidates; writing into pre-sized storage
+/// skips back_inserter's per-element capacity checks on the hot path.
 void sorted_union_into(const std::vector<graph::LinkId>& a,
                        const std::vector<graph::LinkId>& b,
                        std::vector<graph::LinkId>& out) {
   out.resize(a.size() + b.size());
-  graph::LinkId* dst = out.data();
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      *dst++ = a[i++];
-    } else if (b[j] < a[i]) {
-      *dst++ = b[j++];
-    } else {
-      *dst++ = a[i++];
-      ++j;
-    }
-  }
-  while (i < a.size()) *dst++ = a[i++];
-  while (j < b.size()) *dst++ = b[j++];
-  out.resize(static_cast<std::size_t>(dst - out.data()));
+  out.erase(std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                           out.begin()),
+            out.end());
 }
 
-/// The links two sorted link lists share, sorted, into a reused buffer.
+/// The links two sorted link lists share, sorted, into a reused buffer
+/// (pre-sized likewise).
 void sorted_shared_into(const std::vector<graph::LinkId>& a,
                         const std::vector<graph::LinkId>& b,
                         std::vector<graph::LinkId>& shared) {
   shared.resize(std::min(a.size(), b.size()));
-  graph::LinkId* common = shared.data();
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      *common++ = a[i++];
-      ++j;
-    }
-  }
-  shared.resize(static_cast<std::size_t>(common - shared.data()));
+  shared.erase(std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                                     shared.begin()),
+               shared.end());
 }
 
 /// Hash of a sorted link set (keys stay exact: the set compares links).
