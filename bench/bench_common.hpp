@@ -143,17 +143,15 @@ inline core::ScenarioConfig resolve_scenario(
 }
 
 /// Fills the non-scenario half of a TrialSpec from the shared settings.
-/// With a single trial the trial-level pool would sit idle, so --jobs is
-/// handed down to the batched simulator's block fan-out, the pair-candidate
-/// evaluation, the solver's Gram build, and the bootstrap's replicate
-/// fan-out instead — all of which merge deterministically, so stdout stays
-/// byte-identical for any value.
+/// With a single trial the trial-level workers would sit idle, so --jobs is
+/// handed down to the batched simulator's block fan-out, the solver's Gram
+/// build, and the bootstrap's replicate fan-out instead — all of which
+/// merge deterministically, so stdout stays byte-identical for any value.
 inline void apply_trial_settings(core::TrialSpec& spec, const Settings& s) {
   spec.sim.snapshots = s.snapshots;
   spec.sim.packets_per_path = s.packets;
   if (s.trials == 1) {
     spec.sim.jobs = s.jobs;
-    spec.inference.equations.jobs = s.jobs;
     spec.inference.solver.jobs = s.jobs;
     spec.bootstrap.jobs = s.jobs;
   }

@@ -74,9 +74,8 @@ BootstrapResult bootstrap_congestion(const graph::Graph& g,
   std::vector<std::uint8_t> fell_back(options.replicates, 0);
 
   InferenceOptions replicate_inference = options.inference;
-  // Parallelism lives at the replicate level; inner jobs stay inline.
+  // Parallelism lives at the replicate level; the Gram build stays inline.
   replicate_inference.solver.jobs = 1;
-  replicate_inference.equations.jobs = 1;
   if (options.warm_start) {
     replicate_inference.solver.warm_start = point.active_set;
   }

@@ -18,8 +18,8 @@
 // warm seed's factor whenever the rows are unchanged (unweighted); only a
 // replicate whose support actually changes falls back to a full
 // re-harvest. Every solver kind takes the same path. Replicates fan
-// across the thread pool on per-replicate seed streams, so intervals are
-// bit-identical for any `jobs`. The historical serial path — per-bit
+// across parallel_for workers on per-replicate seed streams, so intervals
+// are bit-identical for any `jobs`. The historical serial path — per-bit
 // resample, full re-inference per replicate — is kept in tests/reference:
 // at matched seeds this engine with warm_start off is bitwise equal to
 // it; with warm_start on both reach the same optimum.

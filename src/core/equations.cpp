@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 
@@ -12,7 +11,6 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tomo::core {
 
@@ -76,14 +74,6 @@ bool owns_pair(graph::LinkId link, const std::vector<graph::LinkId>& a,
   }
   return true;
 }
-
-/// Precomputed verdict for one pair candidate: everything the sequential
-/// merge needs, produced by (possibly parallel) pure evaluation.
-struct CandidateEval {
-  bool corr_free = false;
-  sim::LogProbEstimate est;           // valid only when corr_free
-  std::vector<graph::LinkId> shared;  // sorted shared links
-};
 
 }  // namespace
 
@@ -199,104 +189,56 @@ EquationSystem build_equations(const graph::CoverageIndex& coverage,
     std::optional<PairPrecheck> precheck;
     if (!all_singletons) precheck.emplace(sets, coverage, eligible);
 
-    // Pure per-candidate evaluation; safe to run on any worker. One walk
-    // of the two link lists writes the shared links, which decide both
-    // correlation-freedom and the rank sweep; the union is merged only in
-    // the sequential merge, for a pair it sweeps or keeps. Slots are
-    // reused across batches (shared keeps its capacity), so candidates
-    // allocate nothing after warm-up.
-    const auto evaluate = [&](std::size_t idx, CandidateEval& ev) {
-      const auto& [p, q] = candidates[idx];
-      sorted_shared_into(plinks(p), plinks(q), ev.shared);
-      ev.corr_free = all_singletons ||
-                     precheck->correlation_free(p, q, ev.shared.size());
-      if (ev.corr_free) {
-        ev.est = candidate_estimate(measurement, candidates[idx]);
-      }
-    };
-
-    // Candidates are evaluated in fixed batches (parallel when jobs > 1)
-    // and merged strictly in candidate order, replaying the sequential
-    // loop's budget/rank/cap control flow — so counters, accepted
-    // equations, and their order are byte-identical for any jobs value.
-    // Work past the merge's break point is at most one batch of waste.
-    constexpr std::size_t kBatch = 128;
-    const std::size_t jobs =
-        candidates.size() > kBatch ? util::resolve_jobs(options.jobs) : 1;
-    std::unique_ptr<util::ThreadPool> pool;
-    if (jobs > 1) pool = std::make_unique<util::ThreadPool>(jobs);
-
-    std::vector<CandidateEval> evals(std::min(kBatch, candidates.size()));
-    std::vector<graph::LinkId> links;  // the merged pair's sorted union
+    // One walk of the two link lists writes a candidate's shared links,
+    // which decide both correlation-freedom and the rank sweep; the union
+    // is built only for a pair the loop sweeps or keeps. Both buffers keep
+    // their capacity, so candidates allocate nothing after warm-up.
+    std::vector<graph::LinkId> shared;  // the candidate's sorted shared links
+    std::vector<graph::LinkId> links;   // a swept or kept pair's sorted union
     // The shared-link sets already swept. A lookup is keyed by the
     // candidate's own buffer and allocates nothing; only a new set is
     // copied in.
     std::unordered_set<std::vector<graph::LinkId>, LinkSetHash> swept;
-    bool stop = false;
-    for (std::size_t start = 0; start < candidates.size() && !stop;
-         start += kBatch) {
-      const std::size_t end = std::min(start + kBatch, candidates.size());
-      const std::size_t batch = end - start;
-      if (pool) {
-        const std::size_t chunk = (batch + jobs - 1) / jobs;
-        std::vector<std::future<void>> done;
-        for (std::size_t cs = 0; cs < batch; cs += chunk) {
-          const std::size_t ce = std::min(cs + chunk, batch);
-          done.push_back(pool->submit([&, cs, ce] {
-            for (std::size_t k = cs; k < ce; ++k) {
-              evaluate(start + k, evals[k]);
-            }
-          }));
-        }
-        for (auto& f : done) f.get();
-      } else {
-        for (std::size_t k = 0; k < batch; ++k) {
-          evaluate(start + k, evals[k]);
-        }
+    for (const CandidatePaths& candidate : candidates) {
+      const bool budget_reached = sys.n2 >= pair_budget;
+      if (tracker.full_rank() && budget_reached) break;
+      ++sys.pair_candidates_tried;
+      const auto [p, q] = candidate;
+      sorted_shared_into(plinks(p), plinks(q), shared);
+      if (!all_singletons &&
+          !precheck->correlation_free(p, q, shared.size())) {
+        ++sys.dropped_correlated;
+        continue;
       }
-
-      for (std::size_t k = 0; k < batch; ++k) {
-        const bool budget_reached = sys.n2 >= pair_budget;
-        if (tracker.full_rank() && budget_reached) {
-          stop = true;
-          break;
-        }
-        ++sys.pair_candidates_tried;
-        CandidateEval& ev = evals[k];
-        if (!ev.corr_free) {
-          ++sys.dropped_correlated;
-          continue;
-        }
-        if (!ev.est.usable) {
-          ++sys.dropped_unusable;
-          if (unusable != nullptr) unusable->push_back(candidates[start + k]);
-          continue;
-        }
-        // Every eligible path's row was offered in phase 1, so the union
-        // row (both path rows minus the shared links' indicator) is in the
-        // span iff that indicator is. The span only grows: once a pair
-        // with these shared links has been swept, whatever its verdict,
-        // every later one is dependent, and its sweep would return false
-        // and leave the tracker untouched. Once full rank is reached, no
-        // pair needs the (expensive) elimination sweep. The union is read
-        // only by a sweep or a kept equation: past the budget, an unswept
-        // pair is dropped without it.
-        const auto& [p, q] = candidates[start + k];
-        const bool sweep =
-            !tracker.full_rank() && swept.insert(ev.shared).second;
-        if (sweep || !budget_reached) {
-          sorted_union_into(plinks(p), plinks(q), links);
-        }
-        const bool independent = sweep && tracker.try_add_ones(links);
-        if (!independent && budget_reached) {
-          // Past the budget, only rank-increasing pairs are still worth
-          // taking (the hunt for missing columns continues).
-          ++sys.dropped_dependent;
-          continue;
-        }
-        sys.equations.push_back(links, {p, q}, ev.est.log_prob);
-        ++sys.n2;
+      const sim::LogProbEstimate est =
+          candidate_estimate(measurement, candidate);
+      if (!est.usable) {
+        ++sys.dropped_unusable;
+        if (unusable != nullptr) unusable->push_back(candidate);
+        continue;
       }
+      // Every eligible path's row was offered in phase 1, so the union
+      // row (both path rows minus the shared links' indicator) is in the
+      // span iff that indicator is. The span only grows: once a pair with
+      // these shared links has been swept, whatever its verdict, every
+      // later one is dependent, and its sweep would return false and leave
+      // the tracker untouched. Once full rank is reached, no pair needs
+      // the (expensive) elimination sweep. The union is read only by a
+      // sweep or a kept equation: past the budget, an unswept pair is
+      // dropped without it.
+      const bool sweep = !tracker.full_rank() && swept.insert(shared).second;
+      if (sweep || !budget_reached) {
+        sorted_union_into(plinks(p), plinks(q), links);
+      }
+      const bool independent = sweep && tracker.try_add_ones(links);
+      if (!independent && budget_reached) {
+        // Past the budget, only rank-increasing pairs are still worth
+        // taking (the hunt for missing columns continues).
+        ++sys.dropped_dependent;
+        continue;
+      }
+      sys.equations.push_back(links, candidate, est.log_prob);
+      ++sys.n2;
     }
   }
 

@@ -15,25 +15,23 @@
 // linearly dependent equations — the solver then fits every available
 // measurement (what [12] effectively does).
 //
-// The pair harvest is the hot path at dense-mesh scale and is built as a
-// streaming generator: per-link candidate emission deduplicated by
-// lowest-touch-link ownership (no global seen-set), an exact
-// correlation-set-signature precheck (PairPrecheck) that decides
-// correlation_free(union) from the pair's shared-link count without
-// materializing the union, batched candidate evaluation fanned across a
-// worker pool with a deterministic candidate-order merge, and one rank
-// sweep per shared-link set. A candidate's evaluation walks the two link
-// lists once, for their shared links; the merge builds the union only for
-// a pair it sweeps or keeps. Every eligible path's row is offered to the
-// tracker first, so a pair's union row is in the span iff the indicator
-// of its shared links is; once one pair with those shared links has been
-// swept, every later one is dependent and skips its sweep (and, past the
-// pair budget, its union). The accepted system is byte-identical
-// to a sequential build that sweeps every pair, for any jobs value, which
-// the differential suite (test_equations_fast) enforces against
-// reference::build_equations over the scalar reference measurement;
-// test_rank_exact checks the tracker's verdicts on those streams against
-// exact arithmetic.
+// The pair harvest is the hot path at dense-mesh scale and is one pass
+// over the candidates, in candidate order, on the caller's thread:
+// per-link candidate emission deduplicated by lowest-touch-link ownership
+// (no global seen-set), an exact correlation-set-signature precheck
+// (PairPrecheck) that decides correlation_free(union) from the pair's
+// shared-link count without materializing the union, and one rank sweep
+// per shared-link set. A candidate walks the two link lists once, for
+// their shared links; the union is built only for a pair the pass sweeps
+// or keeps. Every eligible path's row is offered to the tracker first, so
+// a pair's union row is in the span iff the indicator of its shared links
+// is; once one pair with those shared links has been swept, every later
+// one is dependent and skips its sweep (and, past the pair budget, its
+// union). The accepted system is byte-identical to a sequential build
+// that sweeps every pair, which the differential suite
+// (test_equations_fast) enforces against reference::build_equations over
+// the scalar reference measurement; test_rank_exact checks the tracker's
+// verdicts on those streams against exact arithmetic.
 #pragma once
 
 #include <array>
@@ -150,12 +148,6 @@ struct EquationBuildOptions {
   /// many are; after that only rank-increasing pairs are (0 = one per
   /// link, i.e. |E|).
   std::size_t max_pair_equations = 0;
-  /// Worker threads for the batched pair-candidate evaluation (1 = inline
-  /// on the caller, 0 = all hardware cores). Candidates are precomputed in
-  /// fixed batches and merged in candidate order, so the built system —
-  /// and therefore stdout — is byte-identical for any value. Keep 1 when
-  /// trials already fan out across a pool (nested pools oversubscribe).
-  std::size_t jobs = 1;
 };
 
 /// The pair harvest's exact correlation precheck. It keeps one bit per

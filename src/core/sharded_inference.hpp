@@ -22,8 +22,9 @@
 //      ingress/egress lists, so running it on a link-restricted shard
 //      subgraph would flag nodes the monolithic run does not), then runs
 //      the existing harvest→demote→NNLS pipeline per shard on re-indexed
-//      local subsystems, fanned across the thread pool. Each shard writes
-//      only its own slot, so the result is bit-identical for any `jobs`.
+//      local subsystems, fanned across parallel_for workers. Each shard
+//      writes only its own slot, so the result is bit-identical for any
+//      `jobs`.
 //   3. Links covered by several shards are reconciled by one rule: shards
 //      that agree within kShardDisagreementTol take the plain log-space
 //      mean; shards that disagree fall back to a joint re-solve of the

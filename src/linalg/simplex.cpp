@@ -12,6 +12,8 @@ namespace {
 
 constexpr double kPivotTol = 1e-9;
 
+enum class LpStatus { kOptimal, kUnbounded, kIterationLimit };
+
 /// Standard tableau simplex on  min c^T x, A x = b (b >= 0 expected),
 /// starting from the given basis (basis[i] = column basic in row i, and the
 /// tableau columns of the basis must form an identity).
@@ -92,7 +94,6 @@ class Tableau {
   }
 
   double objective() const { return -t_(m_, n_); }
-  const std::vector<std::size_t>& basis() const { return basis_; }
 
  private:
   void pivot(std::size_t row, std::size_t col) {
@@ -117,82 +118,6 @@ class Tableau {
 };
 
 }  // namespace
-
-LpResult simplex_solve(const Matrix& a, const Vector& b, const Vector& c,
-                       std::size_t max_iterations) {
-  TOMO_REQUIRE(b.size() == a.rows(), "simplex: rhs length mismatch");
-  TOMO_REQUIRE(c.size() == a.cols(), "simplex: cost length mismatch");
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  if (max_iterations == 0) {
-    max_iterations = 200 * (m + n) + 1000;
-  }
-
-  LpResult result;
-
-  // Normalize to b >= 0 by flipping row signs.
-  Matrix a2 = a;
-  Vector b2 = b;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (b2[i] < 0) {
-      b2[i] = -b2[i];
-      for (std::size_t j = 0; j < n; ++j) a2(i, j) = -a2(i, j);
-    }
-  }
-
-  // Phase 1: minimize the sum of artificial variables.
-  Matrix a_art(m, n + m);
-  Vector c_art(n + m, 0.0);
-  std::vector<std::size_t> basis(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a_art(i, j) = a2(i, j);
-    a_art(i, n + i) = 1.0;
-    c_art[n + i] = 1.0;
-    basis[i] = n + i;
-  }
-  Tableau phase1(a_art, b2, c_art, basis);
-  LpStatus s1 = phase1.run(max_iterations, result.iterations);
-  if (s1 == LpStatus::kIterationLimit) {
-    result.status = s1;
-    return result;
-  }
-  if (phase1.objective() > 1e-7) {
-    result.status = LpStatus::kInfeasible;
-    return result;
-  }
-
-  // Recover a feasible basis that avoids artificial columns where possible.
-  // Simplest robust route: re-run from scratch with the big-M method is
-  // avoidable; instead, accept the phase-1 basis and treat any artificial
-  // columns stuck at zero level by giving them prohibitive cost in phase 2.
-  Vector c2(n + m, 0.0);
-  for (std::size_t j = 0; j < n; ++j) c2[j] = c[j];
-  double big = 1.0;
-  for (std::size_t j = 0; j < n; ++j) big += std::abs(c[j]);
-  for (std::size_t j = n; j < n + m; ++j) c2[j] = big * 1e6;
-
-  Tableau phase2(a_art, b2, c2, basis);
-  // Reuse phase-1 work by replaying its pivots is more code than it is
-  // worth at these sizes; phase 2 simply restarts from the artificial
-  // basis, which is feasible because b2 >= 0.
-  LpStatus s2 = phase2.run(max_iterations, result.iterations);
-  result.status = s2;
-  if (s2 != LpStatus::kOptimal) {
-    return result;
-  }
-  Vector full = phase2.extract_solution();
-  // If an artificial variable is still meaningfully positive, the problem
-  // is infeasible (the prohibitive cost would otherwise have expelled it).
-  for (std::size_t j = n; j < n + m; ++j) {
-    if (full[j] > 1e-6) {
-      result.status = LpStatus::kInfeasible;
-      return result;
-    }
-  }
-  result.x.assign(full.begin(), full.begin() + static_cast<long>(n));
-  result.objective = dot(result.x, c);
-  return result;
-}
 
 L1Result l1_regression(const Matrix& a, const Vector& b, double lambda,
                        std::size_t max_iterations) {

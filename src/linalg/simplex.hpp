@@ -1,7 +1,5 @@
-// Dense simplex solver for small/medium linear programs, plus an exact
-// L1-regression wrapper.
+// Exact L1 regression by a dense tableau simplex, for small/medium systems.
 //
-// The LP front end solves   min c^T x  s.t.  A x = b, x >= 0.
 // l1_regression() solves    min ||A x - b||_1 + lambda ||x||_1, x >= 0
 // by the standard split  A x + s+ - s- = b  with slack variables, which has
 // a trivially feasible starting basis (no phase-1 needed).
@@ -12,19 +10,6 @@
 #include "linalg/matrix.hpp"
 
 namespace tomo::linalg {
-
-enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
-
-struct LpResult {
-  LpStatus status = LpStatus::kIterationLimit;
-  Vector x;           // primal solution (meaningful when kOptimal)
-  double objective = 0.0;
-  std::size_t iterations = 0;
-};
-
-/// Two-phase dense simplex with Bland's anti-cycling rule.
-LpResult simplex_solve(const Matrix& a, const Vector& b, const Vector& c,
-                       std::size_t max_iterations = 0);
 
 struct L1Result {
   Vector x;

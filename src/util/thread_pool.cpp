@@ -3,104 +3,56 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <utility>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace tomo::util {
 
 std::size_t resolve_jobs(std::size_t requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-ThreadPool::ThreadPool(std::size_t workers) {
-  const std::size_t count = resolve_jobs(workers);
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::enqueue(std::function<void()> job) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push(std::move(job));
-  }
-  cv_.notify_one();
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to run
-      job = std::move(queue_.front());
-      queue_.pop();
-    }
-    job();  // packaged_task captures exceptions into the future
-  }
+  const std::size_t hardware =
+      std::max(1u, std::thread::hardware_concurrency());
+  return requested == 0 ? hardware : std::min(requested, hardware);
 }
 
 void parallel_for(std::size_t jobs, std::size_t n,
                   const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
   const std::size_t workers = std::min(resolve_jobs(jobs), n);
-  if (workers <= 1 || n == 1) {
-    // Same exception contract as the pooled path: every item runs, the
-    // lowest-index exception is rethrown at the end (sequential order
-    // means the first one thrown is the lowest).
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < n; ++i) {
+
+  // Dynamic index claiming: every worker, the caller included, pulls the
+  // next unclaimed index, so expensive items do not serialize behind a
+  // static partition. The lowest-index exception is kept and rethrown
+  // after the join, keeping failure behavior independent of scheduling
+  // order.
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::size_t error_index = n;  // guarded by error_mutex
+  std::exception_ptr error;     // guarded by error_mutex
+  const auto drain = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
       try {
         body(i);
       } catch (...) {
-        if (!first_error) first_error = std::current_exception();
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
       }
     }
-    if (first_error) std::rethrow_exception(first_error);
-    return;
-  }
-
-  // Dynamic index claiming: one long-running task per worker, each pulling
-  // the next unclaimed index, so expensive items do not serialize behind a
-  // static partition. Exceptions are parked per index and the lowest one
-  // rethrown after the join, keeping failure behavior independent of
-  // scheduling order.
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(n);
+  };
   {
-    ThreadPool pool(workers);
-    std::vector<std::future<void>> done;
-    done.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      done.push_back(pool.submit([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= n) return;
-          try {
-            body(i);
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        }
-      }));
-    }
-    for (std::future<void>& f : done) f.get();
+    // A jthread joins on destruction, so the started threads are joined
+    // before `drain`'s state goes, on the exception path too.
+    std::vector<std::jthread> threads;
+    threads.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(drain);
+    drain();
   }
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace tomo::util

@@ -1,4 +1,4 @@
-// Worker-thread pool and a deterministic parallel_for on top of it.
+// A deterministic parallel_for over short-lived worker threads.
 //
 // The experiment engine fans independent Monte-Carlo trials across cores:
 // every work item derives its own RNG stream from (seed, index), writes
@@ -9,62 +9,19 @@
 // after every item has settled.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <type_traits>
-#include <vector>
 
 namespace tomo::util {
 
 /// Resolves a `--jobs`-style request into a worker count: 0 means "all
-/// hardware cores" (at least 1); anything else is used as given.
+/// hardware threads"; anything else is capped at the hardware threads, so
+/// a huge request never becomes a huge thread count. Always at least 1.
 std::size_t resolve_jobs(std::size_t requested);
 
-/// Fixed-size pool of worker threads consuming a FIFO task queue.
-class ThreadPool {
- public:
-  /// Spawns `workers` threads (0 resolves to all hardware cores).
-  explicit ThreadPool(std::size_t workers = 0);
-
-  /// Drains the queue and joins the workers: every submitted task runs
-  /// before destruction completes (futures are never broken).
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t worker_count() const { return workers_.size(); }
-
-  /// Enqueues `fn` and returns a future for its result. Exceptions thrown
-  /// by `fn` surface from future::get().
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
-  }
-
- private:
-  void enqueue(std::function<void()> job);
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-};
-
-/// Runs body(i) for every i in [0, n), on up to `jobs` workers (0 = all
-/// hardware cores; jobs <= 1 or n <= 1 runs inline on the caller).
+/// Runs body(i) for every i in [0, n) on min(resolve_jobs(jobs), n)
+/// workers: the caller plus threads started for this call and joined
+/// before it returns (one worker runs everything inline on the caller).
 /// Indices are claimed dynamically, so uneven item costs balance across
 /// workers; determinism is the *caller's* contract (write only to slot i).
 /// If items throw, every remaining item still runs, and the exception from

@@ -4,9 +4,9 @@
 // path lists; the same deterministic shuffle; then one pair at a time,
 // its correlation-freedom decided on the materialized union and every
 // usable correlation-free pair offered to a linalg::RankTracker until
-// full rank. Production's batched evaluation, signature precheck and
-// shared-link skip must reproduce its equations, their order, every y
-// and every counter bit for bit.
+// full rank. Production's signature precheck and shared-link skip must
+// reproduce its equations, their order, every y and every counter bit for
+// bit.
 #pragma once
 
 #include <cstddef>
@@ -16,9 +16,9 @@
 
 namespace tomo::reference {
 
-/// Builds the system core::build_equations builds (options.jobs is
-/// ignored). When `offered` is given, every row offered to the rank
-/// tracker is appended to it, in order: the harvest's rank stream.
+/// Builds the system core::build_equations builds. When `offered` is
+/// given, every row offered to the rank tracker is appended to it, in
+/// order: the harvest's rank stream.
 core::EquationSystem build_equations(
     const graph::CoverageIndex& coverage, const corr::CorrelationSets& sets,
     const sim::MeasurementProvider& measurement,

@@ -53,11 +53,14 @@ TEST(LinalgEdge, NnlsZeroRhsGivesZero) {
 }
 
 TEST(LinalgEdge, SimplexDegenerateRhs) {
-  // b = 0: the optimum is 0 at x = 0 (degenerate but must not cycle).
+  // b = 0: every starting slack sits at level 0, so the pivots are
+  // degenerate (and must not cycle); the optimum is 0 at x = 0.
   linalg::Matrix a{{1, 1}};
-  const linalg::LpResult r = linalg::simplex_solve(a, {0}, {1, 1});
-  ASSERT_EQ(r.status, linalg::LpStatus::kOptimal);
+  const linalg::L1Result r = linalg::l1_regression(a, {0});
+  ASSERT_TRUE(r.optimal);
   EXPECT_NEAR(r.objective, 0.0, 1e-9);
+  EXPECT_NEAR(r.x[0], 0.0, 1e-9);
+  EXPECT_NEAR(r.x[1], 0.0, 1e-9);
 }
 
 TEST(LinalgEdge, L1RegressionOnSingleRow) {

@@ -1,16 +1,15 @@
 // Differential suite for the fast equation-harvest paths.
 //
-// The harvest has four "fast" layers — EmpiricalMeasurement's bitmask
+// The harvest has three "fast" layers — EmpiricalMeasurement's bitmask
 // kernels, the correlation-set signature precheck (core::PairPrecheck),
-// the batched parallel candidate evaluation, and the rank sweep skipped
-// for a pair whose shared links an earlier pair's sweep already covered.
-// These tests pin them against references: reference::build_equations (a
-// sequential build that sweeps every usable correlation-free pair, over
-// the scalar reference::ScalarMeasurement) must accept identical equations
-// (links, paths, bitwise-equal right-hand sides) with identical drop
-// counters across every registry scenario, random seeds, option
-// variations, and --jobs values; and the precheck's verdict must equal a
-// scan of the materialized union for every eligible path pair. Any
+// and the rank sweep skipped for a pair whose shared links an earlier
+// pair's sweep already covered. These tests pin them against references:
+// reference::build_equations (a sequential build that sweeps every usable
+// correlation-free pair, over the scalar reference::ScalarMeasurement)
+// must accept identical equations (links, paths, bitwise-equal right-hand
+// sides) with identical drop counters across every registry scenario,
+// random seeds and option variations; and the precheck's verdict must
+// equal a scan of the materialized union for every eligible path pair. Any
 // divergence is an exactness bug, not a tolerance question, so
 // comparisons are exact.
 #include <gtest/gtest.h>
@@ -96,19 +95,11 @@ TEST_P(RegistryDifferential, FastPathsMatchReferenceExactly) {
   config.seed = 0xd1ff;
   const PreparedScenario p = prepare(config, 0xd1ff00);
 
-  const EquationBuildOptions defaults;
-  const EquationSystem ref = reference_build(p, p.inst.declared_sets,
-                                             defaults);
-
+  const EquationSystem ref = reference_build(p, p.inst.declared_sets, {});
   const sim::EmpiricalMeasurement fast(p.sim_result.measurement);
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
-    EquationBuildOptions options;
-    options.jobs = jobs;
-    const EquationSystem sys =
-        build_equations(p.coverage, p.inst.declared_sets, fast, options);
-    expect_identical(sys, ref,
-                     GetParam() + " jobs=" + std::to_string(jobs));
-  }
+  const EquationSystem sys =
+      build_equations(p.coverage, p.inst.declared_sets, fast);
+  expect_identical(sys, ref, GetParam());
 }
 
 /// The precheck against its definition: for every pair of eligible paths
@@ -202,18 +193,13 @@ TEST(EquationsFast, RandomTopologiesSeedsAndOptionVariations) {
     variations[1].use_pairs = false;
     variations[2].max_pair_equations = 25;
     for (std::size_t v = 0; v < variations.size(); ++v) {
-      EquationBuildOptions options = variations[v];
       const EquationSystem ref =
-          reference_build(p, p.inst.declared_sets, options);
-      for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
-        options.jobs = jobs;
-        const EquationSystem sys =
-            build_equations(p.coverage, p.inst.declared_sets, fast, options);
-        expect_identical(sys, ref,
-                         "round " + std::to_string(round) + " variation " +
-                             std::to_string(v) + " jobs=" +
-                             std::to_string(jobs));
-      }
+          reference_build(p, p.inst.declared_sets, variations[v]);
+      const EquationSystem sys = build_equations(
+          p.coverage, p.inst.declared_sets, fast, variations[v]);
+      expect_identical(sys, ref,
+                       "round " + std::to_string(round) + " variation " +
+                           std::to_string(v));
     }
   }
 }
@@ -238,19 +224,14 @@ TEST(EquationsFast, UnusablePairsMatchReference) {
          {p.inst.declared_sets,
           corr::CorrelationSets::singletons(p.coverage.link_count())}) {
       const EquationSystem ref = reference_build(p, sets, {});
-      for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
-        EquationBuildOptions options;
-        options.jobs = jobs;
-        std::vector<CandidatePaths> unusable;
-        const EquationSystem sys =
-            build_equations(p.coverage, sets, fast, options, &unusable);
-        unusable_pairs += std::ranges::count_if(
-            unusable, [](CandidatePaths c) { return c.first != c.second; });
-        expect_identical(sys, ref,
-                         "round " + std::to_string(round) + " sets=" +
-                             std::to_string(sets.set_count()) + " jobs=" +
-                             std::to_string(jobs));
-      }
+      std::vector<CandidatePaths> unusable;
+      const EquationSystem sys =
+          build_equations(p.coverage, sets, fast, {}, &unusable);
+      unusable_pairs += std::ranges::count_if(
+          unusable, [](CandidatePaths c) { return c.first != c.second; });
+      expect_identical(sys, ref,
+                       "round " + std::to_string(round) + " sets=" +
+                           std::to_string(sets.set_count()));
     }
   }
   EXPECT_GT(unusable_pairs, 0u);
@@ -266,15 +247,9 @@ TEST(EquationsFast, SingletonStructureShortCircuitMatchesReference) {
       corr::CorrelationSets::singletons(p.coverage.link_count());
   const EquationSystem ref = reference_build(p, singles, {});
   const sim::EmpiricalMeasurement fast(p.sim_result.measurement);
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
-    EquationBuildOptions options;
-    options.jobs = jobs;
-    const EquationSystem sys =
-        build_equations(p.coverage, singles, fast, options);
-    expect_identical(sys, ref,
-                     "singleton structure jobs=" + std::to_string(jobs));
-    EXPECT_EQ(sys.dropped_correlated, 0u);
-  }
+  const EquationSystem sys = build_equations(p.coverage, singles, fast);
+  expect_identical(sys, ref, "singleton structure");
+  EXPECT_EQ(sys.dropped_correlated, 0u);
 }
 
 }  // namespace

@@ -434,38 +434,11 @@ TEST(Nnls, IncrementalSatisfiesKktOnRandomProblems) {
 
 // ------------------------------------------------------------ simplex ----
 
-TEST(Simplex, SolvesBasicLp) {
-  // min -x1 - 2x2 s.t. x1 + x2 + s = 4, x1 + 3x2 + t = 6 (as equalities
-  // with explicit slacks).
-  Matrix a{{1, 1, 1, 0}, {1, 3, 0, 1}};
-  const Vector b{4, 6};
-  const Vector c{-1, -2, 0, 0};
-  const LpResult r = simplex_solve(a, b, c);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, -5.0, 1e-8);  // x = (3, 1)
-  EXPECT_NEAR(r.x[0], 3.0, 1e-8);
-  EXPECT_NEAR(r.x[1], 1.0, 1e-8);
-}
-
-TEST(Simplex, DetectsInfeasibility) {
-  // x1 = -1 with x1 >= 0 is infeasible.
-  Matrix a{{1}};
-  const LpResult r = simplex_solve(a, {-1}, {1});
-  EXPECT_EQ(r.status, LpStatus::kInfeasible);
-}
-
-TEST(Simplex, DetectsUnboundedness) {
-  // min -x1 s.t. x1 - x2 = 0: increase both forever.
-  Matrix a{{1, -1}};
-  const LpResult r = simplex_solve(a, {0}, {-1, 0});
-  EXPECT_EQ(r.status, LpStatus::kUnbounded);
-}
-
 TEST(Simplex, HandlesNegativeRhs) {
-  // -x1 = -3 -> x1 = 3.
+  // -x1 = -3 -> x1 = 3: the flipped row starts from its s- slack.
   Matrix a{{-1}};
-  const LpResult r = simplex_solve(a, {-3}, {1});
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  const L1Result r = l1_regression(a, {-3});
+  ASSERT_TRUE(r.optimal);
   EXPECT_NEAR(r.x[0], 3.0, 1e-8);
 }
 

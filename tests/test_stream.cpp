@@ -338,7 +338,6 @@ TEST(Serve, EmitsOneDeterministicJsonLinePerWindow) {
     std::stringstream output;
     ServeOptions options;
     options.streaming.inference.solver.jobs = jobs;
-    options.streaming.inference.equations.jobs = jobs;
     const ServeReport report =
         serve(input, output, sys.graph, sys.paths, sys.sets, options);
     EXPECT_EQ(report.windows, 3u);  // 150 + 150 + 100

@@ -61,7 +61,6 @@ core::InferenceResult batch_infer(const Prepared& p, std::size_t jobs = 1) {
       sim::MeasurementBlock(p.simr.measurement));
   core::InferenceOptions options;
   options.solver.jobs = jobs;
-  options.equations.jobs = jobs;
   return core::infer_congestion(p.inst.graph, p.inst.paths, coverage,
                                 p.inst.declared_sets, measurement, options);
 }
@@ -85,7 +84,6 @@ std::vector<WindowEstimate> streamed_infer(const Prepared& p,
                                            bool warm_start = true) {
   StreamingOptions options;
   options.inference.solver.jobs = jobs;
-  options.inference.equations.jobs = jobs;
   options.warm_start = warm_start;
   return streamed_infer(p, window, options);
 }

@@ -1,11 +1,16 @@
-// The thread pool and parallel_for underpin the trial engine's
-// determinism contract: results land by index, exceptions propagate, and
-// worker count never changes observable output.
+// parallel_for and resolve_jobs underpin the trial engine's determinism
+// contract: results land by index, exceptions propagate, worker count
+// never changes observable output, and no request starts more threads
+// than the hardware has.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
+#include <mutex>
 #include <numeric>
-#include <stdexcept>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -13,45 +18,25 @@
 
 namespace {
 
-using tomo::util::ThreadPool;
 using tomo::util::parallel_for;
 using tomo::util::resolve_jobs;
 
+/// The hardware threads resolve_jobs caps at (at least 1).
+std::size_t hardware_threads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 TEST(ResolveJobs, ZeroMeansHardwareAndAtLeastOne) {
-  EXPECT_GE(resolve_jobs(0), 1u);
+  EXPECT_EQ(resolve_jobs(0), hardware_threads());
   EXPECT_EQ(resolve_jobs(1), 1u);
-  EXPECT_EQ(resolve_jobs(7), 7u);
+  EXPECT_EQ(resolve_jobs(7), std::min<std::size_t>(7, hardware_threads()));
 }
 
-TEST(ThreadPool, RunsZeroTasks) {
-  ThreadPool pool(2);  // construct + destruct with an empty queue
-  EXPECT_EQ(pool.worker_count(), 2u);
-}
-
-TEST(ThreadPool, RunsOneTask) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, RunsManyTasksOnFewWorkers) {
-  ThreadPool pool(3);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([] { return 7; });
-  auto bad = pool.submit(
-      []() -> int { throw std::runtime_error("task exploded"); });
-  EXPECT_EQ(ok.get(), 7);
-  EXPECT_THROW(bad.get(), std::runtime_error);
+/// A huge --jobs value resolves to the hardware threads; resolve_jobs
+/// itself starts no thread, so this never asks for one per job.
+TEST(ResolveJobs, CapsAtHardwareThreads) {
+  EXPECT_EQ(resolve_jobs(std::numeric_limits<std::size_t>::max()),
+            hardware_threads());
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
@@ -62,6 +47,27 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
     EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 97)
         << "jobs=" << jobs;
     for (const int h : hits) EXPECT_EQ(h, 1);
+  }
+}
+
+/// Each call runs the body on at most min(jobs, n) distinct threads, and
+/// with one worker only on the caller's own thread.
+TEST(ParallelFor, StartsAtMostMinJobsNThreads) {
+  for (const std::size_t jobs : {1u, 2u, 3u}) {
+    for (const std::size_t n : {1u, 2u, 5u, 64u}) {
+      std::mutex mutex;
+      std::set<std::thread::id> threads;
+      parallel_for(jobs, n, [&](std::size_t) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        threads.insert(std::this_thread::get_id());
+      });
+      EXPECT_GE(threads.size(), 1u);
+      EXPECT_LE(threads.size(), std::min(jobs, n))
+          << "jobs=" << jobs << " n=" << n;
+      if (jobs == 1) {
+        EXPECT_EQ(threads, std::set{std::this_thread::get_id()}) << "n=" << n;
+      }
+    }
   }
 }
 

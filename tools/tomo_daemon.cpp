@@ -109,9 +109,7 @@ core::InferenceOptions inference_from(const Flags& flags) {
   core::InferenceOptions options;
   options.solver.kind =
       linalg::solver_kind_from_string(flags.get_string("solver"));
-  const std::size_t jobs = flags.get_count("jobs");
-  options.solver.jobs = jobs;
-  options.equations.jobs = jobs;
+  options.solver.jobs = flags.get_count("jobs");
   return options;
 }
 
@@ -183,7 +181,7 @@ int cmd_serve(int argc, const char* const* argv) {
                 "snapshots per window when re-slicing a classic file");
   flags.add_string("solver", "nnls", "ls | nnls | l1lp | irls");
   flags.add_int("jobs", 1,
-                "harvest/Gram worker threads (0 = all cores); stdout is "
+                "Gram worker threads (0 = all cores); stdout is "
                 "byte-identical for any value");
   flags.add_bool("cold", false,
                  "disable the NNLS warm start (every window solves cold)");
@@ -261,7 +259,7 @@ int cmd_batch(int argc, const char* const* argv) {
   flags.add_int("window", 256,
                 "window size serve would use (labels the JSON line)");
   flags.add_string("solver", "nnls", "ls | nnls | l1lp | irls");
-  flags.add_int("jobs", 1, "harvest/Gram worker threads (0 = all cores)");
+  flags.add_int("jobs", 1, "Gram worker threads (0 = all cores)");
   flags.add_bool("mean-err", true,
                  "report mean_err when ground truth is known");
   if (!flags.parse(argc, argv)) return 0;
