@@ -3,7 +3,8 @@
 // registry's heaviest mesh entry (waxman-dense-vps, 1560 paths; ~20 ms
 // where the pre-PR-4 implementation took ~300 ms on the same instance)
 // and on hier-2k (~2.2k paths), where most pairs repeat the shared links
-// of an earlier pair and skip the rank sweep.
+// of an earlier pair and skip the rank sweep; and the §3.3 harvest chain
+// (refinement, demotion round, final harvest) on hier-2k.
 #include <benchmark/benchmark.h>
 
 #include "core/correlation_algorithm.hpp"
@@ -111,6 +112,19 @@ void BM_HarvestHier2k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HarvestHier2k)->Unit(benchmark::kMillisecond);
+
+/// The whole §3.3 chain on hier-2k: structural refinement, the demotion
+/// round (decided from single-path equations) and the final harvest.
+void BM_HarvestChainHier2k(benchmark::State& state) {
+  Prepared& p = prepared_hier2k();
+  const sim::EmpiricalMeasurement meas(p.sim_result.measurement);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::harvest_refined_system(
+        p.inst.graph, p.inst.paths, p.coverage, p.inst.declared_sets, meas,
+        {}));
+  }
+}
+BENCHMARK(BM_HarvestChainHier2k)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -9,13 +9,6 @@
 
 namespace tomo::core {
 
-namespace {
-
-/// Upper bound on the §3.3 demotion rounds of harvest_refined_system.
-constexpr std::size_t kMaxDemotionRounds = 3;
-
-}  // namespace
-
 corr::CorrelationSets demote_to_singletons(
     const corr::CorrelationSets& sets,
     const std::vector<graph::LinkId>& links) {
@@ -54,42 +47,52 @@ RefinedHarvest harvest_refined_system(
     }
   }
 
-  harvest.system = build_equations(coverage, refined, measurement,
-                                   options.equations, &harvest.unusable);
-
-  // Fallback rounds: links untouched by any usable equation (every path
-  // through them also crosses a same-set link) are unidentifiable under
-  // the declared structure — act as if they were uncorrelated (paper §3.3)
-  // and rebuild, so the previously correlated paths become usable. Their
-  // own estimates inherit the independence algorithm's bias, but every
-  // other link keeps its clean equations.
-  for (std::size_t round = 0; round < kMaxDemotionRounds; ++round) {
+  // Fallback (paper §3.3): links untouched by any usable equation (every
+  // path through them also crosses a same-set link) are unidentifiable
+  // under the declared structure — act as if they were uncorrelated and
+  // rebuild, so the previously correlated paths become usable. Their own
+  // estimates inherit the independence algorithm's bias, but every other
+  // link keeps its clean equations. A pair equation's links are the union
+  // of two usable single paths' links, so the single-path equations alone
+  // decide which links are covered, and the pairs are harvested once, on
+  // the final structure. One round is all the fallback ever runs: a
+  // demotion only splits sets, so every path that covered a link before it
+  // stays correlation-free and usable, and every link it leaves uncovered
+  // is then alone in its set. Only a set of two or more links can be
+  // relaxed.
+  if (refined.set_count() < refined.link_count()) {
+    EquationBuildOptions singles_only = options.equations;
+    singles_only.use_pairs = false;
+    std::vector<CandidatePaths> tried;
+    const EquationSystem singles = build_equations(
+        coverage, refined, measurement, singles_only, &tried);
     std::vector<std::uint8_t> covered(coverage.link_count(), 0);
-    for (const Equation eq : harvest.system.equations) {
+    for (const Equation eq : singles.equations) {
       for (graph::LinkId e : eq.links) covered[e] = 1;
     }
     std::vector<graph::LinkId> uncovered;
-    for (graph::LinkId e = 0; e < coverage.link_count(); ++e) {
-      if (!covered[e]) uncovered.push_back(e);
-    }
-    if (uncovered.empty()) break;
     bool progress = false;
-    for (graph::LinkId e : uncovered) {
+    for (graph::LinkId e = 0; e < coverage.link_count(); ++e) {
+      if (covered[e]) continue;
+      uncovered.push_back(e);
       if (refined.set(refined.set_of(e)).size() > 1) progress = true;
     }
-    if (!progress) break;  // already singletons; nothing left to relax
-    // This round's harvest is about to be replaced: record its equation
-    // path sets so replay_harvest can certify the demotion decision
-    // replays.
-    for (const Equation eq : harvest.system.equations) {
-      harvest.witness_paths.emplace_back(eq.paths.front(), eq.paths.back());
+    if (progress) {
+      // The round's singles are about to be replaced: record them and the
+      // singles it found unusable so replay_harvest can certify that the
+      // demotion decision replays. (Without a demotion, the final build
+      // below tries the same singles again and records them itself.)
+      for (const Equation eq : singles.equations) {
+        harvest.witness_paths.emplace_back(eq.paths.front(), eq.paths.front());
+      }
+      harvest.unusable = std::move(tried);
+      refined = demote_to_singletons(refined, uncovered);
+      harvest.refined_links.insert(harvest.refined_links.end(),
+                                   uncovered.begin(), uncovered.end());
     }
-    refined = demote_to_singletons(refined, uncovered);
-    harvest.refined_links.insert(harvest.refined_links.end(),
-                                 uncovered.begin(), uncovered.end());
-    harvest.system = build_equations(coverage, refined, measurement,
-                                     options.equations, &harvest.unusable);
   }
+  harvest.system = build_equations(coverage, refined, measurement,
+                                   options.equations, &harvest.unusable);
   return harvest;
 }
 

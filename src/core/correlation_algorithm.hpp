@@ -41,25 +41,36 @@ struct InferenceResult {
   /// Wall seconds spent inside the solver (telemetry; never printed on
   /// stdout — the *_solve_seconds JSON mirror of system.build_seconds).
   double solve_seconds = 0.0;
-  std::vector<graph::LinkId> refined_links;  // demoted to singletons
+  /// The chain's RefinedHarvest::refined_links (see there).
+  std::vector<graph::LinkId> refined_links;
 };
 
 /// The structure-determination phase of the correlation algorithm,
 /// factored out so the batch and streaming drivers run literally the same
-/// code: Assumption-4 refinement, the pair-equation harvest, and the §3.3
-/// demotion rounds. Everything in that chain is measurement-independent
-/// except which candidates each round finds usable, and the final
-/// equations' y values; the two records below pin that usability for
-/// replay_harvest.
+/// code: Assumption-4 refinement, the §3.3 demotion round, and the
+/// equation harvest. The demotion round is decided from the single-path
+/// equations alone (a pair equation's links are the union of two usable
+/// singles' links, so pairs cover nothing new), and pairs are harvested
+/// once, on the final structure. One round is all there is: a demotion
+/// only splits sets, so every link it leaves covered stays covered and
+/// every link it demotes is then alone in its set. Everything in that
+/// chain is measurement-independent except which candidates the round and
+/// the final build find usable, and the final equations' y values; the two
+/// records below pin that usability for replay_harvest.
 struct RefinedHarvest {
   EquationSystem system;  // harvest under the refined structure
-  std::vector<graph::LinkId> refined_links;  // demoted to singletons
-  /// Path sets of the intermediate demotion rounds' equations (harvests a
-  /// later round replaced), as candidates.
+  /// The structural Assumption-4 links (with refinement on), then every
+  /// link the demotion round found uncovered, each moved to a singleton
+  /// set. The round lists all uncovered links, including links that were
+  /// already alone in their set; it fires only when one of them was not.
+  std::vector<graph::LinkId> refined_links;
+  /// The demotion round's single-path equations, as candidates {p, p} in
+  /// path order; empty when no round fired. The final build replaced them.
   std::vector<CandidatePaths> witness_paths;
-  /// Every candidate a round of the chain tried and found unusable, round
-  /// by round in candidate order (a candidate several rounds tried appears
-  /// once per round).
+  /// Every candidate the chain tried and found unusable, in candidate
+  /// order: the demotion round's singles (when the round fired), then the
+  /// final build's singles and pairs. A single both builds tried appears
+  /// once per build.
   std::vector<CandidatePaths> unusable;
 };
 
@@ -75,7 +86,7 @@ RefinedHarvest harvest_refined_system(
 
 /// Checks a kept harvest against another measurement: true iff every
 /// candidate `kept.unusable` records is still unusable there, and every
-/// witness path set and final-system equation is still usable. It then
+/// witness single and final-system equation is still usable. It then
 /// fills ys[i] with equation i's y over `measurement`, formed by
 /// candidate_estimate as build_equations forms it (`ys` is resized; its
 /// contents are unspecified on false).
@@ -83,11 +94,11 @@ RefinedHarvest harvest_refined_system(
 /// Re-running the chain on a measurement where every candidate it tried
 /// keeps its usability rebuilds `kept` exactly — equations, order,
 /// counters and refined links — with only the y values new. The check
-/// covers every tried candidate except the usable pairs the harvest
-/// dropped as linearly dependent (every usable single is an equation).
-/// Such a pair turning unusable, which a bootstrap resample can cause but
-/// a grown stream prefix cannot, moves a dropped_* counter but never an
-/// equation.
+/// covers every tried candidate except the usable pairs the final build
+/// dropped as linearly dependent (every usable single is a final equation
+/// or a witness, and the demotion round tries no pair). Such a pair
+/// turning unusable, which a bootstrap resample can cause but a grown
+/// stream prefix cannot, moves a dropped_* counter but never an equation.
 bool replay_harvest(const RefinedHarvest& kept,
                     const sim::MeasurementProvider& measurement,
                     std::vector<double>& ys);

@@ -243,6 +243,10 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
   // would demote links the monolithic pipeline does not.
   corr::CorrelationSets refined = sets;
   InferenceOptions shard_opts = options.inference;
+  // Parallelism lives at the shard level: a shard builds its Gram inline,
+  // so the fan-out below runs at most `jobs` threads, not jobs × the
+  // solver's Gram workers.
+  shard_opts.solver.jobs = 1;
   if (options.inference.refine_unidentifiable) {
     result.refined_links =
         corr::structurally_unidentifiable_links(g, paths, sets);
@@ -464,9 +468,10 @@ ShardedInferenceResult infer_sharded(const graph::Graph& g,
         result.averaged_links += group.size();
         continue;
       }
+      // The joint re-solve runs alone, after the fan-out: its Gram build
+      // may use the solver's own workers (bitwise the same for any jobs).
       linalg::SolverOptions so = options.inference.solver;
       so.warm_start.clear();
-      so.jobs = 1;  // tiny system; keep it inline and deterministic
       const Stopwatch joint_timer;
       const linalg::LogSystemSolution solution =
           linalg::solve_log_system(view, so);

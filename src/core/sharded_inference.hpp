@@ -22,9 +22,10 @@
 //      ingress/egress lists, so running it on a link-restricted shard
 //      subgraph would flag nodes the monolithic run does not), then runs
 //      the existing harvest→demote→NNLS pipeline per shard on re-indexed
-//      local subsystems, fanned across parallel_for workers. Each shard
-//      writes only its own slot, so the result is bit-identical for any
-//      `jobs`.
+//      local subsystems, fanned across parallel_for workers. A shard
+//      builds its Gram inline, so the fan-out runs at most `jobs` threads.
+//      Each shard writes only its own slot, so the result is bit-identical
+//      for any `jobs`.
 //   3. Links covered by several shards are reconciled by one rule: shards
 //      that agree within kShardDisagreementTol take the plain log-space
 //      mean; shards that disagree fall back to a joint re-solve of the
@@ -103,7 +104,9 @@ struct ShardTelemetry {
   std::size_t paths = 0;
   std::size_t links = 0;
   std::size_t equations = 0;
-  std::size_t refined_links = 0;  // demoted by the shard's fallback rounds
+  /// Links the shard's demotion round listed as uncovered (see
+  /// RefinedHarvest::refined_links; some may already have been alone).
+  std::size_t refined_links = 0;
   double solve_seconds = 0.0;
   /// The shard admits no usable equation: its links fall back to
   /// log_good = 0 (exactly what the monolithic solver leaves for

@@ -68,7 +68,10 @@ struct ServeReport {
 
 /// One line of the daemon's stdout protocol (no trailing newline).
 /// `mean_err` < 0 omits the field. Doubles print with %.17g, so equal bits
-/// give equal bytes — the cross-jobs identity contract.
+/// give equal bytes — the cross-jobs identity contract. `refined` is the
+/// size of the harvest's refined_links: the structural links plus every
+/// link the demotion round found uncovered, some of which may already have
+/// been alone in their set (core::RefinedHarvest::refined_links).
 std::string window_json(const WindowEstimate& estimate, double mean_err);
 
 /// Runs the loop until the stream closes (or max_windows). Inference

@@ -7,19 +7,19 @@
 //
 //   - Harvest replay: the refine→harvest→demote chain
 //     (core::harvest_refined_system, always from the original declared
-//     sets) reads the measurements only through which candidates each
-//     round finds usable and through the final equations' y values. The
-//     driver keeps the last harvest and checks it against the grown
-//     measurement with core::replay_harvest (the bootstrap runs the same
-//     check per replicate): when every candidate it recorded as unusable
-//     is still unusable, the window keeps its equations, order, counters
-//     and refined links and re-estimates only the y values. Otherwise, and
-//     always for the first window, it runs the full harvest and keeps
-//     that. A streamed prefix only gains good snapshots, so a usable
-//     candidate never turns unusable; the check therefore covers every
-//     candidate the chain tried, and a replayed window is bitwise the
-//     re-harvest — window k's system equals a batch harvest over the
-//     first k windows either way.
+//     sets) reads the measurements only through which candidates the
+//     demotion round and the final build find usable and through the
+//     final equations' y values. The driver keeps the last harvest and
+//     checks it against the grown measurement with core::replay_harvest
+//     (the bootstrap runs the same check per replicate): when every
+//     candidate it recorded as unusable is still unusable, the window
+//     keeps its equations, order, counters and refined links and
+//     re-estimates only the y values. Otherwise, and always for the first
+//     window, it runs the full harvest and keeps that. A streamed prefix
+//     only gains good snapshots, so a usable candidate never turns
+//     unusable; the check therefore covers every candidate the chain
+//     tried, and a replayed window is bitwise the re-harvest — window k's
+//     system equals a batch harvest over the first k windows either way.
 //   - Gram reuse: every window solves on one kept linalg::GramSystem,
 //     which keeps G = AᵀA and recomputes only the right-hand-side products
 //     when the window's rows are bitwise those G was built from (always

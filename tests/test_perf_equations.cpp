@@ -17,9 +17,15 @@
 // bench/micro_equations.cpp plus the *_harvest_seconds JSON telemetry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "core/correlation_algorithm.hpp"
 #include "core/equations.hpp"
 #include "core/scenario_catalog.hpp"
+#include "corr/identifiability.hpp"
 #include "graph/coverage.hpp"
+#include "reference/harvest_chain.hpp"
 #include "sim/measurement.hpp"
 #include "sim/simulator.hpp"
 #include "util/stopwatch.hpp"
@@ -78,6 +84,56 @@ TEST(PerfEquations, DenseVpsHarvestStaysWithinBudget) {
   std::cout << "[perf] waxman-dense-vps harvest: " << seconds << " s / "
             << kRounds << " rounds, " << inst.paths.size() << " paths, "
             << coverage.link_count() << " links\n";
+}
+
+// The §3.3 chain decides its demotion round from the round's single-path
+// equations and harvests pairs once, on the final structure; the reference
+// chain runs the pair phase in the discarded round too. On hier-2k, where
+// the round fires, that pair phase is most of a build. The check is
+// relative, both chains timed in one process (best of kChainRounds,
+// interleaved), so it holds in every build flavor.
+TEST(PerfEquations, DemotionChainBuildsPairsOnce) {
+  constexpr int kChainRounds = 3;
+  constexpr double kMinSpeedup = 1.3;
+
+  ScenarioConfig config = ScenarioCatalog::instance().at("hier-2k").config;
+  config.seed = 42;
+  const ScenarioInstance inst = build_scenario(config);
+  sim::SimulatorConfig sc;
+  sc.snapshots = 1000;
+  sc.seed = 7;
+  const auto simr = sim::simulate(inst.graph, inst.paths, *inst.truth, sc);
+  const graph::CoverageIndex coverage(inst.graph, inst.paths);
+  const sim::EmpiricalMeasurement meas(simr.measurement);
+
+  double fast = std::numeric_limits<double>::infinity();
+  double slow = fast;
+  std::size_t demoted = 0;
+  for (int round = 0; round < kChainRounds; ++round) {
+    const Stopwatch fast_timer;
+    const RefinedHarvest got = harvest_refined_system(
+        inst.graph, inst.paths, coverage, inst.declared_sets, meas, {});
+    fast = std::min(fast, fast_timer.seconds());
+    const Stopwatch slow_timer;
+    const RefinedHarvest ref = reference::harvest_refined_system(
+        inst.graph, inst.paths, coverage, inst.declared_sets, meas, {});
+    slow = std::min(slow, slow_timer.seconds());
+    ASSERT_EQ(got.system.equations.size(), ref.system.equations.size());
+    ASSERT_EQ(got.refined_links, ref.refined_links);
+    demoted = got.refined_links.size();
+  }
+  const std::vector<graph::LinkId> structural =
+      corr::structurally_unidentifiable_links(inst.graph, inst.paths,
+                                              inst.declared_sets);
+  EXPECT_GT(demoted, structural.size())
+      << "hier-2k no longer fires a demotion round";
+  EXPECT_GE(slow, kMinSpeedup * fast)
+      << "hier-2k harvest chain: " << fast << " s against the reference's "
+      << slow << " s (" << slow / fast << "x; at least " << kMinSpeedup
+      << "x expected)";
+  std::cout << "[perf] hier-2k harvest chain: " << fast << " s, reference "
+            << slow << " s (" << slow / fast << "x, " << demoted
+            << " links demoted)\n";
 }
 
 }  // namespace

@@ -216,7 +216,10 @@ TEST_P(RegistryShardedDifferential, CappedPlanIsBitIdenticalAcrossJobs) {
   const ShardedInferenceResult a =
       infer_sharded(p.inst.graph, p.inst.paths, p.coverage,
                     p.inst.declared_sets, p.block, options);
+  // Three shard workers, and three Gram workers for the joint re-solve
+  // (shards build their Gram inline whatever the solver's jobs).
   options.jobs = 3;
+  options.inference.solver.jobs = 3;
   const ShardedInferenceResult b =
       infer_sharded(p.inst.graph, p.inst.paths, p.coverage,
                     p.inst.declared_sets, p.block, options);
